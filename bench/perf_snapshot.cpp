@@ -1,17 +1,19 @@
-// Snapshot-subsystem bench: per registered estimator, ingest a stream, then
-// measure snapshot size and save/load throughput through the registry's
-// whole-snapshot paths — the portable element-wise encoding AND the fast
-// arena encoding (in-memory and the mmap file restore). Produces the
-// committed BENCH_snapshot.json artifact (see docs/BENCHMARKS.md) with a
-// per-row round-trip verdict: answers of every restored estimator (portable,
-// fast, mmapped) must be bit-identical to the saved one on a range workload.
+// Snapshot-subsystem bench: for every registered estimator tag
+// (EstimatorRegistry::Global().Tags()), ingest a stream, then measure
+// snapshot size and save/load throughput through the registry's
+// whole-snapshot paths — the in-memory load and the mmap file restore of the
+// one state encoding. Produces the committed BENCH_snapshot.json artifact
+// (see docs/BENCHMARKS.md) with a per-row round-trip verdict: answers of
+// every restored estimator (in-memory, mmapped) must be bit-identical to the
+// saved one on a range workload.
 //
 // Besides throughput, each row records the restore *latency* of the mmapped
-// fast path (the warm-standby metric: how long until a restored estimator
-// can answer) and the peak-RSS delta of loading (portable decode
-// materializes every buffer; the mmap path touches only headers until
-// queries fault pages in). RSS deltas come from /proc/self/status VmHWM
-// around a clear_refs peak reset — Linux-only, reported as 0 elsewhere.
+// path (the warm-standby metric: how long until a restored estimator can
+// answer) and the peak-RSS delta of loading (the in-memory load copies the
+// columns out of the caller's buffer; the mmap path touches only headers
+// until queries fault pages in). RSS deltas come from /proc/self/status
+// VmHWM around a clear_refs peak reset — Linux-only, reported as 0
+// elsewhere.
 //
 // No google-benchmark dependency: plain steady_clock timing, best of
 // --repeats runs, so the binary builds everywhere and CI can always produce
@@ -21,8 +23,8 @@
 //                      [--out=BENCH_snapshot.json] [--check]
 //
 // --check: exit 1 if any estimator fails to round-trip bit-identically on
-// any path, or if any fast restore disagrees with the portable restore —
-// the fidelity contract at bench scale, not just test sizes.
+// either path — the fidelity contract at bench scale, not just test sizes.
+// It gates fidelity only, never speed.
 #include <chrono>
 #include <cstdio>
 #include <cstdlib>
@@ -37,67 +39,39 @@
 
 #include "bench_common.hpp"
 #include "selectivity/estimator_registry.hpp"
-#include "selectivity/histogram.hpp"
-#include "selectivity/kde_selectivity.hpp"
+#include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
-#include "selectivity/sample_selectivity.hpp"
-#include "selectivity/sharded_selectivity.hpp"
-#include "selectivity/wavelet_selectivity.hpp"
-#include "selectivity/wavelet_synopsis.hpp"
 #include "stats/rng.hpp"
 #include "util/check.hpp"
 #include "util/string_util.hpp"
-#include "wavelet/scaled_function.hpp"
 
 namespace {
 
 using namespace wde;
 
-const wavelet::WaveletBasis& Sym8Basis() {
-  static const wavelet::WaveletBasis basis = []() {
-    Result<wavelet::WaveletBasis> b =
-        wavelet::WaveletBasis::Create(*wavelet::WaveletFilter::Symmlet(8), 12);
-    WDE_CHECK(b.ok());
-    return *b;
-  }();
-  return basis;
-}
-
-/// One ingest-ready instance per registered estimator, at production-ish
-/// configurations (the sketch at the perf_sharded level budget).
-std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> MakeEstimators() {
-  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> estimators;
-  estimators.push_back(
-      std::make_unique<selectivity::EquiWidthHistogram>(0.0, 1.0, 64));
-  estimators.push_back(
-      std::make_unique<selectivity::EquiDepthHistogram>(0.0, 1.0, 32));
-  estimators.push_back(
-      std::make_unique<selectivity::ReservoirSampleSelectivity>(4096, 17));
-  estimators.push_back(std::make_unique<selectivity::KdeSelectivity>(
-      selectivity::KdeSelectivity::Options{}));
-  {
-    selectivity::WaveletSynopsisSelectivity::Options options;
-    options.grid_log2 = 10;
-    options.budget = 64;
-    estimators.push_back(std::make_unique<selectivity::WaveletSynopsisSelectivity>(
-        *selectivity::WaveletSynopsisSelectivity::Create(options)));
+/// The bench configuration of `tag` at production-ish settings (the sketch
+/// at the perf_sharded level budget; sharded wraps a 64-bucket equi-width).
+selectivity::EstimatorSpec BenchSpecFor(const std::string& tag) {
+  selectivity::EstimatorSpec spec;
+  spec.tag = tag;
+  spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(tag);
+  spec.buckets = tag == "equi-depth" ? 32 : 64;
+  spec.capacity = 4096;
+  spec.seed = 17;
+  if (tag == "haar-synopsis") {
+    spec.grid_log2 = 10;
+    spec.budget = 64;
   }
-  {
-    selectivity::StreamingWaveletSelectivity::Options options;
-    options.j0 = 2;
-    options.j_max = 11;
-    options.refit_interval = 65536;
-    estimators.push_back(std::make_unique<selectivity::StreamingWaveletSelectivity>(
-        *selectivity::StreamingWaveletSelectivity::Create(Sym8Basis(), options)));
+  if (tag == "wavelet-cv") {
+    spec.j0 = 2;
+    spec.j_max = 11;
+    spec.refit_interval = 65536;
   }
-  {
-    selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
-    selectivity::ShardedSelectivityEstimator::Options options;
-    options.shards = 4;
-    estimators.push_back(std::make_unique<selectivity::ShardedSelectivityEstimator>(
-        *selectivity::ShardedSelectivityEstimator::Create(prototype, options)));
+  if (tag == "sharded") {
+    spec.sharded_inner_tag = "equi-width";
+    spec.shards = 4;
   }
-  return estimators;
+  return spec;
 }
 
 /// Reads one "Key:   <n> kB" line of /proc/self/status; 0 off-Linux.
@@ -141,22 +115,17 @@ size_t PeakRssDeltaOf(Fn&& fn) {
   return peak > before ? peak - before : 0;
 }
 
-struct PathStats {
-  size_t bytes = 0;
-  double save_seconds = 0.0;
-  double load_seconds = 0.0;
-};
-
 struct Row {
   std::string tag;
   std::string name;
-  PathStats portable;             // in-memory, element-wise encoding
-  PathStats fast;                 // in-memory, arena (ARNA) encoding
-  double mmap_load_seconds = 0.0; // restore latency from the mmapped file
-  size_t portable_peak_rss_bytes = 0;
+  size_t bytes = 0;
+  double save_seconds = 0.0;       // in-memory save
+  double load_seconds = 0.0;       // in-memory load
+  double mmap_load_seconds = 0.0;  // restore latency from the mmapped file
+  size_t load_peak_rss_bytes = 0;
   size_t mmap_peak_rss_bytes = 0;
-  bool roundtrip_bit_identical = false;  // portable restore == saved
-  bool fast_equals_portable = false;     // fast + mmap restores == saved
+  bool roundtrip_bit_identical = false;  // in-memory restore == saved
+  bool mmap_bit_identical = false;       // mmapped restore == saved
 };
 
 double MbPerS(size_t bytes, double seconds) {
@@ -176,7 +145,7 @@ int main(int argc, char** argv) {
   const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 5));
   const std::string out_path =
       ArgString(argc, argv, "out", "BENCH_snapshot.json");
-  const std::string tmp_path = out_path + ".fastsnap.tmp";
+  const std::string tmp_path = out_path + ".snap.tmp";
 
   stats::Rng data_rng(1);
   std::vector<double> stream(n);
@@ -186,34 +155,46 @@ int main(int argc, char** argv) {
       selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3);
 
   std::vector<Row> rows;
-  for (auto& estimator : MakeEstimators()) {
+  for (const std::string& tag : selectivity::EstimatorRegistry::Global().Tags()) {
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> made =
+        selectivity::MakeEstimator(BenchSpecFor(tag));
+    WDE_CHECK(made.ok(), made.status().ToString().c_str());
+    std::unique_ptr<selectivity::SelectivityEstimator> estimator =
+        std::move(made).value();
+    // A d-dimensional estimator reads the stream as interleaved coordinates;
+    // range queries are its axis-0 marginal.
     estimator->InsertBatch(stream);
     std::vector<double> before(queries.size());
     estimator->EstimateBatch(queries, before);  // realistic: fitted cache exists
 
     Row row;
-    row.tag = estimator->snapshot_type_tag();
+    row.tag = tag;
     row.name = estimator->name();
 
-    // ---- portable encoding, in-memory ----
-    std::vector<uint8_t> portable_bytes;
-    row.portable.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+    // ---- in-memory save and load ----
+    std::vector<uint8_t> bytes;
+    row.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
       io::VectorSink sink;
       WDE_CHECK_OK(selectivity::SaveEstimatorSnapshot(*estimator, sink));
-      portable_bytes = sink.TakeBytes();
+      bytes = sink.TakeBytes();
     });
-    row.portable.bytes = portable_bytes.size();
+    row.bytes = bytes.size();
 
     std::unique_ptr<selectivity::SelectivityEstimator> restored;
-    row.portable.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::SpanSource source(portable_bytes);
+    row.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
+      io::SpanSource source(bytes);
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
       restored = std::move(loaded).value();
     });
-    row.portable_peak_rss_bytes = PeakRssDeltaOf([&] {
-      io::SpanSource source(portable_bytes);
+    std::vector<double> after(queries.size());
+    restored->EstimateBatch(queries, after);
+    row.roundtrip_bit_identical =
+        restored->count() == estimator->count() && after == before;
+    restored.reset();
+    row.load_peak_rss_bytes = PeakRssDeltaOf([&] {
+      io::SpanSource source(bytes);
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok());
@@ -221,33 +202,8 @@ int main(int argc, char** argv) {
       (*loaded)->EstimateBatch(queries, probe);
     });
 
-    std::vector<double> after(queries.size());
-    restored->EstimateBatch(queries, after);
-    row.roundtrip_bit_identical =
-        restored->count() == estimator->count() && after == before;
-
-    // ---- fast (arena) encoding, in-memory ----
-    std::vector<uint8_t> fast_bytes;
-    row.fast.save_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::VectorSink sink;
-      WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFast(*estimator, sink));
-      fast_bytes = sink.TakeBytes();
-    });
-    row.fast.bytes = fast_bytes.size();
-
-    std::unique_ptr<selectivity::SelectivityEstimator> fast_restored;
-    row.fast.load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
-      io::SpanSource source(fast_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
-          selectivity::LoadEstimatorSnapshot(source);
-      WDE_CHECK(loaded.ok(), loaded.status().ToString().c_str());
-      fast_restored = std::move(loaded).value();
-    });
-    std::vector<double> fast_after(queries.size());
-    fast_restored->EstimateBatch(queries, fast_after);
-
-    // ---- fast encoding, mmapped file restore (the warm-standby path) ----
-    WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFastFile(*estimator, tmp_path));
+    // ---- mmapped file restore (the warm-standby path) ----
+    WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFile(*estimator, tmp_path));
     std::unique_ptr<selectivity::SelectivityEstimator> mapped_restored;
     row.mmap_load_seconds = bench::perf::BestOfSeconds(repeats, [&] {
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
@@ -257,6 +213,8 @@ int main(int argc, char** argv) {
     });
     std::vector<double> mapped_after(queries.size());
     mapped_restored->EstimateBatch(queries, mapped_after);
+    row.mmap_bit_identical =
+        mapped_restored->count() == estimator->count() && mapped_after == before;
     mapped_restored.reset();
     row.mmap_peak_rss_bytes = PeakRssDeltaOf([&] {
       Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
@@ -267,22 +225,16 @@ int main(int argc, char** argv) {
     });
     std::remove(tmp_path.c_str());
 
-    row.fast_equals_portable = fast_after == before && mapped_after == before;
     rows.push_back(row);
     std::printf(
-        "%-28s portable %9zu B  save %8.1f MB/s  load %8.1f MB/s | "
-        "fast %9zu B  load %8.1f MB/s  mmap-restore %8.1f us  "
-        "rss %5.1f -> %5.1f MB | %s\n",
-        row.name.c_str(), row.portable.bytes,
-        MbPerS(row.portable.bytes, row.portable.save_seconds),
-        MbPerS(row.portable.bytes, row.portable.load_seconds), row.fast.bytes,
-        MbPerS(row.fast.bytes, row.fast.load_seconds),
-        row.mmap_load_seconds * 1e6,
-        static_cast<double>(row.portable_peak_rss_bytes) / 1e6,
+        "%-28s %10zu B  save %8.1f MB/s  load %8.1f MB/s  mmap-restore %9.1f us  "
+        "rss %6.1f / %6.1f MB | %s\n",
+        row.name.c_str(), row.bytes, MbPerS(row.bytes, row.save_seconds),
+        MbPerS(row.bytes, row.load_seconds), row.mmap_load_seconds * 1e6,
+        static_cast<double>(row.load_peak_rss_bytes) / 1e6,
         static_cast<double>(row.mmap_peak_rss_bytes) / 1e6,
-        row.roundtrip_bit_identical && row.fast_equals_portable
-            ? "bit-identical"
-            : "MISMATCH");
+        row.roundtrip_bit_identical && row.mmap_bit_identical ? "bit-identical"
+                                                              : "MISMATCH");
   }
 
   std::FILE* out = std::fopen(out_path.c_str(), "w");
@@ -298,36 +250,22 @@ int main(int argc, char** argv) {
     std::fprintf(out, "    {\"tag\": \"%s\", \"estimator\": \"%s\",\n",
                  row.tag.c_str(), row.name.c_str());
     std::fprintf(out,
-                 "     \"portable\": {\"bytes\": %zu, \"save_seconds\": %.6e, "
+                 "     \"memory\": {\"bytes\": %zu, \"save_seconds\": %.6e, "
                  "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
                  "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu},\n",
-                 row.portable.bytes, row.portable.save_seconds,
-                 MbPerS(row.portable.bytes, row.portable.save_seconds),
-                 row.portable.load_seconds,
-                 MbPerS(row.portable.bytes, row.portable.load_seconds),
-                 row.portable_peak_rss_bytes);
-    std::fprintf(out,
-                 "     \"fast\": {\"bytes\": %zu, \"save_seconds\": %.6e, "
-                 "\"save_mb_per_s\": %.1f, \"load_seconds\": %.6e, "
-                 "\"load_mb_per_s\": %.1f},\n",
-                 row.fast.bytes, row.fast.save_seconds,
-                 MbPerS(row.fast.bytes, row.fast.save_seconds),
-                 row.fast.load_seconds,
-                 MbPerS(row.fast.bytes, row.fast.load_seconds));
+                 row.bytes, row.save_seconds, MbPerS(row.bytes, row.save_seconds),
+                 row.load_seconds, MbPerS(row.bytes, row.load_seconds),
+                 row.load_peak_rss_bytes);
     std::fprintf(out,
                  "     \"mmap\": {\"load_seconds\": %.6e, "
                  "\"load_mb_per_s\": %.1f, \"load_peak_rss_bytes\": %zu},\n",
-                 row.mmap_load_seconds,
-                 MbPerS(row.fast.bytes, row.mmap_load_seconds),
+                 row.mmap_load_seconds, MbPerS(row.bytes, row.mmap_load_seconds),
                  row.mmap_peak_rss_bytes);
     std::fprintf(out,
-                 "     \"load_speedup_fast_vs_portable\": %.2f, "
-                 "\"roundtrip_bit_identical\": %s, "
-                 "\"fast_equals_portable\": %s}%s\n",
-                 MbPerS(row.fast.bytes, row.fast.load_seconds) /
-                     MbPerS(row.portable.bytes, row.portable.load_seconds),
+                 "     \"roundtrip_bit_identical\": %s, "
+                 "\"mmap_bit_identical\": %s}%s\n",
                  row.roundtrip_bit_identical ? "true" : "false",
-                 row.fast_equals_portable ? "true" : "false",
+                 row.mmap_bit_identical ? "true" : "false",
                  i + 1 < rows.size() ? "," : "");
   }
   std::fprintf(out, "  ]\n}\n");
@@ -337,22 +275,17 @@ int main(int argc, char** argv) {
   if (ArgBool(argc, argv, "check")) {
     int violations = 0;
     for (const Row& row : rows) {
-      if (!row.roundtrip_bit_identical) {
+      if (!row.roundtrip_bit_identical || !row.mmap_bit_identical) {
         std::fprintf(stderr,
-                     "CHECK FAILED: %s did not round-trip bit-identically\n",
-                     row.name.c_str());
-        ++violations;
-      }
-      if (!row.fast_equals_portable) {
-        std::fprintf(stderr,
-                     "CHECK FAILED: %s fast/mmap restore disagrees with the "
-                     "portable restore\n",
-                     row.name.c_str());
+                     "CHECK FAILED: %s did not round-trip bit-identically "
+                     "(in-memory %s, mmap %s)\n",
+                     row.name.c_str(), row.roundtrip_bit_identical ? "ok" : "MISMATCH",
+                     row.mmap_bit_identical ? "ok" : "MISMATCH");
         ++violations;
       }
     }
     if (violations > 0) return 1;
-    std::printf("round-trip fidelity checks passed (portable, fast, mmap)\n");
+    std::printf("round-trip fidelity checks passed (in-memory, mmap)\n");
   }
   return 0;
 }

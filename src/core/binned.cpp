@@ -85,39 +85,6 @@ Status BinnedWaveletFit::Merge(const BinnedWaveletFit& other) {
   return Status::OK();
 }
 
-Status BinnedWaveletFit::Serialize(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteString(sink, filter_.name()));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, j0_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, finest_level_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, width_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  return io::WriteDoubleVector(sink, counts_);
-}
-
-Result<BinnedWaveletFit> BinnedWaveletFit::Deserialize(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const std::string filter_name, io::ReadString(source, 64));
-  Result<wavelet::WaveletFilter> filter = wavelet::WaveletFilter::FromName(filter_name);
-  if (!filter.ok()) return filter.status();
-  WDE_ASSIGN_OR_RETURN(const int32_t j0, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t finest_level, io::ReadI32(source));
-  if (j0 < 0 || finest_level <= j0 || finest_level > 24) {
-    return Status::InvalidArgument("corrupt binned fit level range");
-  }
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(source));
-  if (!std::isfinite(lo) || !(width > 0.0) || !std::isfinite(width)) {
-    return Status::InvalidArgument("corrupt binned fit domain");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  if (counts.size() != (1ULL << finest_level)) {
-    return Status::InvalidArgument("corrupt binned fit cell count");
-  }
-  return BinnedWaveletFit(std::move(filter).value(), std::move(counts), j0,
-                          finest_level, lo, width, static_cast<size_t>(count));
-}
-
 void BinnedWaveletFit::EnsurePyramid() const {
   if (pyramid_at_count_ == count_) return;
   // Scaled counts s_k = 2^{J/2}·count_k/n are the finest-level scaling

@@ -5,7 +5,6 @@
 #include <vector>
 
 #include "core/thresholding.hpp"
-#include "io/serialize.hpp"
 #include "util/result.hpp"
 #include "wavelet/dwt.hpp"
 #include "wavelet/filter.hpp"
@@ -54,16 +53,6 @@ class BinnedWaveletFit {
   /// (leaving this fit untouched) when the filter, level range or domain
   /// differ.
   Status Merge(const BinnedWaveletFit& other);
-
-  /// Writes the filter identity, level range, domain and the raw per-cell
-  /// counts. Counts are exact integers stored in doubles, so the round trip
-  /// is bit-exact and a restored fit's lazily recomputed pyramid matches the
-  /// original coefficient-for-coefficient.
-  Status Serialize(io::Sink& sink) const;
-
-  /// Restores a fit written by Serialize (filter re-derived from its name);
-  /// corrupt input yields a non-OK Result.
-  static Result<BinnedWaveletFit> Deserialize(io::Source& source);
 
   int j0() const { return j0_; }
   int finest_level() const { return finest_level_; }

@@ -196,78 +196,6 @@ Status EmpiricalCoefficients::Merge(const EmpiricalCoefficients& other) {
   return Status::OK();
 }
 
-Status SerializeBasisId(const wavelet::WaveletBasis& basis, io::Sink& sink) {
-  WDE_RETURN_IF_ERROR(io::WriteString(sink, basis.filter().name()));
-  return io::WriteU32(sink, static_cast<uint32_t>(basis.table_levels()));
-}
-
-Result<wavelet::WaveletBasis> DeserializeBasisId(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const std::string name, io::ReadString(source, 64));
-  WDE_ASSIGN_OR_RETURN(const uint32_t table_levels, io::ReadU32(source));
-  if (table_levels > 20) {
-    return Status::InvalidArgument("corrupt basis table resolution");
-  }
-  Result<wavelet::WaveletFilter> filter = wavelet::WaveletFilter::FromName(name);
-  if (!filter.ok()) return filter.status();
-  return wavelet::WaveletBasis::Create(*filter, static_cast<int>(table_levels));
-}
-
-namespace {
-
-Status SerializeLevel(const CoefficientLevel& level, io::Sink& sink) {
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, level.k_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, level.s1));
-  return io::WriteDoubleVector(sink, level.s2);
-}
-
-/// Reads one level's sums into `level`, which already carries the window
-/// geometry re-derived from the basis; serialized geometry must agree.
-Status DeserializeLevelInto(io::Source& source, CoefficientLevel* level) {
-  WDE_ASSIGN_OR_RETURN(const int32_t k_lo, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> s1, io::ReadDoubleVector(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> s2, io::ReadDoubleVector(source));
-  if (k_lo != level->k_lo || s1.size() != level->s1.size() ||
-      s2.size() != level->s2.size()) {
-    return Status::InvalidArgument(
-        Format("corrupt coefficient level j=%d: window mismatch", level->j));
-  }
-  std::copy(s1.begin(), s1.end(), level->s1.begin());
-  std::copy(s2.begin(), s2.end(), level->s2.begin());
-  return Status::OK();
-}
-
-}  // namespace
-
-Status EmpiricalCoefficients::Serialize(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(SerializeBasisId(basis_, sink));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, j0_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, j_max_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  WDE_RETURN_IF_ERROR(SerializeLevel(scaling_, sink));
-  for (const CoefficientLevel& level : details_) {
-    WDE_RETURN_IF_ERROR(SerializeLevel(level, sink));
-  }
-  return Status::OK();
-}
-
-Result<EmpiricalCoefficients> EmpiricalCoefficients::Deserialize(
-    io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(wavelet::WaveletBasis basis, DeserializeBasisId(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t j0, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t j_max, io::ReadI32(source));
-  // Create re-validates the level range, so hostile values cannot size the
-  // windows; the constructed accumulator then defines the expected geometry.
-  Result<EmpiricalCoefficients> coeffs = Create(std::move(basis), j0, j_max);
-  if (!coeffs.ok()) return coeffs.status();
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_RETURN_IF_ERROR(DeserializeLevelInto(source, &coeffs->scaling_));
-  for (CoefficientLevel& level : coeffs->details_) {
-    WDE_RETURN_IF_ERROR(DeserializeLevelInto(source, &level));
-  }
-  coeffs->count_ = static_cast<size_t>(count);
-  return coeffs;
-}
-
 Status EmpiricalCoefficients::RestoreSums(
     uint64_t count, std::span<const std::span<const double>> sums) {
   if (sums.size() != 2 * (details_.size() + 1)) {

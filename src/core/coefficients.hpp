@@ -4,7 +4,6 @@
 #include <span>
 #include <vector>
 
-#include "io/serialize.hpp"
 #include "memory/arena.hpp"
 #include "util/result.hpp"
 #include "wavelet/scaled_function.hpp"
@@ -24,7 +23,7 @@ namespace core {
 ///
 /// The sums are views into the owning accumulator's columnar arena (two
 /// 64-byte-aligned columns per level): flat element-wise buffers the merge
-/// loop vectorizes over and the snapshot fast path serializes verbatim.
+/// loop vectorizes over and snapshots serialize verbatim.
 struct CoefficientLevel {
   int j = 0;
   bool is_scaling = false;
@@ -68,20 +67,6 @@ class EmpiricalCoefficients {
   /// level range differ; merging an empty accumulator is an exact no-op.
   Status Merge(const EmpiricalCoefficients& other);
 
-  /// Writes the complete accumulator state — the basis identity (filter name
-  /// + table resolution), the level range, and every level's S1/S2 running
-  /// sums — as the io module's endianness-explicit primitives. The sums
-  /// travel as IEEE bit patterns, so Serialize→Deserialize round trips are
-  /// bit-exact and a restored accumulator is merge-compatible with (and
-  /// answers identically to) the original.
-  Status Serialize(io::Sink& sink) const;
-
-  /// Restores an accumulator written by Serialize: rebuilds the basis from
-  /// its identity, re-derives the level windows, and validates the stored
-  /// level geometry against them — corrupt or truncated input yields a
-  /// non-OK Result, never UB.
-  static Result<EmpiricalCoefficients> Deserialize(io::Source& source);
-
   size_t count() const { return count_; }
   int j0() const { return j0_; }
   int j_max() const { return j_max_; }
@@ -109,7 +94,7 @@ class EmpiricalCoefficients {
   EmpiricalCoefficients(EmpiricalCoefficients&&) noexcept = default;
   EmpiricalCoefficients& operator=(EmpiricalCoefficients&&) noexcept = default;
 
-  /// Snapshot fast path: overwrites the running sums and count with
+  /// Snapshot restore: overwrites the running sums and count with
   /// persisted values. `sums` holds [scaling.s1, scaling.s2, detail_{j0}.s1,
   /// detail_{j0}.s2, ...]; every span's size must match the level geometry
   /// this accumulator derived from its basis (checked — hostile sizes yield
@@ -145,14 +130,6 @@ int DefaultPrimaryLevel(size_t n, int vanishing_moments);
 
 /// The cross-validation top level j* = log2(n) (§5.1), i.e. floor(log2 n).
 int DefaultTopLevel(size_t n);
-
-/// Writes the identity of a basis — filter name + cascade table resolution —
-/// so a reader can rebuild bit-identical tables (within one platform; see
-/// wavelet::WaveletFilter::FromName). Shared by every core serializer.
-Status SerializeBasisId(const wavelet::WaveletBasis& basis, io::Sink& sink);
-
-/// Rebuilds a basis from its serialized identity.
-Result<wavelet::WaveletBasis> DeserializeBasisId(io::Source& source);
 
 }  // namespace core
 }  // namespace wde

@@ -278,23 +278,6 @@ Result<WaveletEstimate> WaveletEstimate::Deserialize(
   return estimate;
 }
 
-Status WaveletDensityFit::Serialize(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, width_));
-  return coefficients_.Serialize(sink);
-}
-
-Result<WaveletDensityFit> WaveletDensityFit::Deserialize(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(source));
-  if (!std::isfinite(lo) || !(width > 0.0) || !std::isfinite(width)) {
-    return Status::InvalidArgument("corrupt fit domain");
-  }
-  Result<EmpiricalCoefficients> coeffs = EmpiricalCoefficients::Deserialize(source);
-  if (!coeffs.ok()) return coeffs.status();
-  return WaveletDensityFit(std::move(coeffs).value(), lo, width);
-}
-
 Result<WaveletDensityFit> WaveletDensityFit::Fit(const wavelet::WaveletBasis& basis,
                                                  std::span<const double> data,
                                                  const FitOptions& options) {

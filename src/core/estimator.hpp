@@ -16,6 +16,7 @@
 
 #include "core/coefficients.hpp"
 #include "core/thresholding.hpp"
+#include "io/serialize.hpp"
 #include "numerics/interpolation.hpp"
 #include "util/result.hpp"
 #include "wavelet/scaled_function.hpp"
@@ -66,10 +67,10 @@ class WaveletEstimate {
   double Quantile(double u) const;
 
   /// Writes the reconstructed expansion (domain, α coefficients, thresholded
-  /// detail levels) WITHOUT the basis — the owner serializes the basis
-  /// identity once and passes the rebuilt basis to Deserialize. Round trips
-  /// are bit-exact, so a restored estimate answers Evaluate/IntegrateRange
-  /// bit-identically.
+  /// detail levels) WITHOUT the basis — the owner (the wavelet sketch's
+  /// snapshot head) persists the basis once and passes it to Deserialize.
+  /// Round trips are bit-exact, so a restored estimate answers
+  /// Evaluate/IntegrateRange bit-identically.
   Status Serialize(io::Sink& sink) const;
 
   /// Restores an estimate written by Serialize over `basis`. Corrupt input
@@ -124,7 +125,7 @@ class WaveletDensityFit {
                                                    double domain_lo = 0.0,
                                                    double domain_hi = 1.0);
 
-  /// Snapshot fast path: rebuilds a fit over `basis` from previously
+  /// Snapshot restore: rebuilds a fit over `basis` from previously
   /// accumulated coefficient sums (see EmpiricalCoefficients::RestoreSums
   /// for the column order; geometry mismatches yield a Status). The basis
   /// may itself be table-restored (WaveletBasis::FromTables); the rebuilt
@@ -150,14 +151,6 @@ class WaveletDensityFit {
   /// Fails, leaving this fit untouched, when the domain, filter or level
   /// range differ.
   Status Merge(const WaveletDensityFit& other);
-
-  /// Writes the fit domain plus the full coefficient accumulator (see
-  /// EmpiricalCoefficients::Serialize); round trips are bit-exact.
-  Status Serialize(io::Sink& sink) const;
-
-  /// Restores a fit written by Serialize, rebuilding the basis from its
-  /// serialized identity.
-  static Result<WaveletDensityFit> Deserialize(io::Source& source);
 
   size_t count() const { return coefficients_.count(); }
   const EmpiricalCoefficients& coefficients() const { return coefficients_; }

@@ -16,7 +16,7 @@ constexpr std::array<uint8_t, 8> kMagic = {'W', 'D', 'E', 'S', 'N', 'A', 'P', '1
 /// Slicing-by-8 tables: table[0] is the classic bytewise table, table[k]
 /// advances a byte through k additional zero bytes. Produces bit-identical
 /// CRCs to the bytewise loop while processing 8 input bytes per iteration —
-/// keeps CRC validation of multi-megabyte fast-path chunks off the restore
+/// keeps CRC validation of multi-megabyte state chunks off the restore
 /// critical path.
 std::array<std::array<uint32_t, 256>, 8> MakeCrcTables() {
   std::array<std::array<uint32_t, 256>, 8> tables{};
@@ -73,9 +73,10 @@ Result<uint32_t> ReadSnapshotHeader(Source& source) {
     return Status::InvalidArgument("not a WDE snapshot (bad magic)");
   }
   WDE_ASSIGN_OR_RETURN(const uint32_t version, ReadU32(source));
-  if (version == 0 || version > kSnapshotFormatVersion) {
+  if (version != kSnapshotFormatVersion) {
     return Status::InvalidArgument(
-        Format("unsupported snapshot format version %u (this build reads <= %u)",
+        Format("unsupported snapshot format version %u (this build reads "
+               "only version %u)",
                static_cast<unsigned>(version),
                static_cast<unsigned>(kSnapshotFormatVersion)));
   }

@@ -8,7 +8,7 @@
 ///   u32 tag · u64 payload_size · payload bytes · u32 crc32(payload)
 ///
 /// (all integers little-endian; CRC-32 is the IEEE/zlib polynomial). The
-/// reader validates the magic, rejects versions newer than it understands,
+/// reader validates the magic, rejects every version but its own,
 /// bounds-checks every payload size against the bytes actually present, and
 /// verifies the CRC *before* any payload byte is parsed — so truncation and
 /// bit flips surface as Status errors, never as UB in a decoder. Chunks nest
@@ -30,20 +30,20 @@ namespace io {
 /// CRC-32 (IEEE 802.3 / zlib polynomial, reflected, table-driven).
 uint32_t Crc32(std::span<const uint8_t> bytes);
 
-/// The snapshot format version this build writes and the newest it reads.
-/// Policy: readers accept any version <= kSnapshotFormatVersion (older
-/// writers), and reject newer ones with a descriptive error — forward
-/// compatibility is explicit, never silent misparsing.
-/// History: v1 — initial format; v2 — the kde-rot payload grew an optional
-/// eval-tolerance tail (readers parse both tails, so v1 payloads still load);
-/// v3 — estimator state may travel as one arena fast-path chunk (tag "ARNA",
-/// columnar image restored by pointer fixup) instead of the portable "STAT"
-/// chunk — readers dispatch on the tag, so v1/v2 payloads still load;
-/// v4 — estimators may declare dims() > 1: their envelopes carry a "DIMS"
-/// chunk (u32 dimensionality) between the TYPE chunk and the state chunk.
-/// 1-D envelopes omit it, so their bytes equal a v3 writer's, and v1–v3
-/// snapshots (necessarily 1-D) load unchanged.
-inline constexpr uint32_t kSnapshotFormatVersion = 4;
+/// The snapshot format version this build writes and the only one it reads.
+/// Policy: readers accept exactly kSnapshotFormatVersion and reject every
+/// other version — older or newer — with a Status naming it; compatibility
+/// is explicit, never silent misparsing. A format change bumps the version
+/// and states here what the readers of the new version accept.
+/// History: v1 — initial format; v2 — the kde-rot payload grew an
+/// eval-tolerance tail; v3 — estimator state could travel as one arena
+/// fast-state chunk ("ARNA") instead of the portable "STAT" chunk; v4 —
+/// estimators with dims() > 1 carry a "DIMS" chunk (u32 dimensionality)
+/// between the TYPE chunk and the state chunk; v5 — one state encoding:
+/// every estimator's state is one ARNA frame (memory/fast_state.hpp) and
+/// the STAT chunk is gone. No v1–v4 artifact was ever committed as a
+/// fixture, so v5 readers reject them rather than keep untested decoders.
+inline constexpr uint32_t kSnapshotFormatVersion = 5;
 
 /// Writes the 12-byte snapshot header (magic + format version).
 Status WriteSnapshotHeader(Sink& sink);

@@ -1,7 +1,9 @@
 #include "io/serialize.hpp"
 
+#include <algorithm>
 #include <bit>
 #include <cstring>
+#include <new>
 
 #ifndef _WIN32
 #include <fcntl.h>
@@ -77,12 +79,79 @@ Status FileSink::Append(const void* data, size_t size) {
   return Status::OK();
 }
 
+Status FileSink::Sync() {
+  if (file_ == nullptr) {
+    return Status::FailedPrecondition("FileSink is closed");
+  }
+  if (std::fflush(file_) != 0) {
+    return Status::Internal("error flushing snapshot file");
+  }
+#ifndef _WIN32
+  if (::fsync(::fileno(file_)) != 0) {
+    return Status::Internal("error syncing snapshot file");
+  }
+#endif
+  return Status::OK();
+}
+
 Status FileSink::Close() {
   if (file_ == nullptr) return Status::OK();
   const int rc = std::fclose(file_);
   file_ = nullptr;
   if (rc != 0) return Status::Internal("error flushing snapshot file on close");
   return Status::OK();
+}
+
+namespace internal {
+int (*rename_file)(const char* from, const char* to) = &std::rename;
+}  // namespace internal
+
+namespace {
+
+/// fsyncs the directory holding `path`, making a rename into it durable.
+Status SyncParentDirectory(const std::string& path) {
+#ifndef _WIN32
+  const size_t slash = path.find_last_of('/');
+  const std::string dir = slash == std::string::npos ? "."
+                          : slash == 0               ? "/"
+                                                     : path.substr(0, slash);
+  const int fd = ::open(dir.c_str(), O_RDONLY | O_DIRECTORY);
+  if (fd < 0) {
+    return Status::Internal(Format("cannot open directory '%s'", dir.c_str()));
+  }
+  const int rc = ::fsync(fd);
+  ::close(fd);
+  if (rc != 0) {
+    return Status::Internal(Format("cannot sync directory '%s'", dir.c_str()));
+  }
+#else
+  (void)path;
+#endif
+  return Status::OK();
+}
+
+}  // namespace
+
+Status WriteFileDurably(const std::string& path,
+                        const std::function<Status(Sink&)>& write) {
+  const std::string tmp_path = path + ".tmp";
+  Status written;
+  {
+    Result<FileSink> sink = FileSink::Open(tmp_path);
+    if (!sink.ok()) return sink.status();
+    written = write(*sink);
+    if (written.ok()) written = sink->Sync();
+    if (written.ok()) written = sink->Close();
+  }
+  if (written.ok() &&
+      internal::rename_file(tmp_path.c_str(), path.c_str()) != 0) {
+    written = Status::Internal("cannot move finished file over '" + path + "'");
+  }
+  if (!written.ok()) {
+    std::remove(tmp_path.c_str());
+    return written;
+  }
+  return SyncParentDirectory(path);
 }
 
 Status SpanSource::Read(void* out, size_t size) {
@@ -107,19 +176,26 @@ Result<FileSource> FileSource::Open(const std::string& path) {
   if (file == nullptr) {
     return Status::NotFound(Format("cannot open '%s' for reading", path.c_str()));
   }
-  auto buffer = std::make_shared<std::vector<uint8_t>>();
-  uint8_t block[1 << 16];
-  size_t got;
-  while ((got = std::fread(block, 1, sizeof(block), file)) > 0) {
-    buffer->insert(buffer->end(), block, block + got);
+  long end = -1;
+  if (std::fseek(file, 0, SEEK_END) == 0) end = std::ftell(file);
+  if (end < 0 || std::fseek(file, 0, SEEK_SET) != 0) {
+    std::fclose(file);
+    return Status::Internal(Format("cannot size '%s'", path.c_str()));
   }
-  const bool failed = std::ferror(file) != 0;
+  // 64-byte aligned like a mapping, so a snapshot's aligned column region is
+  // borrowed zero-copy from an in-memory load too.
+  const size_t size = static_cast<size_t>(end);
+  constexpr std::align_val_t kAlign{64};
+  std::shared_ptr<uint8_t> buffer(new (kAlign) uint8_t[std::max<size_t>(size, 1)],
+                                  [](uint8_t* p) { ::operator delete[](p, kAlign); });
+  const bool failed =
+      (size != 0 && std::fread(buffer.get(), 1, size, file) != size) ||
+      std::ferror(file) != 0;
   std::fclose(file);
   if (failed) {
     return Status::Internal(Format("error reading '%s'", path.c_str()));
   }
-  const uint8_t* data = buffer->data();
-  const size_t size = buffer->size();
+  const uint8_t* data = buffer.get();
   return FileSource(std::move(buffer), data, size, /*mapped=*/false);
 }
 

@@ -15,6 +15,7 @@
 
 #include <cstdint>
 #include <cstdio>
+#include <functional>
 #include <memory>
 #include <span>
 #include <string>
@@ -62,6 +63,8 @@ class FileSink final : public Sink {
   ~FileSink();
 
   Status Append(const void* data, size_t size) override;
+  /// Flushes buffered bytes and fsyncs them to stable storage.
+  Status Sync();
   Status Close();
 
  private:
@@ -69,6 +72,20 @@ class FileSink final : public Sink {
 
   std::FILE* file_ = nullptr;
 };
+
+/// Writes a file durably: `write` fills `path + ".tmp"`, which is fsynced,
+/// closed and renamed over `path`, and then the parent directory is fsynced
+/// so the rename itself survives a crash. Any failure removes the temp file
+/// and leaves the previous file at `path` untouched; an OK return means the
+/// new file is on stable storage.
+Status WriteFileDurably(const std::string& path,
+                        const std::function<Status(Sink&)>& write);
+
+namespace internal {
+/// Failure-injection seam: the rename WriteFileDurably commits with
+/// (std::rename unless a test swaps it). Not thread-safe to reassign.
+extern int (*rename_file)(const char* from, const char* to);
+}  // namespace internal
 
 /// Origin of serialized bytes with a known end: `remaining()` lets decoders
 /// validate length prefixes before allocating.
@@ -123,11 +140,11 @@ class SpanSource final : public Source {
   std::shared_ptr<const void> keepalive_;
 };
 
-/// Source over a whole file. Open() loads it into memory (snapshots are
-/// bounded artifacts; loading up front gives every decoder an exact
-/// remaining() to validate hostile length prefixes against); OpenMapped()
+/// Source over a whole file. Open() loads it into a 64-byte-aligned buffer
+/// (snapshots are bounded artifacts; loading up front gives every decoder an
+/// exact remaining() to validate hostile length prefixes against); OpenMapped()
 /// maps it instead, so restoring a snapshot touches only the pages it
-/// actually reads and zero-copy consumers (the arena fast path) borrow the
+/// actually reads and zero-copy consumers (the snapshot state frame) borrow the
 /// mapping directly. Both modes share the buffer via backing(), so views
 /// outlive the source.
 class FileSource final : public Source {

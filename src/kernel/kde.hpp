@@ -29,7 +29,7 @@ class KernelDensityEstimator {
   static Result<KernelDensityEstimator> Create(Kernel kernel, double bandwidth,
                                                std::span<const double> data);
 
-  /// Snapshot fast path: adopts an already-sorted sample buffer without
+  /// Snapshot restore: adopts an already-sorted sample buffer without
   /// re-sorting. When `sorted` is 64-byte-aligned and `keepalive` anchors its
   /// backing storage (an mmapped snapshot image), the estimator borrows the
   /// bytes zero-copy; otherwise it copies them once. Ascending order is

@@ -74,6 +74,29 @@ Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
       -2.0 * radius_, conv_dx, std::move(conv));
 }
 
+const Kernel& Kernel::Shared(KernelType type) {
+  // One function-local static per type, so only the kernels in use are
+  // ever built.
+  switch (type) {
+    case KernelType::kGaussian: {
+      static const Kernel gaussian(KernelType::kGaussian);
+      return gaussian;
+    }
+    case KernelType::kBiweight: {
+      static const Kernel biweight(KernelType::kBiweight);
+      return biweight;
+    }
+    case KernelType::kTriangular: {
+      static const Kernel triangular(KernelType::kTriangular);
+      return triangular;
+    }
+    case KernelType::kEpanechnikov:
+      break;
+  }
+  static const Kernel epanechnikov(KernelType::kEpanechnikov);
+  return epanechnikov;
+}
+
 double Kernel::Evaluate(double u) const { return RawKernel(type_, u); }
 
 void Kernel::EvaluateMany(std::span<const double> us, std::span<double> out) const {

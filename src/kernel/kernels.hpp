@@ -22,6 +22,11 @@ class Kernel {
  public:
   explicit Kernel(KernelType type);
 
+  /// A process-wide instance of `type`, built once. Construction integrates
+  /// the CDF and self-convolution tables (milliseconds); copies share those
+  /// immutable tables, so copying the shared instance is cheap.
+  static const Kernel& Shared(KernelType type);
+
   double Evaluate(double u) const;
 
   /// out[i] = Evaluate(us[i]) bit-identically, with the kernel-type dispatch

@@ -40,7 +40,7 @@ namespace memory {
 
 /// Every column begins at a multiple of this within the arena payload (and,
 /// for owned storage, in memory — 64 bytes: one cache line, the widest
-/// vector register, and the alignment the snapshot fast path pads to).
+/// vector register, and the alignment the snapshot state frame pads to).
 inline constexpr size_t kColumnAlignment = 64;
 
 /// Element type of one column. The raw values are part of the snapshot wire

@@ -1,5 +1,7 @@
 #include "memory/fast_state.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cstring>
 #include <limits>
@@ -26,11 +28,36 @@ Status AppendZeros(io::Sink& sink, uint64_t count) {
   return sink.Append(kZeros, static_cast<size_t>(count));
 }
 
-}  // namespace
-
-bool FastStateSupportedOnHost() {
-  return std::endian::native == std::endian::little;
+/// Reverses the byte order of `count` consecutive 8-byte elements.
+void SwapElements(uint8_t* bytes, uint64_t count) {
+  for (uint64_t k = 0; k < count; ++k) std::reverse(bytes + 8 * k, bytes + 8 * k + 8);
 }
+
+/// Appends one column's element bytes in wire (little-endian) order: a
+/// verbatim append on little-endian hosts; big-endian hosts swap f64/i64
+/// elements through a bounded scratch buffer.
+Status AppendColumn(io::Sink& sink, ColumnKind kind, const uint8_t* data,
+                    uint64_t bytes) {
+  if constexpr (std::endian::native == std::endian::little) {
+    (void)kind;
+    return sink.Append(data, static_cast<size_t>(bytes));
+  } else {
+    if (ColumnKindSize(kind) == 1) {
+      return sink.Append(data, static_cast<size_t>(bytes));
+    }
+    std::array<uint8_t, 4096> scratch;
+    for (uint64_t done = 0; done < bytes;) {
+      const uint64_t n = std::min<uint64_t>(scratch.size(), bytes - done);
+      std::memcpy(scratch.data(), data + done, static_cast<size_t>(n));
+      SwapElements(scratch.data(), n / 8);
+      WDE_RETURN_IF_ERROR(sink.Append(scratch.data(), static_cast<size_t>(n)));
+      done += n;
+    }
+    return Status::OK();
+  }
+}
+
+}  // namespace
 
 void FastStateWriter::AddF64(std::span<const double> values) {
   columns_.push_back(PendingColumn{
@@ -55,10 +82,6 @@ void FastStateWriter::AddU8Owned(std::vector<uint8_t> bytes) {
 }
 
 Status FastStateWriter::Finish(io::Sink& sink, uint64_t payload_offset) const {
-  if (!FastStateSupportedOnHost()) {
-    return Status::FailedPrecondition(
-        "fast snapshot state requires a little-endian host");
-  }
   std::vector<ColumnSpec> specs;
   specs.reserve(columns_.size());
   for (const PendingColumn& column : columns_) specs.push_back(column.spec);
@@ -101,7 +124,7 @@ Status FastStateWriter::Finish(io::Sink& sink, uint64_t payload_offset) const {
     const uint64_t bytes = layout[i].count * ColumnKindSize(layout[i].kind);
     if (bytes != 0) {
       WDE_RETURN_IF_ERROR(
-          sink.Append(columns_[i].data, static_cast<size_t>(bytes)));
+          AppendColumn(sink, layout[i].kind, columns_[i].data, bytes));
     }
     cursor = layout[i].offset + bytes;
   }
@@ -154,6 +177,23 @@ Result<FastStateReader> FastStateReader::Parse(
     return Status::InvalidArgument(
         Format("fast state column region has %zu bytes, directory claims %llu",
                region.size(), static_cast<unsigned long long>(region_bytes)));
+  }
+  if constexpr (std::endian::native != std::endian::little) {
+    // Wire elements are little-endian: take a private copy (no keepalive,
+    // so FromImage copies) and swap the f64/i64 columns in place.
+    WDE_ASSIGN_OR_RETURN(Arena arena, Arena::FromImage(specs, region, nullptr));
+    for (size_t i = 0; i < arena.num_columns(); ++i) {
+      const ColumnDesc& column = arena.column(i);
+      if (column.kind == ColumnKind::kF64) {
+        SwapElements(reinterpret_cast<uint8_t*>(arena.MutableF64(i).data()),
+                     column.count);
+      } else if (column.kind == ColumnKind::kI64) {
+        SwapElements(reinterpret_cast<uint8_t*>(arena.MutableI64(i).data()),
+                     column.count);
+      }
+    }
+    return FastStateReader(io::SpanSource(head), std::move(arena),
+                           std::move(keepalive));
   }
   WDE_ASSIGN_OR_RETURN(Arena arena,
                        Arena::FromImage(specs, region, keepalive));

@@ -1,11 +1,12 @@
 /// \file memory/fast_state.hpp
-/// The snapshot fast path: one framed blob per estimator, restored by
-/// header-validate + pointer-fixup instead of element-wise decode.
+/// The snapshot state frame: one framed blob per estimator, restored by
+/// header-validate + pointer-fixup instead of element-wise decode. It is
+/// the only encoding of estimator state on the wire.
 ///
-/// An estimator's fast state is (head, columns): the `head` carries the
-/// small configuration fields through the ordinary io primitives, and each
-/// column is a raw typed buffer serialized verbatim. The blob travels as
-/// the payload of one `ARNA` chunk inside the standard WDESNAP1 envelope
+/// An estimator's state is (head, columns): the `head` carries the small
+/// configuration fields through the ordinary io primitives, and each column
+/// is a raw typed buffer serialized verbatim. The blob travels as the
+/// payload of one `ARNA` chunk inside the standard WDESNAP1 envelope
 /// (CRC-framed like every other chunk, so truncation and bit flips surface
 /// as Status errors before any byte is interpreted):
 ///
@@ -25,10 +26,11 @@
 /// writer), Arena::FromImage falls back to one copy; correctness never
 /// depends on alignment.
 ///
-/// Endianness: column bytes are the host's little-endian representation.
-/// On a big-endian host writers must fall back to the portable path
-/// (readers reject the blob via the per-element decode they never reach);
-/// the save wrappers in selectivity do this automatically.
+/// Endianness: like every io primitive, column elements are little-endian
+/// on the wire. Little-endian hosts (all the common ones) write and borrow
+/// them verbatim; big-endian hosts byte-swap f64/i64 elements inside
+/// FastStateWriter::Finish and FastStateReader::Parse (the reader then
+/// always copies), so one artifact restores on either.
 #ifndef WDE_MEMORY_FAST_STATE_HPP_
 #define WDE_MEMORY_FAST_STATE_HPP_
 
@@ -44,17 +46,14 @@
 namespace wde {
 namespace memory {
 
-/// True when the host can serialize columns verbatim (little-endian).
-bool FastStateSupportedOnHost();
-
 /// True when `arena`'s column directory is exactly `specs` — same column
 /// count, kinds and element counts, in order. The first validation every
-/// LoadFastStateImpl runs: the directory arrives from untrusted bytes, and
+/// LoadStateImpl runs: the directory arrives from untrusted bytes, and
 /// the typed accessors (Arena::F64 et al.) treat a kind mismatch as caller
 /// error, so the shape must be proven before any column is touched.
 bool ColumnsMatch(const Arena& arena, std::span<const ColumnSpec> specs);
 
-/// Accumulates one estimator's fast state. Column spans must stay alive
+/// Accumulates one estimator's state frame. Column spans must stay alive
 /// until Finish(); use the Owned variants to pin temporaries.
 class FastStateWriter {
  public:
@@ -95,8 +94,8 @@ class FastStateReader {
                                        std::shared_ptr<const void> keepalive);
 
   /// The configuration fields, positioned at the start of the head.
-  /// LoadFastStateImpl must consume it fully (head().remaining() == 0) as
-  /// part of its validation, exactly like the portable LoadStateImpl.
+  /// LoadStateImpl must consume it fully (head().remaining() == 0) as part
+  /// of its validation.
   io::Source& head() { return head_; }
 
   const Arena& arena() const { return arena_; }

@@ -1,7 +1,6 @@
 #include "selectivity/estimator_registry.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <utility>
 
 #include "core/thresholding.hpp"
@@ -235,13 +234,14 @@ void RegisterBuiltins(EstimatorRegistry& registry) {
 
 }  // namespace
 
-EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag) {
+EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag, int dims) {
   // Minimal along every axis at once, so one shell spec serves every tag:
   // LoadState replaces configuration and data, the shell only has to be a
   // cheaply constructed instance of the right concrete type.
+  const EstimatorRegistry& registry = EstimatorRegistry::Global();
   EstimatorSpec shell;
   shell.tag = tag;
-  shell.dims = EstimatorRegistry::Global().NativeDims(tag);
+  shell.dims = dims != 0 ? dims : registry.NativeDims(tag);
   if (shell.dims == 0) shell.dims = 1;  // unknown tag: Make will NotFound it
   shell.buckets = 1;
   shell.grid_log2 = 2;
@@ -251,7 +251,17 @@ EstimatorSpec EstimatorSpec::ShellFor(const std::string& tag) {
   shell.j0 = 0;
   shell.j_max = 0;
   shell.capacity = 1;
+  // A multi-dimensional sharded shell wraps the first registered tag of its
+  // dimensionality (LoadState replaces the prototype anyway).
   shell.sharded_inner_tag = "equi-width";
+  if (tag == "sharded" && shell.dims != 1) {
+    for (const std::string& inner : registry.Tags()) {
+      if (inner != "sharded" && registry.NativeDims(inner) == shell.dims) {
+        shell.sharded_inner_tag = inner;
+        break;
+      }
+    }
+  }
   shell.shards = 1;
   return shell;
 }
@@ -326,38 +336,20 @@ Result<std::unique_ptr<SelectivityEstimator>> EstimatorRegistry::Make(
 }
 
 std::unique_ptr<SelectivityEstimator> EstimatorRegistry::MakeShell(
-    const std::string& tag) const {
+    const std::string& tag, int dims) const {
   Result<std::unique_ptr<SelectivityEstimator>> shell =
-      Make(EstimatorSpec::ShellFor(tag));
+      Make(EstimatorSpec::ShellFor(tag, dims));
   if (!shell.ok()) return nullptr;
   return std::move(shell).value();
-}
-
-Status SaveEstimatorEnvelope(const SelectivityEstimator& estimator,
-                             io::Sink& sink) {
-  return estimator.SaveState(sink);
-}
-
-Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
-    io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> tag_bytes,
-      io::ReadChunkExpecting(source, internal::kChunkEstimatorType));
-  const std::string tag(tag_bytes.begin(), tag_bytes.end());
-  std::unique_ptr<SelectivityEstimator> shell =
-      EstimatorRegistry::Global().MakeShell(tag);
-  if (shell == nullptr) {
-    return Status::NotFound("no estimator registered for snapshot tag '" + tag +
-                            "'");
-  }
-  WDE_RETURN_IF_ERROR(shell->LoadEnvelopeState(source));
-  return shell;
 }
 
 Status SaveEstimatorSnapshot(const SelectivityEstimator& estimator,
                              io::Sink& sink) {
   WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
-  return estimator.SaveState(sink);
+  // The envelope begins right after the 12-byte snapshot header; the offset
+  // lets the state frame pad its column region to an absolute 64-byte file
+  // offset, so a mapped load borrows the columns zero-copy.
+  return estimator.SaveState(sink, 12);
 }
 
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
@@ -372,51 +364,10 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
   return estimator;
 }
 
-namespace {
-
-/// Shared write-then-rename wrapper so every file save is crash-safe: a kill
-/// or disk-full midway leaves the previous snapshot at `path` intact instead
-/// of a truncated file (checkpoint loops overwrite the same path).
-template <typename Saver>
-Status SaveSnapshotFileWith(const std::string& path, Saver&& saver) {
-  const std::string tmp_path = path + ".tmp";
-  Result<io::FileSink> sink = io::FileSink::Open(tmp_path);
-  if (!sink.ok()) return sink.status();
-  Status written = saver(*sink);
-  if (written.ok()) written = sink->Close();
-  if (!written.ok()) {
-    std::remove(tmp_path.c_str());
-    return written;
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Internal("cannot move finished snapshot over '" + path + "'");
-  }
-  return Status::OK();
-}
-
-}  // namespace
-
 Status SaveEstimatorSnapshotFile(const SelectivityEstimator& estimator,
                                  const std::string& path) {
-  return SaveSnapshotFileWith(path, [&estimator](io::Sink& sink) {
+  return io::WriteFileDurably(path, [&estimator](io::Sink& sink) {
     return SaveEstimatorSnapshot(estimator, sink);
-  });
-}
-
-Status SaveEstimatorSnapshotFast(const SelectivityEstimator& estimator,
-                                 io::Sink& sink) {
-  WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
-  // The envelope begins right after the 12-byte snapshot header; the offset
-  // lets the fast frame pad its column region to an absolute 64-byte file
-  // offset (see SelectivityEstimator::SaveStateFast).
-  return estimator.SaveStateFast(sink, 12);
-}
-
-Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
-                                     const std::string& path) {
-  return SaveSnapshotFileWith(path, [&estimator](io::Sink& sink) {
-    return SaveEstimatorSnapshotFast(estimator, sink);
   });
 }
 
@@ -424,9 +375,9 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFileMapped(
     const std::string& path) {
   Result<io::FileSource> source = io::FileSource::OpenMapped(path);
   if (!source.ok()) return source.status();
-  // The ordinary loader dispatches on the state chunk kind; with a mapped
-  // source the fast path borrows the mapping zero-copy, anchored by the
-  // source's backing handle for the estimator's lifetime.
+  // With a mapped source the state columns are borrowed from the mapping
+  // zero-copy, anchored by the source's backing handle for the estimator's
+  // lifetime.
   return LoadEstimatorSnapshot(*source);
 }
 
@@ -435,25 +386,6 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFile(
   Result<io::FileSource> source = io::FileSource::Open(path);
   if (!source.ok()) return source.status();
   return LoadEstimatorSnapshot(*source);
-}
-
-Result<std::unique_ptr<SelectivityEstimator>> CloneViaSnapshot(
-    const SelectivityEstimator& estimator) {
-  if (!estimator.snapshotable()) {
-    return Status::FailedPrecondition(estimator.name() +
-                                      " does not support snapshots");
-  }
-  io::VectorSink sink;
-  WDE_RETURN_IF_ERROR(estimator.SaveState(sink));
-  io::SpanSource source(sink.bytes());
-  Result<std::unique_ptr<SelectivityEstimator>> clone =
-      LoadEstimatorEnvelope(source);
-  if (!clone.ok()) return clone.status();
-  if (source.remaining() != 0) {
-    return Status::Internal(estimator.name() +
-                            " wrote trailing bytes after its envelope");
-  }
-  return clone;
 }
 
 Status SelectivityEstimator::MergeFromSnapshot(io::Source& source) {

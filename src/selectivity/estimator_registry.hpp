@@ -66,10 +66,12 @@ class EstimatorRegistry {
       const EstimatorSpec& spec) const;
 
   /// A shell instance for `tag` — the factory applied to
-  /// EstimatorSpec::ShellFor(tag) — or nullptr when the tag is unknown.
-  /// LoadState then replaces the shell's configuration and data with a
+  /// EstimatorSpec::ShellFor(tag, dims) — or nullptr when the tag is unknown
+  /// or has no estimator of that dimensionality (dims 0 = the tag's native
+  /// one). LoadState then replaces the shell's configuration and data with a
   /// snapshot's.
-  std::unique_ptr<SelectivityEstimator> MakeShell(const std::string& tag) const;
+  std::unique_ptr<SelectivityEstimator> MakeShell(const std::string& tag,
+                                                  int dims = 0) const;
 
  private:
   EstimatorRegistry() = default;
@@ -83,13 +85,10 @@ class EstimatorRegistry {
   std::map<std::string, Entry> factories_;
 };
 
-/// Writes one estimator envelope (no snapshot header) — what nested
-/// serialization uses; equivalent to estimator.SaveState(sink).
-Status SaveEstimatorEnvelope(const SelectivityEstimator& estimator,
-                             io::Sink& sink);
-
-/// Restores one estimator envelope through the registry: reads the type-tag
-/// chunk, builds the registered shell, loads the state chunk into it.
+/// Restores one estimator envelope (no snapshot header) through the
+/// registry: reads the type-tag and DIMS chunks, builds the registered shell
+/// of that dimensionality, and loads the state chunk into it. The writing
+/// side is SelectivityEstimator::SaveState.
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
     io::Source& source);
 
@@ -101,23 +100,23 @@ Status SaveEstimatorSnapshot(const SelectivityEstimator& estimator,
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshot(
     io::Source& source);
 
-/// File convenience wrappers over Save/LoadEstimatorSnapshot.
+/// File convenience wrappers over Save/LoadEstimatorSnapshot. Saves are
+/// durable (io::WriteFileDurably): a crash or a failed save leaves the
+/// previous file at `path` intact, and a save that returns OK survives a
+/// crash. The column region lands 64-byte aligned in the file, so
+/// LoadEstimatorSnapshotFileMapped restores by header validation + pointer
+/// fixup into the mapping — no element-wise decode, no buffer copy, no
+/// refit.
 Status SaveEstimatorSnapshotFile(const SelectivityEstimator& estimator,
                                  const std::string& path);
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFile(
     const std::string& path);
 
-/// Fast-encoding counterparts: the snapshot carries the estimator's state as
-/// one ARNA fast-state chunk (see memory/fast_state.hpp) whose column region
-/// lands 64-byte aligned in the file, so LoadEstimatorSnapshotFileMapped can
-/// restore by header validation + pointer fixup into the mapping — no
-/// element-wise decode, no buffer copy, no refit. Estimators without a fast
-/// impl (and big-endian hosts) transparently save the portable envelope
-/// instead; every snapshot, fast or portable, loads through every loader.
-Status SaveEstimatorSnapshotFast(const SelectivityEstimator& estimator,
-                                 io::Sink& sink);
-Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
-                                     const std::string& path);
+/// Same as SaveEstimatorSnapshotFile; the name stays for existing callers.
+inline Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
+                                            const std::string& path) {
+  return SaveEstimatorSnapshotFile(estimator, path);
+}
 
 /// Restores a whole-snapshot file through an mmap-backed source (POSIX;
 /// falls back to an ordinary read elsewhere). The returned estimator may
@@ -125,16 +124,6 @@ Status SaveEstimatorSnapshotFastFile(const SelectivityEstimator& estimator,
 /// the estimator's lifetime via its keepalive handle.
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorSnapshotFileMapped(
     const std::string& path);
-
-/// Deep-copies any snapshotable estimator through an in-memory envelope
-/// round trip (SaveState into a buffer, registry-restore out of it). By the
-/// restore-fidelity contract the copy answers Answer/EstimateBatch
-/// bit-identically to the original and shares no state with it — what the
-/// serving layer publishes as immutable epoch views for estimators that lack
-/// a cheaper view-extraction path (the sharded engine's ExtractMergedView).
-/// FailedPrecondition when the estimator does not support snapshots.
-Result<std::unique_ptr<SelectivityEstimator>> CloneViaSnapshot(
-    const SelectivityEstimator& estimator);
 
 }  // namespace selectivity
 }  // namespace wde

@@ -118,8 +118,11 @@ struct EstimatorSpec {
   /// The minimal valid spec for `tag`: what the registry builds snapshot
   /// shells from (LoadState replaces configuration and data, so shells are
   /// as small as each factory allows — 1 bucket, a 4-cell grid, a coarse
-  /// Haar basis, capacity 1, one shard).
-  static EstimatorSpec ShellFor(const std::string& tag);
+  /// Haar basis, capacity 1, one shard). `dims` is the shell's
+  /// dimensionality — a snapshot's DIMS chunk — with 0 meaning the tag's
+  /// native one; a sharded shell wraps a registered tag of that
+  /// dimensionality.
+  static EstimatorSpec ShellFor(const std::string& tag, int dims = 0);
 };
 
 /// Builds the estimator `spec` describes through the process-wide registry.

@@ -121,57 +121,7 @@ Status Grid2dHistogram::MergeFrom(const SelectivityEstimator& other) {
   return Status::OK();
 }
 
-Status Grid2dHistogram::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo0_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, w0_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo1_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, w1_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, grid_log2_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, have_pending_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, pending_));
-  return io::WriteDoubleVector(sink, cells_.F64(0));
-}
-
-Status Grid2dHistogram::LoadStateImpl(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const double lo0, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double w0, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double lo1, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double w1, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t grid_log2, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_pending, io::ReadU8(source));
-  WDE_ASSIGN_OR_RETURN(const double pending, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  const size_t g = grid_log2 >= 1 && grid_log2 <= 10
-                       ? size_t{1} << grid_log2
-                       : 0;
-  if (!std::isfinite(lo0) || !std::isfinite(w0) || !(w0 > 0.0) ||
-      !std::isfinite(lo1) || !std::isfinite(w1) || !(w1 > 0.0) || g == 0 ||
-      have_pending > 1 || counts.size() != g * g || source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt grid2d snapshot");
-  }
-  lo0_ = lo0;
-  w0_ = w0;
-  lo1_ = lo1;
-  w1_ = w1;
-  grid_log2_ = grid_log2;
-  g_ = g;
-  count_ = static_cast<size_t>(count);
-  have_pending_ = have_pending != 0;
-  pending_ = pending;
-  const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, g_ * g_},
-                                      {memory::ColumnKind::kF64, g_ * g_}};
-  cells_ = memory::Arena::Create(specs);
-  std::copy(counts.begin(), counts.end(), cells_.MutableF64(0).begin());
-  // The summed-area table is derived state: rebuilding from identical counts
-  // at the first query reproduces identical answers.
-  prefix_valid_ = false;
-  prefix_built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status Grid2dHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
+Status Grid2dHistogram::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo0_));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), w0_));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo1_));
@@ -190,7 +140,7 @@ Status Grid2dHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const
   return Status::OK();
 }
 
-Status Grid2dHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status Grid2dHistogram::LoadStateImpl(memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(const double lo0, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const double w0, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const double lo1, io::ReadDouble(reader.head()));
@@ -212,7 +162,7 @@ Status Grid2dHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
       (prefix_valid != 0 && prefix_built_at > count) ||
       !memory::ColumnsMatch(reader.arena(), expected) ||
       reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt grid2d fast state");
+    return Status::InvalidArgument("corrupt grid2d state");
   }
   lo0_ = lo0;
   w0_ = w0;

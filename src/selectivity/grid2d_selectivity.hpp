@@ -61,10 +61,8 @@ class Grid2dHistogram : public SelectivityEstimator {
   int grid_log2() const { return grid_log2_; }
 
   /// Cell counts (column 0 of the arena), row-major over (axis-0 cell,
-  /// axis-1 cell); the snapshot fast path serializes this span verbatim.
+  /// axis-1 cell); snapshots serialize this span verbatim.
   std::span<const double> cell_counts() const { return cells_.F64(0); }
-
-  bool supports_fast_snapshot() const override { return true; }
 
   /// O(1) + O(columns): the copy shares the cells arena copy-on-write.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
@@ -77,13 +75,11 @@ class Grid2dHistogram : public SelectivityEstimator {
                           double hi1) const override;
   /// Quiesce: rebuild the prefix table now (the only lazy state).
   void ForceRefitImpl() const override { RebuildPrefixIfStale(); }
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: both arena columns travel verbatim — including the derived
+  /// State: both arena columns travel verbatim — including the derived
   /// summed-area table, so a restored grid serves its first rect query
-  /// without the O(g²) rebuild the portable load pays.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  /// without the O(g²) rebuild.
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
  private:
   void RebuildPrefixIfStale() const;

@@ -134,78 +134,40 @@ Status EquiWidthHistogram::MergeFrom(const SelectivityEstimator& other) {
   return Status::OK();
 }
 
-Status EquiWidthHistogram::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, width_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  return io::WriteDoubleVector(sink, bins_.F64(0));
-}
-
-Status EquiWidthHistogram::LoadStateImpl(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  if (!std::isfinite(lo) || !std::isfinite(width) || !(width > 0.0) ||
-      counts.empty() || counts.size() > (1u << 26) || source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-width snapshot");
-  }
-  lo_ = lo;
-  width_ = width;
-  count_ = static_cast<size_t>(count);
-  buckets_ = counts.size();
-  const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, buckets_},
-                                      {memory::ColumnKind::kF64, buckets_}};
-  bins_ = memory::Arena::Create(specs);
-  std::copy(counts.begin(), counts.end(), bins_.MutableF64(0).begin());
-  // The prefix table is derived state: rebuilding from identical counts at
-  // the first query reproduces identical answers.
-  prefix_valid_ = false;
-  prefix_built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status EquiWidthHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
+Status EquiWidthHistogram::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo_));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), width_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), buckets_));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), prefix_valid_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), prefix_built_at_count_));
-  // Both columns travel verbatim: the counts are the data, the prefix table
-  // is the derived cache (always defined bytes — Create zero-fills) that
-  // spares the restored histogram its first rebuild pass.
+  // Only the counts travel: the prefix table is a pure function of them,
+  // rebuilt bit-identically by one O(buckets) pass at the first query.
   writer.AddF64(bins_.F64(0));
-  writer.AddF64(bins_.F64(1));
   return Status::OK();
 }
 
-Status EquiWidthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status EquiWidthHistogram::LoadStateImpl(memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const double width, io::ReadDouble(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t buckets, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint8_t prefix_valid, io::ReadU8(reader.head()));
-  WDE_ASSIGN_OR_RETURN(const uint64_t prefix_built_at, io::ReadU64(reader.head()));
-  const memory::ColumnSpec expected[] = {
-      {memory::ColumnKind::kF64, static_cast<size_t>(buckets)},
-      {memory::ColumnKind::kF64, static_cast<size_t>(buckets)}};
+  const memory::Arena& arena = reader.arena();
   if (!std::isfinite(lo) || !std::isfinite(width) || !(width > 0.0) ||
-      buckets == 0 || buckets > (1u << 26) || prefix_valid > 1 ||
-      (prefix_valid != 0 && prefix_built_at > count) ||
-      !memory::ColumnsMatch(reader.arena(), expected) ||
+      arena.num_columns() != 1 ||
+      arena.column(0).kind != memory::ColumnKind::kF64 ||
+      arena.column(0).count == 0 || arena.column(0).count > (1u << 26) ||
       reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-width fast state");
+    return Status::InvalidArgument("corrupt equi-width state");
   }
+  const std::span<const double> counts = arena.F64(0);
+  const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, counts.size()},
+                                      {memory::ColumnKind::kF64, counts.size()}};
+  memory::Arena bins = memory::Arena::Create(specs);
+  std::copy(counts.begin(), counts.end(), bins.MutableF64(0).begin());
   lo_ = lo;
   width_ = width;
-  buckets_ = static_cast<size_t>(buckets);
+  buckets_ = counts.size();
   count_ = static_cast<size_t>(count);
-  // Adopt the parsed arena wholesale — borrowed zero-copy from an mmapped
-  // image, in which case the first insert (not load) pays the un-share copy.
-  bins_ = std::move(reader.arena());
-  prefix_valid_ = prefix_valid != 0;
-  prefix_built_at_count_ = static_cast<size_t>(prefix_built_at);
+  bins_ = std::move(bins);
+  prefix_valid_ = false;
+  prefix_built_at_count_ = 0;
   return Status::OK();
 }
 
@@ -355,36 +317,7 @@ Status EquiDepthHistogram::MergeTailFrom(const SelectivityEstimator& other,
   return Status::OK();
 }
 
-Status EquiDepthHistogram::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, lo_));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, hi_));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, buckets_));
-  return io::WriteDoubleVector(sink, values_);
-}
-
-Status EquiDepthHistogram::LoadStateImpl(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const double hi, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const int32_t buckets, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> values, io::ReadDoubleVector(source));
-  // The bucket cap mirrors equi-width's cell cap: RebuildIfStale allocates
-  // buckets + 1 boundaries, so an unbounded hostile count would turn into a
-  // multi-GB allocation at the first query instead of an error here.
-  if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || buckets <= 0 ||
-      buckets > (1 << 26) || source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-depth snapshot");
-  }
-  lo_ = lo;
-  hi_ = hi;
-  buckets_ = buckets;
-  values_ = std::move(values);
-  sorted_.clear();  // rebuilt (one full sort) at the first post-restore query
-  boundaries_.clear();
-  built_at_count_ = 0;
-  return Status::OK();
-}
-
-Status EquiDepthHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) const {
+Status EquiDepthHistogram::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), lo_));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), hi_));
   WDE_RETURN_IF_ERROR(io::WriteI32(writer.head(), buckets_));
@@ -394,12 +327,12 @@ Status EquiDepthHistogram::SaveFastStateImpl(memory::FastStateWriter& writer) co
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), built_at_count_));
   writer.AddF64(values_);
   // The derived boundary cache rides along when built: restore then skips
-  // the O(n log n) quantile sort the portable load pays at its first query.
+  // the O(n log n) quantile sort at its first query.
   if (has_boundaries) writer.AddF64(boundaries_);
   return Status::OK();
 }
 
-Status EquiDepthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status EquiDepthHistogram::LoadStateImpl(memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(const double lo, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const double hi, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const int32_t buckets, io::ReadI32(reader.head()));
@@ -409,7 +342,7 @@ Status EquiDepthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
   if (!std::isfinite(lo) || !std::isfinite(hi) || !(lo < hi) || buckets <= 0 ||
       buckets > (1 << 26) || has_boundaries > 1 || built_at > n_values ||
       reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt equi-depth fast state");
+    return Status::InvalidArgument("corrupt equi-depth state");
   }
   std::vector<memory::ColumnSpec> expected = {
       {memory::ColumnKind::kF64, static_cast<size_t>(n_values)}};
@@ -418,7 +351,7 @@ Status EquiDepthHistogram::LoadFastStateImpl(memory::FastStateReader& reader) {
                         static_cast<size_t>(buckets) + 1});
   }
   if (!memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt equi-depth fast state columns");
+    return Status::InvalidArgument("corrupt equi-depth state columns");
   }
   std::vector<double> boundaries;
   if (has_boundaries != 0) {

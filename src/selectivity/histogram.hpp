@@ -44,12 +44,9 @@ class EquiWidthHistogram : public SelectivityEstimator {
 
   int buckets() const { return static_cast<int>(buckets_); }
 
-  /// Bucket counts (column 0 of the fitted-state arena); the snapshot fast
-  /// path serializes this span verbatim.
+  /// Bucket counts (column 0 of the fitted-state arena); snapshots
+  /// serialize this span verbatim.
   std::span<const double> bucket_counts() const { return bins_.F64(0); }
-
-  bool supports_fast_snapshot() const override { return true; }
-
   /// O(1) + O(columns): the copy shares the bins arena copy-on-write.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<EquiWidthHistogram>(*this);
@@ -65,13 +62,10 @@ class EquiWidthHistogram : public SelectivityEstimator {
                   std::span<double> out) const override;
   /// Quiesce: rebuild the prefix table now (the only lazy state).
   void ForceRefitImpl() const override { RebuildPrefixIfStale(); }
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: both arena columns travel verbatim — including the derived
-  /// prefix table, so a restored histogram serves its first Less/Cdf query
-  /// without the rebuild pass the portable load pays.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  /// State: the bucket counts as one F64 column; the prefix table is
+  /// rebuilt from them at the first query.
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
  private:
   void RebuildPrefixIfStale() const;
@@ -122,8 +116,6 @@ class EquiDepthHistogram : public SelectivityEstimator {
   }
   RangeQuery Domain() const override { return RangeQuery{lo_, hi_}; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<EquiDepthHistogram>(*this);
   }
@@ -149,16 +141,11 @@ class EquiDepthHistogram : public SelectivityEstimator {
   /// canonical lowering.
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
-  /// The boundary cache is rebuilt whenever the retained count changes, so
-  /// only the values travel: the restored histogram re-derives identical
-  /// boundaries at its first query.
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state additionally persists the derived quantile boundaries (when
-  /// built), so a restored histogram skips the O(n log n) sort its portable
-  /// sibling pays at the first query.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  /// State: the retained values plus the derived quantile boundaries (when
+  /// built), so a restored histogram skips the O(n log n) sort at its first
+  /// query.
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
   /// Quiesce: rebuild the boundary cache now (the only lazy state).
   void ForceRefitImpl() const override { RebuildIfStale(); }
 

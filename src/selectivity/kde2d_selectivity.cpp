@@ -41,7 +41,8 @@ double CvRefinedBandwidth(const kernel::Kernel& kernel,
 }  // namespace
 
 Kde2dSelectivity::Kde2dSelectivity(const Options& options)
-    : options_(options), kernel_(kernel::KernelType::kEpanechnikov) {
+    : options_(options),
+      kernel_(kernel::Kernel::Shared(kernel::KernelType::kEpanechnikov)) {
   WDE_CHECK_LT(options.domain_lo0, options.domain_hi0);
   WDE_CHECK_LT(options.domain_lo1, options.domain_hi1);
   WDE_CHECK_GT(options.refit_interval, 0u);
@@ -238,71 +239,7 @@ Status Kde2dSelectivity::MergeTailFrom(const SelectivityEstimator& other,
   return Status::OK();
 }
 
-Status Kde2dSelectivity::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_lo0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_lo1));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi1));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.alpha));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, options_.cv_bandwidths ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, have_pending_ ? 1 : 0));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, pending_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, xs_));
-  return io::WriteDoubleVector(sink, ys_);
-}
-
-Status Kde2dSelectivity::LoadStateImpl(io::Source& source) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo0, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi0, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_lo1, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi1, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(options.alpha, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(const uint8_t cv, io::ReadU8(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_pending, io::ReadU8(source));
-  WDE_ASSIGN_OR_RETURN(const double pending, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> xs, io::ReadDoubleVector(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> ys, io::ReadDoubleVector(source));
-  if (!std::isfinite(options.domain_lo0) || !std::isfinite(options.domain_hi0) ||
-      !(options.domain_lo0 < options.domain_hi0) ||
-      !std::isfinite(options.domain_lo1) || !std::isfinite(options.domain_hi1) ||
-      !(options.domain_lo1 < options.domain_hi1) ||
-      options.refit_interval == 0 || !std::isfinite(options.alpha) ||
-      options.alpha < 0.0 || options.alpha > 1.0 || cv > 1 ||
-      have_pending > 1 || xs.size() != ys.size() ||
-      fitted_at_count > xs.size() || source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt kde2d snapshot");
-  }
-  options.cv_bandwidths = cv != 0;
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  xs_ = std::move(xs);
-  ys_ = std::move(ys);
-  have_pending_ = have_pending != 0;
-  pending_ = pending;
-  fitted_.reset();
-  fitted_at_count_ = 0;
-  // Re-fit over the prefix the saved estimator had fitted on: the fit is a
-  // deterministic function of the prefix multiset, and the saved
-  // fitted_at_count only ever advances on a successful (non-degenerate)
-  // fit, so this reproduces the saved fitted state — bandwidths, adaptive
-  // factors and all — bit-exactly.
-  if (fitted_at_count >= kMinFitSample) {
-    std::optional<Fitted> fit =
-        BuildFit(static_cast<size_t>(fitted_at_count), nullptr);
-    if (fit.has_value()) {
-      fitted_ = std::move(fit);
-      fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-    }
-  }
-  return Status::OK();
-}
-
-Status Kde2dSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const {
+Status Kde2dSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo0));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi0));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo1));
@@ -332,7 +269,7 @@ Status Kde2dSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) cons
   return Status::OK();
 }
 
-Status Kde2dSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   Options options;
   WDE_ASSIGN_OR_RETURN(options.domain_lo0, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.domain_hi0, io::ReadDouble(reader.head()));
@@ -373,7 +310,7 @@ Status Kde2dSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
        !(std::isfinite(hx) && hx > 0.0 && std::isfinite(hy) && hy > 0.0)) ||
       reader.head().remaining() != 0 ||
       !memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt kde2d fast state");
+    return Status::InvalidArgument("corrupt kde2d state");
   }
   double lambda_max = 1.0;
   if (has_fit == 1) {

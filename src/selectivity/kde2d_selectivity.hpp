@@ -103,8 +103,6 @@ class Kde2dSelectivity : public SelectivityEstimator {
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde2d-prod"; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   /// The copy shares the fitted arena (sorted coordinates, adaptive
   /// factors) copy-on-write; refits never mutate shared columns.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
@@ -118,14 +116,12 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// below the minimum fit sample (or under degenerate bandwidths).
   double EstimateRectImpl(double lo0, double hi0, double lo1,
                           double hi1) const override;
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state persists the raw coordinate buffers plus the fitted columns
+  /// State persists the raw coordinate buffers plus the fitted columns
   /// (lex-sorted sx/sy, the sorted axis-1 shadow ty, the adaptive λ_i) and
   /// both bandwidths, so restore adopts the fit verbatim — no re-sort, no
   /// CV re-run, zero-copy from an mmapped snapshot.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
   /// Refits whenever any unfitted tail exists (not just past the interval),
   /// so a quiesced estimator is fitted at its full count.

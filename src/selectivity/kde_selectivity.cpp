@@ -71,7 +71,7 @@ void KdeSelectivity::Refit() const {
   const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
   Result<kernel::KernelDensityEstimator> kde =
       kernel::KernelDensityEstimator::FromSorted(
-          kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
+          kernel::Kernel::Shared(kernel::KernelType::kEpanechnikov), bandwidth,
           std::span<const double>(buffer->data(), buffer->size()), buffer);
   if (kde.ok()) {
     kde_ = std::move(kde).value();
@@ -149,62 +149,7 @@ Status KdeSelectivity::MergeTailFrom(const SelectivityEstimator& other,
   return Status::OK();
 }
 
-Status KdeSelectivity::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, values_));
-  // Format v2 tail (the kd-tree itself is never persisted — it rebuilds
-  // lazily from the restored buffer); v1 payloads simply end at the vector
-  // and load with the tolerance defaulted to exact.
-  return io::WriteDouble(sink, options_.eval_tolerance);
-}
-
-Status KdeSelectivity::LoadStateImpl(io::Source& source) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> values, io::ReadDoubleVector(source));
-  if (source.remaining() != 0) {  // v2 tail; absent in v1 payloads
-    WDE_ASSIGN_OR_RETURN(options.eval_tolerance, io::ReadDouble(source));
-  }
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(options.eval_tolerance) || options.eval_tolerance < 0.0 ||
-      fitted_at_count > values.size() || source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt kde snapshot");
-  }
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  values_ = std::move(values);
-  kde_.reset();
-  fitted_at_count_ = 0;
-  // Refit from the prefix the saved estimator had fitted on (the buffer only
-  // ever appends), reproducing its cached KDE — bandwidth and all — exactly:
-  // sort the prefix and run the same sorted-order-statistics recipe the live
-  // refit uses, so even the degenerate StdDev fallback sums in the same
-  // (sorted) order and the restored bandwidth is bit-exact.
-  if (fitted_at_count >= 4) {
-    auto buffer = std::make_shared<std::vector<double>>(
-        values_.begin(), values_.begin() + static_cast<ptrdiff_t>(fitted_at_count));
-    std::sort(buffer->begin(), buffer->end());
-    const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
-    Result<kernel::KernelDensityEstimator> kde =
-        kernel::KernelDensityEstimator::FromSorted(
-            kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
-            std::span<const double>(buffer->data(), buffer->size()), buffer);
-    if (kde.ok()) {
-      kde_ = std::move(kde).value();
-      fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-    }
-  }
-  return Status::OK();
-}
-
-Status KdeSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const {
+Status KdeSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
@@ -223,7 +168,7 @@ Status KdeSelectivity::SaveFastStateImpl(memory::FastStateWriter& writer) const 
   return Status::OK();
 }
 
-Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status KdeSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   Options options;
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
@@ -248,7 +193,7 @@ Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
       (has_kde == 1 && !(std::isfinite(bandwidth) && bandwidth > 0.0)) ||
       reader.head().remaining() != 0 ||
       !memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt kde fast state");
+    return Status::InvalidArgument("corrupt kde state");
   }
   std::optional<kernel::KernelDensityEstimator> kde;
   if (has_kde == 1) {
@@ -258,7 +203,7 @@ Status KdeSelectivity::LoadFastStateImpl(memory::FastStateReader& reader) {
     // in the reader's own heap copy.
     WDE_ASSIGN_OR_RETURN(
         kde, kernel::KernelDensityEstimator::FromSorted(
-                 kernel::Kernel(kernel::KernelType::kEpanechnikov), bandwidth,
+                 kernel::Kernel::Shared(kernel::KernelType::kEpanechnikov), bandwidth,
                  reader.arena().F64(1), reader.arena().storage_keepalive()));
   }
   const std::span<const double> values = reader.arena().F64(0);

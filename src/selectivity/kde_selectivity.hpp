@@ -91,8 +91,6 @@ class KdeSelectivity : public SelectivityEstimator {
   WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde-rot"; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   /// The copy shares the fitted KDE's sorted sample arena copy-on-write
   /// (and its lazily built kd-tree, which copies share by design).
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
@@ -104,15 +102,13 @@ class KdeSelectivity : public SelectivityEstimator {
   /// eval_tolerance > 0) kernel CDF; a (-inf, x] range (the Less/Cdf
   /// lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state persists the fitted KDE's *sorted* sample buffer and
+  /// State persists the fitted KDE's *sorted* sample buffer and
   /// bandwidth alongside the raw values, so restore adopts it via
   /// KernelDensityEstimator::FromSorted — no re-sort, no bandwidth
   /// re-derivation, and from an mmapped snapshot the sorted buffer is
   /// borrowed zero-copy.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
   /// Batched queries: one staleness check/refit, then kernel-CDF integrals
   /// (windowed for one-sided kinds) straight off the fitted KDE; quantiles

@@ -95,43 +95,7 @@ Status ReservoirSampleSelectivity::MergeFrom(const SelectivityEstimator& other) 
   return Status::OK();
 }
 
-Status ReservoirSampleSelectivity::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, capacity_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, seen_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, reservoir_));
-  const stats::Rng::State rng = rng_.SaveState();
-  for (uint64_t word : rng.state) WDE_RETURN_IF_ERROR(io::WriteU64(sink, word));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, rng.seed));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, rng.have_spare_gaussian ? 1 : 0));
-  return io::WriteDouble(sink, rng.spare_gaussian);
-}
-
-Status ReservoirSampleSelectivity::LoadStateImpl(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const uint64_t capacity, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t seen, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> reservoir,
-                       io::ReadDoubleVector(source));
-  stats::Rng::State rng;
-  for (uint64_t& word : rng.state) {
-    WDE_ASSIGN_OR_RETURN(word, io::ReadU64(source));
-  }
-  WDE_ASSIGN_OR_RETURN(rng.seed, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint8_t have_spare, io::ReadU8(source));
-  WDE_ASSIGN_OR_RETURN(rng.spare_gaussian, io::ReadDouble(source));
-  rng.have_spare_gaussian = have_spare != 0;
-  if (capacity == 0 ||
-      reservoir.size() != std::min<uint64_t>(seen, capacity) ||
-      source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt reservoir snapshot");
-  }
-  capacity_ = static_cast<size_t>(capacity);
-  seen_ = static_cast<size_t>(seen);
-  reservoir_ = std::move(reservoir);
-  rng_.RestoreState(rng);
-  return Status::OK();
-}
-
-Status ReservoirSampleSelectivity::SaveFastStateImpl(
+Status ReservoirSampleSelectivity::SaveStateImpl(
     memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), capacity_));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), seen_));
@@ -146,7 +110,7 @@ Status ReservoirSampleSelectivity::SaveFastStateImpl(
   return Status::OK();
 }
 
-Status ReservoirSampleSelectivity::LoadFastStateImpl(
+Status ReservoirSampleSelectivity::LoadStateImpl(
     memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(const uint64_t capacity, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t seen, io::ReadU64(reader.head()));
@@ -163,7 +127,7 @@ Status ReservoirSampleSelectivity::LoadFastStateImpl(
        static_cast<size_t>(std::min<uint64_t>(seen, capacity))}};
   if (capacity == 0 || have_spare > 1 || reader.head().remaining() != 0 ||
       !memory::ColumnsMatch(reader.arena(), specs)) {
-    return Status::InvalidArgument("corrupt reservoir fast state");
+    return Status::InvalidArgument("corrupt reservoir state");
   }
   const std::span<const double> sample = reader.arena().F64(0);
   capacity_ = static_cast<size_t>(capacity);

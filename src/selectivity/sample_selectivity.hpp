@@ -50,22 +50,18 @@ class ReservoirSampleSelectivity : public SelectivityEstimator {
 
   const std::vector<double>& reservoir() const { return reservoir_; }
 
-  bool supports_fast_snapshot() const override { return true; }
-
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<ReservoirSampleSelectivity>(*this);
   }
 
  protected:
   double EstimateRangeImpl(double a, double b) const override;
-  /// Persists the RNG state too, so a restored reservoir continues the exact
-  /// acceptance sequence the saved one would have produced.
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: RNG + counters in the head, the sample as one F64 column
-  /// (restored with a single bulk copy).
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  /// State: RNG + counters in the head, the sample as one F64 column
+  /// (restored with a single bulk copy). Persisting the RNG state lets a
+  /// restored reservoir continue the exact acceptance sequence the saved one
+  /// would have produced.
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
  private:
   size_t capacity_;

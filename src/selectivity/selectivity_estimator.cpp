@@ -9,6 +9,8 @@
 #include "io/chunk.hpp"
 #include "memory/fast_state.hpp"
 #include "numerics/optimize.hpp"
+#include "selectivity/estimator_registry.hpp"
+#include "util/string_util.hpp"
 
 namespace wde {
 namespace selectivity {
@@ -85,6 +87,53 @@ Status WriteDimsChunk(io::Sink& sink, int dims) {
   io::VectorSink payload;
   WDE_RETURN_IF_ERROR(io::WriteU32(payload, static_cast<uint32_t>(dims)));
   return io::WriteChunk(sink, internal::kChunkEstimatorDims, payload.bytes());
+}
+
+/// One parsed estimator envelope: the type tag, the dimensionality (1 when
+/// the DIMS chunk is absent) and the CRC-validated ARNA state payload,
+/// anchored by `keepalive` for as long as the restored estimator may borrow
+/// its columns.
+struct Envelope {
+  std::string tag;
+  uint32_t dims = 1;
+  std::span<const uint8_t> payload;
+  std::shared_ptr<const void> keepalive;
+};
+
+Result<Envelope> ReadEnvelope(io::Source& source) {
+  Envelope envelope;
+  WDE_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> tag_bytes,
+      io::ReadChunkExpecting(source, internal::kChunkEstimatorType));
+  envelope.tag.assign(tag_bytes.begin(), tag_bytes.end());
+  // Zero-copy read: for memory-backed sources (SpanSource over a blob, a
+  // FileSource) the payload is a view into the source's buffer, anchored
+  // below by source.backing(); only byte-stream sources pay a copy.
+  WDE_ASSIGN_OR_RETURN(io::ChunkRef chunk, io::ReadChunkRef(source));
+  if (chunk.tag == internal::kChunkEstimatorDims) {
+    io::SpanSource dims_source(chunk.payload);
+    WDE_ASSIGN_OR_RETURN(envelope.dims, io::ReadU32(dims_source));
+    if (chunk.payload.size() != 4 || envelope.dims == 0 ||
+        envelope.dims > static_cast<uint32_t>(std::numeric_limits<int>::max())) {
+      return Status::InvalidArgument("malformed estimator DIMS chunk");
+    }
+    WDE_ASSIGN_OR_RETURN(chunk, io::ReadChunkRef(source));
+  }
+  if (chunk.tag != internal::kChunkEstimatorArena) {
+    return Status::InvalidArgument(
+        "estimator envelope has an unknown state chunk");
+  }
+  envelope.payload = chunk.payload;
+  if (!chunk.owned.empty()) {
+    // A copied payload is promoted into a shared buffer the restored
+    // estimator keeps alive. Moving the vector relocates the struct, not the
+    // heap buffer, so the payload span keeps pointing at the promoted bytes.
+    envelope.keepalive =
+        std::make_shared<const std::vector<uint8_t>>(std::move(chunk.owned));
+  } else {
+    envelope.keepalive = source.backing();
+  }
+  return envelope;
 }
 
 }  // namespace
@@ -209,33 +258,8 @@ double SelectivityEstimator::QuantileByBisection(double p) const {
       domain.hi);
 }
 
-Status SelectivityEstimator::SaveState(io::Sink& sink) const {
-  if (!snapshotable()) {
-    return Status::FailedPrecondition(name() + " does not support snapshots");
-  }
-  const std::string_view tag = snapshot_type_tag();
-  WDE_RETURN_IF_ERROR(io::WriteChunk(
-      sink, internal::kChunkEstimatorType,
-      std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
-  // Multi-dimensional envelopes carry their dimensionality ahead of the
-  // state (snapshot v4); 1-D envelopes omit the chunk and stay byte-for-byte
-  // what a v3 writer produced.
-  if (dims() != 1) WDE_RETURN_IF_ERROR(WriteDimsChunk(sink, dims()));
-  // Buffer the state so the chunk framing can length-prefix and checksum it.
-  io::VectorSink state;
-  WDE_RETURN_IF_ERROR(SaveStateImpl(state));
-  return io::WriteChunk(sink, internal::kChunkEstimatorState, state.bytes());
-}
-
-Status SelectivityEstimator::SaveStateFast(io::Sink& sink,
-                                           uint64_t base_offset) const {
-  // The fast encoding is an optimization, never a capability: estimators
-  // without a fast impl — and big-endian hosts, whose column bytes would not
-  // be the wire's little-endian — transparently write the portable envelope,
-  // which every reader accepts through the same LoadState dispatch.
-  if (!supports_fast_snapshot() || !memory::FastStateSupportedOnHost()) {
-    return SaveState(sink);
-  }
+Status SelectivityEstimator::SaveState(io::Sink& sink,
+                                       uint64_t base_offset) const {
   if (!snapshotable()) {
     return Status::FailedPrecondition(name() + " does not support snapshots");
   }
@@ -245,7 +269,7 @@ Status SelectivityEstimator::SaveStateFast(io::Sink& sink,
       std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
   if (dims() != 1) WDE_RETURN_IF_ERROR(WriteDimsChunk(sink, dims()));
   memory::FastStateWriter writer;
-  WDE_RETURN_IF_ERROR(SaveFastStateImpl(writer));
+  WDE_RETURN_IF_ERROR(SaveStateImpl(writer));
   // The ARNA payload starts after the TYPE chunk (16 bytes of framing + the
   // tag), the 20-byte DIMS chunk when present, and the ARNA chunk's own
   // 12-byte tag/size header; the writer pads its column region to a 64-byte
@@ -262,95 +286,61 @@ Status SelectivityEstimator::LoadState(io::Source& source) {
   if (!snapshotable()) {
     return Status::FailedPrecondition(name() + " does not support snapshots");
   }
-  WDE_ASSIGN_OR_RETURN(
-      const std::vector<uint8_t> tag_bytes,
-      io::ReadChunkExpecting(source, internal::kChunkEstimatorType));
-  const std::string tag(tag_bytes.begin(), tag_bytes.end());
-  if (tag != snapshot_type_tag()) {
-    return Status::FailedPrecondition("snapshot of type '" + tag +
+  WDE_ASSIGN_OR_RETURN(Envelope envelope, ReadEnvelope(source));
+  if (envelope.tag != snapshot_type_tag()) {
+    return Status::FailedPrecondition("snapshot of type '" + envelope.tag +
                                       "' cannot restore into " + name());
   }
-  return LoadEnvelopeState(source);
-}
-
-Status SelectivityEstimator::LoadEnvelopeState(io::Source& source) {
-  // Zero-copy read: for memory-backed sources (SpanSource over a blob, the
-  // mmapped FileSource) the payload is a view into the source's buffer,
-  // anchored below by source.backing(); only byte-stream sources pay a copy.
-  WDE_ASSIGN_OR_RETURN(io::ChunkRef chunk, io::ReadChunkRef(source));
-  if (chunk.tag == internal::kChunkEstimatorDims) {
-    // Snapshot v4 dimensionality tag: validated against the target BEFORE
-    // any state byte is parsed. Absence (every v1–v3 envelope, and every
-    // v4 1-D envelope) implies dimensionality 1, checked below.
-    if (chunk.payload.size() != 4) {
-      return Status::InvalidArgument("malformed estimator DIMS chunk");
-    }
-    io::SpanSource dims_source(chunk.payload);
-    WDE_ASSIGN_OR_RETURN(const uint32_t snapshot_dims,
-                         io::ReadU32(dims_source));
-    if (snapshot_dims != static_cast<uint32_t>(dims())) {
-      return Status::FailedPrecondition(
-          "snapshot dimensionality does not match " + name());
-    }
-    WDE_ASSIGN_OR_RETURN(chunk, io::ReadChunkRef(source));
-  } else if (dims() != 1) {
+  if (envelope.dims != static_cast<uint32_t>(dims())) {
     return Status::FailedPrecondition(
-        "snapshot lacks the dimensionality tag required by " + name());
+        "snapshot dimensionality does not match " + name());
   }
-  if (chunk.tag == internal::kChunkEstimatorState) {
-    io::SpanSource state(chunk.payload);
-    // Payload exhaustion is part of the LoadStateImpl contract and must be
-    // validated there BEFORE committing (a wrapper-side check here would fire
-    // only after the implementation already replaced the estimator's state,
-    // silently breaking the untouched-on-error guarantee).
-    return LoadStateImpl(state);
-  }
-  if (chunk.tag == internal::kChunkEstimatorArena) {
-    // Anchor the payload bytes for the life of the restored estimator: the
-    // fast path hands column spans straight into fitted state, so the image
-    // must outlive this call. A viewed payload borrows the source's backing
-    // (the mmap or caller-owned blob); a copied payload is promoted into a
-    // shared buffer the reader keeps alive.
-    std::shared_ptr<const void> keepalive;
-    if (!chunk.owned.empty()) {
-      // Moving the vector relocates the struct, not the heap buffer, so
-      // chunk.payload keeps pointing at the promoted bytes.
-      keepalive = std::make_shared<const std::vector<uint8_t>>(
-          std::move(chunk.owned));
-    } else {
-      keepalive = source.backing();
-    }
-    WDE_ASSIGN_OR_RETURN(
-        memory::FastStateReader reader,
-        memory::FastStateReader::Parse(chunk.payload, std::move(keepalive)));
-    // Same parse-validate-commit contract as the portable branch, including
-    // full consumption of reader.head().
-    return LoadFastStateImpl(reader);
-  }
-  return Status::InvalidArgument("estimator envelope has an unknown state chunk");
+  return LoadStatePayload(envelope.payload, std::move(envelope.keepalive));
 }
 
-Status SelectivityEstimator::SaveStateImpl(io::Sink& sink) const {
-  (void)sink;
+Status SelectivityEstimator::LoadStatePayload(
+    std::span<const uint8_t> payload, std::shared_ptr<const void> keepalive) {
+  WDE_ASSIGN_OR_RETURN(memory::FastStateReader reader,
+                       memory::FastStateReader::Parse(payload, std::move(keepalive)));
+  // Payload validation — including full consumption of reader.head() — is
+  // part of the LoadStateImpl contract and happens there BEFORE committing
+  // (a wrapper-side check here would fire only after the implementation
+  // already replaced the estimator's state).
+  return LoadStateImpl(reader);
+}
+
+Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
+    io::Source& source) {
+  WDE_ASSIGN_OR_RETURN(Envelope envelope, ReadEnvelope(source));
+  const EstimatorRegistry& registry = EstimatorRegistry::Global();
+  // The shell takes the envelope's dimensionality, so wrappers whose
+  // dimensionality is their configuration's (the sharded engine) restore
+  // multi-dimensional envelopes too.
+  std::unique_ptr<SelectivityEstimator> shell =
+      registry.MakeShell(envelope.tag, static_cast<int>(envelope.dims));
+  if (shell == nullptr || shell->dims() != static_cast<int>(envelope.dims)) {
+    if (!registry.Contains(envelope.tag)) {
+      return Status::NotFound("no estimator registered for snapshot tag '" +
+                              envelope.tag + "'");
+    }
+    return Status::FailedPrecondition(
+        Format("snapshot tag '%s' has no %u-dimensional estimator",
+               envelope.tag.c_str(), static_cast<unsigned>(envelope.dims)));
+  }
+  WDE_RETURN_IF_ERROR(
+      shell->LoadStatePayload(envelope.payload, std::move(envelope.keepalive)));
+  return shell;
+}
+
+Status SelectivityEstimator::SaveStateImpl(
+    memory::FastStateWriter& writer) const {
+  (void)writer;
   return Status::FailedPrecondition(name() + " does not implement SaveStateImpl");
 }
 
-Status SelectivityEstimator::LoadStateImpl(io::Source& source) {
-  (void)source;
-  return Status::FailedPrecondition(name() + " does not implement LoadStateImpl");
-}
-
-Status SelectivityEstimator::SaveFastStateImpl(
-    memory::FastStateWriter& writer) const {
-  (void)writer;
-  return Status::FailedPrecondition(name() +
-                                    " does not implement SaveFastStateImpl");
-}
-
-Status SelectivityEstimator::LoadFastStateImpl(memory::FastStateReader& reader) {
+Status SelectivityEstimator::LoadStateImpl(memory::FastStateReader& reader) {
   (void)reader;
-  return Status::FailedPrecondition(name() +
-                                    " does not implement LoadFastStateImpl");
+  return Status::FailedPrecondition(name() + " does not implement LoadStateImpl");
 }
 
 }  // namespace selectivity

@@ -57,21 +57,17 @@ class SelectivityEstimator;
 
 namespace internal {
 /// Chunk tags of the estimator envelope (see io/chunk.hpp for the framing):
-/// a type-tag chunk naming the concrete estimator, then one state chunk
-/// whose payload is the estimator's own serialized configuration + data. The
-/// state chunk comes in two interchangeable encodings: STAT carries the
-/// portable io-primitive stream (any host), ARNA carries the zero-copy
-/// fast-state frame of memory/fast_state.hpp (little-endian hosts; restores
-/// by header validation + pointer fixup instead of element-wise decoding).
-/// Every estimator reads both; which one a save emits is the caller's choice.
+/// a type-tag chunk naming the concrete estimator, an optional DIMS chunk,
+/// then one ARNA state chunk whose payload is the estimator's fast-state
+/// frame (memory/fast_state.hpp): scalar head + typed columns, restored by
+/// header validation + pointer fixup instead of element-wise decoding. ARNA
+/// is the only state encoding.
 inline constexpr uint32_t kChunkEstimatorType = 0x45505954;   // "TYPE"
-inline constexpr uint32_t kChunkEstimatorState = 0x54415453;  // "STAT"
 inline constexpr uint32_t kChunkEstimatorArena = 0x414E5241;  // "ARNA"
-/// Snapshot v4: estimators with dims() != 1 write one DIMS chunk (u32
-/// dimensionality) between TYPE and the state chunk, so a reader rejects a
-/// dimensionality mismatch before parsing any state. 1-D envelopes omit it —
-/// their bytes are identical to v3 — and v1–v3 snapshots (which can only
-/// contain 1-D estimators) load unchanged.
+/// Estimators with dims() != 1 write one DIMS chunk (u32 dimensionality)
+/// between TYPE and the state chunk, so a reader rejects a dimensionality
+/// mismatch — and the registry builds a shell of the right dimensionality —
+/// before parsing any state. 1-D envelopes omit it.
 inline constexpr uint32_t kChunkEstimatorDims = 0x534D4944;  // "DIMS"
 }  // namespace internal
 
@@ -354,18 +350,20 @@ class SelectivityEstimator {
   // Fitted state is persistable through the versioned, CRC-framed binary
   // envelope of io/chunk.hpp: SaveState writes a self-describing
   // [type tag | state] chunk pair, LoadState restores it into an estimator of
-  // the same concrete type, fully replacing configuration and data. The
+  // the same concrete type, fully replacing configuration and data. Each
+  // estimator describes its state exactly once, as one SaveStateImpl /
+  // LoadStateImpl pair over the fast-state frame of memory/fast_state.hpp
+  // (scalar head + typed columns); that frame is the only wire encoding. The
   // contract: a restored estimator answers Answer/EstimateBatch
   // bit-identically to the estimator that saved — lazily fitted caches are
-  // persisted (or reconstructed from exactly the data they were fitted on),
-  // so answers match even when the save landed mid refit-interval — and is
-  // merge-compatible with it under the ordinary MergeFrom rules. Decoding
-  // hostile bytes (truncated, bit-flipped, wrong magic, future version)
-  // yields a non-OK Status, never UB or an abort, and a failed LoadState
-  // leaves the estimator untouched (parse fully, then commit). The string
-  // tag → factory registry (estimator_registry.hpp) restores whole snapshots
-  // without naming the concrete type at the call site; the same tag keys the
-  // declarative construction path (EstimatorSpec::tag).
+  // persisted, so answers match even when the save landed mid refit-interval
+  // — and is merge-compatible with it under the ordinary MergeFrom rules.
+  // Decoding hostile bytes (truncated, bit-flipped, wrong magic, other
+  // versions) yields a non-OK Status, never UB or an abort, and a failed
+  // LoadState leaves the estimator untouched (parse fully, then commit). The
+  // string tag → factory registry (estimator_registry.hpp) restores whole
+  // snapshots without naming the concrete type at the call site; the same
+  // tag keys the declarative construction path (EstimatorSpec::tag).
 
   /// Stable wire identity of the concrete type — the registry key, parallel
   /// to merge_type_tag() (the string survives process boundaries, the
@@ -375,43 +373,32 @@ class SelectivityEstimator {
   /// True when this estimator supports SaveState()/LoadState().
   bool snapshotable() const { return snapshot_type_tag() != nullptr; }
 
-  /// Writes this estimator's envelope (type-tag chunk + CRC-framed state
-  /// chunk). Composable: callers embedding estimators in larger artifacts
-  /// (e.g. the sharded checkpoint) call this per estimator; whole-file
-  /// snapshots add the magic/version header via SaveEstimatorSnapshot.
-  Status SaveState(io::Sink& sink) const;
+  /// Writes this estimator's envelope: TYPE chunk, DIMS chunk when dims() !=
+  /// 1, then one ARNA chunk holding the state frame. `base_offset` is the
+  /// absolute artifact offset at which the envelope begins (a whole-file
+  /// snapshot's header is 12 bytes, so the registry passes 12); the frame
+  /// pads its column region to a 64-byte absolute offset so an mmapped
+  /// artifact restores zero-copy. Any offset yields a loadable envelope —
+  /// alignment only decides whether a mapped restore borrows or copies.
+  /// Composable: callers embedding estimators in larger artifacts (e.g. the
+  /// sharded checkpoint) call this per estimator.
+  Status SaveState(io::Sink& sink, uint64_t base_offset = 0) const;
 
-  /// Restores an envelope written by SaveState. The envelope's type tag must
-  /// match this estimator's; configuration and data are then fully replaced.
-  /// On any error the estimator is untouched. Accepts both state encodings
-  /// (portable STAT and fast ARNA); when the source is backed by stable bytes
-  /// (SpanSource with a keepalive, mmapped FileSource), the fast path adopts
-  /// column buffers zero-copy instead of decoding them.
+  /// Restores an envelope written by SaveState. The envelope's type tag and
+  /// dimensionality must match this estimator's; configuration and data are
+  /// then fully replaced. On any error the estimator is untouched. When the
+  /// source is backed by stable bytes (SpanSource with a keepalive, mmapped
+  /// or loaded FileSource), column buffers are adopted zero-copy instead of
+  /// decoded.
   Status LoadState(io::Source& source);
 
-  /// Saves this estimator's envelope with the fast ARNA state encoding:
-  /// TYPE chunk, then one fast-state frame (memory/fast_state.hpp) holding
-  /// the fitted buffers verbatim plus re-derivation products (bandwidths,
-  /// prefix/boundary tables, basis tables) that the portable load would
-  /// recompute. `base_offset` is the absolute artifact offset at which this
-  /// envelope begins (a whole-file snapshot's header is 12 bytes, so the
-  /// registry passes 12); the frame pads its column region to a 64-byte
-  /// absolute offset so an mmapped artifact restores zero-copy. Answers
-  /// restore bit-identically to SaveState. Falls back to the portable
-  /// SaveState when the estimator has no fast impl or the host is
-  /// big-endian — either way the artifact loads through LoadState.
-  Status SaveStateFast(io::Sink& sink, uint64_t base_offset) const;
-
-  /// True when the concrete estimator implements the fast-state impls.
-  virtual bool supports_fast_snapshot() const { return false; }
-
   /// A deep, independent copy of this estimator carrying all fitted state —
-  /// the cheap view-extraction path the serving layer publishes epochs from.
+  /// the view-extraction path the serving layer publishes epochs from.
   /// Estimators whose fitted buffers live in a memory::Arena share them
   /// copy-on-write, so the clone costs O(columns), not O(data); the first
-  /// mutation on either side un-shares. Returns nullptr when unsupported
-  /// (callers fall back to CloneViaSnapshot, which is equivalent but pays a
-  /// full serialize + parse).
+  /// mutation on either side un-shares. The sharded engine returns its
+  /// merged view (ExtractMergedView). Returns nullptr when unsupported; such
+  /// an estimator cannot be served.
   virtual std::unique_ptr<SelectivityEstimator> CloneForView() const {
     return nullptr;
   }
@@ -423,33 +410,25 @@ class SelectivityEstimator {
   Status MergeFromSnapshot(io::Source& source);
 
  protected:
-  /// Snapshot extension points: serialize/restore the concrete estimator's
-  /// full configuration + data as io primitives. SaveStateImpl writes into a
-  /// buffering sink (the NVI wrapper frames and checksums the bytes);
-  /// LoadStateImpl receives a source spanning exactly its state payload and
-  /// must parse everything into locals, validate — including that the
-  /// payload is fully consumed — and only then commit, so failures leave the
-  /// estimator untouched. Defaults report unsupported.
-  virtual Status SaveStateImpl(io::Sink& sink) const;
-  virtual Status LoadStateImpl(io::Source& source);
-
-  /// Fast-state extension points (see memory/fast_state.hpp). SaveFastStateImpl
-  /// writes scalar configuration into writer.head() with io primitives and
-  /// registers each bulk fitted buffer as one arena column; LoadFastStateImpl
-  /// reads the head back (consuming it fully), validates, and adopts the
-  /// reader's arena columns — zero-copy when the frame's keepalive anchors
-  /// them (mmapped snapshot), copied otherwise. Same parse-validate-commit
-  /// discipline as the portable impls: hostile bytes yield a Status and leave
-  /// the estimator untouched. Defaults report unsupported; estimators that
-  /// override both also override supports_fast_snapshot().
-  virtual Status SaveFastStateImpl(memory::FastStateWriter& writer) const;
-  virtual Status LoadFastStateImpl(memory::FastStateReader& reader);
+  /// The snapshot extension points — the one description of an estimator's
+  /// state. SaveStateImpl writes scalar configuration into writer.head()
+  /// with io primitives and registers each bulk fitted buffer as one arena
+  /// column. LoadStateImpl reads the head back, validates everything —
+  /// including that the head is fully consumed and that the column
+  /// directory has the expected shape (memory::ColumnsMatch) — and only then
+  /// commits, adopting the reader's arena columns (zero-copy when the
+  /// frame's keepalive anchors them, copied otherwise); hostile bytes yield
+  /// a Status and leave the estimator untouched. Defaults report
+  /// unsupported.
+  virtual Status SaveStateImpl(memory::FastStateWriter& writer) const;
+  virtual Status LoadStateImpl(memory::FastStateReader& reader);
 
  private:
-  /// Reads the state chunk and dispatches to LoadStateImpl (shared by
-  /// LoadState and the registry's restore-by-tag path, which has already
-  /// consumed the type-tag chunk).
-  Status LoadEnvelopeState(io::Source& source);
+  /// Parses one ARNA state payload (anchored by `keepalive`) and dispatches
+  /// to LoadStateImpl — shared by LoadState and the registry's
+  /// restore-by-tag path, which builds the shell from the envelope first.
+  Status LoadStatePayload(std::span<const uint8_t> payload,
+                          std::shared_ptr<const void> keepalive);
 
   friend Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
       io::Source& source);

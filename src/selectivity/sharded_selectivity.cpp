@@ -3,7 +3,6 @@
 #include <algorithm>
 #include <utility>
 
-#include "io/chunk.hpp"
 #include "memory/fast_state.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "util/string_util.hpp"
@@ -256,95 +255,7 @@ Status ShardedSelectivityEstimator::MergeFrom(const SelectivityEstimator& other)
   return Status::OK();
 }
 
-Status ShardedSelectivityEstimator::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, replicas_.size()));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.block_size));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.merge_refresh_interval));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, position_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, pending_since_merge_));
-  WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*prototype_, sink));
-  for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-    WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*replica, sink));
-  }
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, merged_ != nullptr ? 1 : 0));
-  if (merged_ != nullptr) {
-    WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*merged_, sink));
-  }
-  return Status::OK();
-}
-
-Status ShardedSelectivityEstimator::LoadStateImpl(io::Source& source) {
-  WDE_ASSIGN_OR_RETURN(const uint64_t shards, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t block_size, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t refresh, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t position, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t pending, io::ReadU64(source));
-  if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
-    return Status::InvalidArgument("corrupt sharded snapshot layout");
-  }
-  Result<std::unique_ptr<SelectivityEstimator>> prototype =
-      LoadEstimatorEnvelope(source);
-  if (!prototype.ok()) return prototype.status();
-  if (!(*prototype)->mergeable()) {
-    return Status::InvalidArgument(
-        "corrupt sharded snapshot: prototype is not mergeable");
-  }
-  std::vector<std::unique_ptr<SelectivityEstimator>> replicas;
-  replicas.reserve(static_cast<size_t>(shards));
-  for (uint64_t s = 0; s < shards; ++s) {
-    Result<std::unique_ptr<SelectivityEstimator>> replica =
-        LoadEstimatorEnvelope(source);
-    if (!replica.ok()) return replica.status();
-    if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag()) {
-      return Status::InvalidArgument(
-          "corrupt sharded snapshot: heterogeneous shard replicas");
-    }
-    replicas.push_back(std::move(replica).value());
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_merged, io::ReadU8(source));
-  std::unique_ptr<SelectivityEstimator> merged;
-  if (has_merged != 0) {
-    Result<std::unique_ptr<SelectivityEstimator>> loaded =
-        LoadEstimatorEnvelope(source);
-    if (!loaded.ok()) return loaded.status();
-    if ((*loaded)->merge_type_tag() != (*prototype)->merge_type_tag()) {
-      return Status::InvalidArgument(
-          "corrupt sharded snapshot: merged view type mismatch");
-    }
-    merged = std::move(loaded).value();
-  }
-  if (source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt sharded snapshot: trailing bytes");
-  }
-  // A paced merged view never crosses a restore boundary: when the saved
-  // view predates `pending` inserts (legal staleness while the saver was
-  // running, bounded by its merge_refresh_interval), serving it in a new
-  // process would extend a stale view's lifetime across the restart. Drop it
-  // and let the first query rebuild from the replicas — the restored engine
-  // answers at least as fresh as the saver, never staler (see Restore()).
-  if (pending != 0) merged.reset();
-  // Commit. The executor pool is a runtime resource, not state: keep ours.
-  options_.shards = static_cast<size_t>(shards);
-  options_.block_size = static_cast<size_t>(block_size);
-  options_.merge_refresh_interval = static_cast<size_t>(refresh);
-  prototype_ = std::move(prototype).value();
-  replicas_ = std::move(replicas);
-  position_ = static_cast<size_t>(position);
-  pending_since_merge_ = static_cast<size_t>(pending);
-  merged_ = std::move(merged);
-  // Re-anchor the delta-refresh marks. A view only survives the restore when
-  // pending == 0, i.e. it holds exactly the replica counts.
-  merged_hw_.clear();
-  if (merged_ != nullptr) {
-    merged_hw_.reserve(replicas_.size());
-    for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
-      merged_hw_.push_back(replica->count());
-    }
-  }
-  return Status::OK();
-}
-
-Status ShardedSelectivityEstimator::SaveFastStateImpl(
+Status ShardedSelectivityEstimator::SaveStateImpl(
     memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), replicas_.size()));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.block_size));
@@ -352,28 +263,28 @@ Status ShardedSelectivityEstimator::SaveFastStateImpl(
       io::WriteU64(writer.head(), options_.merge_refresh_interval));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), position_));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), pending_since_merge_));
-  // The prototype is an empty configuration keeper — a few dozen bytes — so
-  // its portable envelope lives in the head.
-  WDE_RETURN_IF_ERROR(SaveEstimatorEnvelope(*prototype_, writer.head()));
+  // The prototype is an empty configuration keeper — a few hundred bytes —
+  // so its envelope lives in the head.
+  WDE_RETURN_IF_ERROR(prototype_->SaveState(writer.head()));
   WDE_RETURN_IF_ERROR(io::WriteU8(writer.head(), merged_ != nullptr ? 1 : 0));
-  // One U8 column per replica, each holding that estimator's own fast
+  // One U8 column per replica, each holding that estimator's own
   // envelope. base_offset 0: a column starts on a 64-byte boundary of the
   // outer region, so the nested pad computed against offset 0 keeps the
   // nested column region 64-byte aligned whenever the outer one is.
   for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
     io::VectorSink frame;
-    WDE_RETURN_IF_ERROR(replica->SaveStateFast(frame, 0));
+    WDE_RETURN_IF_ERROR(replica->SaveState(frame));
     writer.AddU8Owned(frame.TakeBytes());
   }
   if (merged_ != nullptr) {
     io::VectorSink frame;
-    WDE_RETURN_IF_ERROR(merged_->SaveStateFast(frame, 0));
+    WDE_RETURN_IF_ERROR(merged_->SaveState(frame));
     writer.AddU8Owned(frame.TakeBytes());
   }
   return Status::OK();
 }
 
-Status ShardedSelectivityEstimator::LoadFastStateImpl(
+Status ShardedSelectivityEstimator::LoadStateImpl(
     memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(const uint64_t shards, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t block_size, io::ReadU64(reader.head()));
@@ -381,26 +292,26 @@ Status ShardedSelectivityEstimator::LoadFastStateImpl(
   WDE_ASSIGN_OR_RETURN(const uint64_t position, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t pending, io::ReadU64(reader.head()));
   if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
-    return Status::InvalidArgument("corrupt sharded fast state layout");
+    return Status::InvalidArgument("corrupt sharded state layout");
   }
   Result<std::unique_ptr<SelectivityEstimator>> prototype =
       LoadEstimatorEnvelope(reader.head());
   if (!prototype.ok()) return prototype.status();
   if (!(*prototype)->mergeable()) {
     return Status::InvalidArgument(
-        "corrupt sharded fast state: prototype is not mergeable");
+        "corrupt sharded state: prototype is not mergeable");
   }
   WDE_ASSIGN_OR_RETURN(const uint8_t has_merged, io::ReadU8(reader.head()));
   if (has_merged > 1 || reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt sharded fast state");
+    return Status::InvalidArgument("corrupt sharded state");
   }
   const memory::Arena& arena = reader.arena();
   if (arena.num_columns() != static_cast<size_t>(shards) + has_merged) {
-    return Status::InvalidArgument("corrupt sharded fast state columns");
+    return Status::InvalidArgument("corrupt sharded state columns");
   }
   for (const memory::ColumnDesc& column : arena.columns()) {
     if (column.kind != memory::ColumnKind::kU8) {
-      return Status::InvalidArgument("corrupt sharded fast state columns");
+      return Status::InvalidArgument("corrupt sharded state columns");
     }
   }
   std::vector<std::unique_ptr<SelectivityEstimator>> replicas;
@@ -416,11 +327,11 @@ Status ShardedSelectivityEstimator::LoadFastStateImpl(
     if (!replica.ok()) return replica.status();
     if (column.remaining() != 0) {
       return Status::InvalidArgument(
-          "corrupt sharded fast state: trailing replica bytes");
+          "corrupt sharded state: trailing replica bytes");
     }
     if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag()) {
       return Status::InvalidArgument(
-          "corrupt sharded fast state: heterogeneous shard replicas");
+          "corrupt sharded state: heterogeneous shard replicas");
     }
     replicas.push_back(std::move(replica).value());
   }
@@ -434,12 +345,16 @@ Status ShardedSelectivityEstimator::LoadFastStateImpl(
     if (column.remaining() != 0 ||
         (*loaded)->merge_type_tag() != (*prototype)->merge_type_tag()) {
       return Status::InvalidArgument(
-          "corrupt sharded fast state: merged view mismatch");
+          "corrupt sharded state: merged view mismatch");
     }
     merged = std::move(loaded).value();
   }
-  // Same carve-out as the portable load: a paced merged view never crosses a
-  // restore boundary.
+  // A paced merged view never crosses a restore boundary: when the saved
+  // view predates `pending` inserts (legal staleness while the saver was
+  // running, bounded by its merge_refresh_interval), serving it in a new
+  // process would extend a stale view's lifetime across the restart. Drop it
+  // and let the first query rebuild from the replicas — the restored engine
+  // answers at least as fresh as the saver, never staler (see Restore()).
   if (pending != 0) merged.reset();
   options_.shards = static_cast<size_t>(shards);
   options_.block_size = static_cast<size_t>(block_size);
@@ -466,32 +381,32 @@ Status ShardedSelectivityEstimator::Checkpoint(const std::string& path) const {
 }
 
 Status ShardedSelectivityEstimator::Restore(const std::string& path) {
-  // One disk read; both passes below run over the same in-memory bytes.
-  Result<io::FileSource> file = io::FileSource::Open(path);
-  if (!file.ok()) return file.status();
-  std::vector<uint8_t> bytes(file->remaining());
-  WDE_RETURN_IF_ERROR(file->Read(bytes.data(), bytes.size()));
-  // Structural pass first — header, both envelope chunks (CRC-validated), no
-  // trailing bytes — so the commit pass below cannot fail on framing and the
-  // strong guarantee (untouched on error) holds for the whole file.
-  {
-    io::SpanSource probe(bytes);
-    WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(probe).status());
-    WDE_RETURN_IF_ERROR(
-        io::ReadChunkExpecting(probe, internal::kChunkEstimatorType).status());
-    // The state travels as either encoding (portable STAT or fast ARNA).
-    WDE_ASSIGN_OR_RETURN(const io::Chunk state, io::ReadChunk(probe));
-    if (state.tag != internal::kChunkEstimatorState &&
-        state.tag != internal::kChunkEstimatorArena) {
-      return Status::InvalidArgument("checkpoint has an unknown state chunk");
-    }
-    if (probe.remaining() != 0) {
-      return Status::InvalidArgument("checkpoint has trailing bytes");
-    }
+  // Parse the whole file into a fresh engine through the shared loader —
+  // framing, envelope, DIMS, trailing bytes — then commit by swap, so on any
+  // error this engine is untouched.
+  Result<std::unique_ptr<SelectivityEstimator>> loaded =
+      LoadEstimatorSnapshotFile(path);
+  if (!loaded.ok()) return loaded.status();
+  if ((*loaded)->merge_type_tag() != merge_type_tag()) {
+    return Status::FailedPrecondition("checkpoint of " + (*loaded)->name() +
+                                      " cannot restore into " + name());
   }
-  io::SpanSource source(bytes);
-  WDE_RETURN_IF_ERROR(io::ReadSnapshotHeader(source).status());
-  return LoadState(source);
+  if ((*loaded)->dims() != dims()) {
+    return Status::FailedPrecondition(
+        "snapshot dimensionality does not match " + name());
+  }
+  auto& restored = static_cast<ShardedSelectivityEstimator&>(**loaded);
+  // The executor pool and the refit mode are runtime knobs, not state: keep
+  // ours.
+  restored.options_.pool = options_.pool;
+  restored.options_.refit_mode = options_.refit_mode;
+  *this = std::move(restored);
+  return Status::OK();
+}
+
+std::unique_ptr<SelectivityEstimator> ShardedSelectivityEstimator::CloneForView()
+    const {
+  return ExtractMergedView();
 }
 
 }  // namespace selectivity

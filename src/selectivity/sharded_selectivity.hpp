@@ -119,9 +119,10 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// bit-identical answers.
   Status Checkpoint(const std::string& path) const;
 
-  /// Restores a checkpoint written by Checkpoint(): fully replaces shard
-  /// layout and state (the executor pool is a runtime resource and is kept).
-  /// On any error this estimator is untouched.
+  /// Restores a checkpoint written by Checkpoint() — or any whole snapshot
+  /// of a sharded engine of the same dimensionality: fully replaces shard
+  /// layout and state (the executor pool and refit mode are runtime knobs
+  /// and are kept). On any error this estimator is untouched.
   ///
   /// A paced merged view never crosses a restore boundary: when the
   /// checkpoint's view predates pending inserts (it was stale within the
@@ -152,7 +153,8 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// answer. Answers are bit-identical either way.
   std::unique_ptr<SelectivityEstimator> ExtractMergedView() const;
 
-  bool supports_fast_snapshot() const override { return true; }
+  /// The serving view of this engine: ExtractMergedView().
+  std::unique_ptr<SelectivityEstimator> CloneForView() const override;
 
  protected:
   double EstimateRangeImpl(double a, double b) const override;
@@ -171,17 +173,13 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
 
-  /// Nested envelopes: partition metadata, then prototype, replicas and the
-  /// optional merged view through the registry's envelope framing.
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: partition metadata and the (config-only) prototype envelope
-  /// in the head; each replica — and the merged view when present — rides as
-  /// one U8 column holding that estimator's own fast envelope, so the per-
-  /// shard columns restore through the same zero-copy path as a standalone
+  /// State: partition metadata and the (config-only) prototype envelope in
+  /// the head; each replica — and the merged view when present — rides as
+  /// one U8 column holding that estimator's own envelope, so the per-shard
+  /// columns restore through the same zero-copy path as a standalone
   /// snapshot.
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
 
   /// Quiesce: refresh the merged view to the live replica state (resetting
   /// the pacing budget) and force-refit it, so subsequent queries are pure

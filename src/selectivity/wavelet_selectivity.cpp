@@ -218,79 +218,7 @@ Result<core::CrossValidationResult> DeserializeCvResult(io::Source& source) {
 
 }  // namespace
 
-Status StreamingWaveletSelectivity::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, options_.j0));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, options_.j_max));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, static_cast<uint8_t>(options_.kind)));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.refit_interval));
-  WDE_RETURN_IF_ERROR(fit_.Serialize(sink));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, fitted_at_count_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, estimate_.has_value() ? 1 : 0));
-  if (estimate_.has_value()) WDE_RETURN_IF_ERROR(estimate_->Serialize(sink));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, cv_.has_value() ? 1 : 0));
-  if (cv_.has_value()) WDE_RETURN_IF_ERROR(SerializeCvResult(*cv_, sink));
-  return Status::OK();
-}
-
-Status StreamingWaveletSelectivity::LoadStateImpl(io::Source& source) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.j0, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(options.j_max, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(const uint8_t kind, io::ReadU8(source));
-  WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(source));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || kind > 1 ||
-      options.refit_interval == 0) {
-    return Status::InvalidArgument("corrupt wavelet sketch options");
-  }
-  options.kind = static_cast<core::ThresholdKind>(kind);
-  Result<core::WaveletDensityFit> fit = core::WaveletDensityFit::Deserialize(source);
-  if (!fit.ok()) return fit.status();
-  if (fit->domain_lo() != options.domain_lo ||
-      fit->domain_hi() != options.domain_hi ||
-      fit->coefficients().j0() != options.j0 ||
-      fit->coefficients().j_max() != options.j_max) {
-    return Status::InvalidArgument(
-        "corrupt wavelet sketch: options disagree with fit");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at_count, io::ReadU64(source));
-  if (fitted_at_count > fit->count()) {
-    return Status::InvalidArgument("corrupt wavelet sketch fit point");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_estimate, io::ReadU8(source));
-  std::optional<core::WaveletEstimate> estimate;
-  if (has_estimate != 0) {
-    Result<core::WaveletEstimate> loaded =
-        core::WaveletEstimate::Deserialize(fit->coefficients().basis(), source);
-    if (!loaded.ok()) return loaded.status();
-    estimate = std::move(loaded).value();
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_cv, io::ReadU8(source));
-  std::optional<core::CrossValidationResult> cv;
-  if (has_cv != 0) {
-    Result<core::CrossValidationResult> loaded = DeserializeCvResult(source);
-    if (!loaded.ok()) return loaded.status();
-    cv = std::move(loaded).value();
-  }
-  if (source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt wavelet sketch snapshot: trailing bytes");
-  }
-  options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
-  options_ = options;
-  fit_ = std::move(fit).value();
-  fitted_at_count_ = static_cast<size_t>(fitted_at_count);
-  estimate_ = std::move(estimate);
-  cv_ = std::move(cv);
-  cv_cache_ = core::CvCache{};  // cold start: the first refit re-ranks fully
-  insert_scratch_.clear();
-  return Status::OK();
-}
-
-Status StreamingWaveletSelectivity::SaveFastStateImpl(
+Status StreamingWaveletSelectivity::SaveStateImpl(
     memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
@@ -330,7 +258,7 @@ Status StreamingWaveletSelectivity::SaveFastStateImpl(
   return Status::OK();
 }
 
-Status StreamingWaveletSelectivity::LoadFastStateImpl(
+Status StreamingWaveletSelectivity::LoadStateImpl(
     memory::FastStateReader& reader) {
   Options options;
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
@@ -349,7 +277,7 @@ Status StreamingWaveletSelectivity::LoadFastStateImpl(
       options.refit_interval == 0 || options.j0 < 0 ||
       options.j_max < options.j0 || options.j_max > 26 || table_levels < 1 ||
       table_levels > 20 || fitted_at_count > count) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
+    return Status::InvalidArgument("corrupt wavelet sketch state");
   }
   options.kind = static_cast<core::ThresholdKind>(kind);
   // Column geometry: 4 basis tables + (S1, S2) per level (scaling + each
@@ -359,11 +287,11 @@ Status StreamingWaveletSelectivity::LoadFastStateImpl(
       2 * (static_cast<size_t>(options.j_max - options.j0) + 2);
   const memory::Arena& arena = reader.arena();
   if (arena.num_columns() != 4 + n_sum_columns) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state columns");
+    return Status::InvalidArgument("corrupt wavelet sketch state columns");
   }
   for (const memory::ColumnDesc& column : arena.columns()) {
     if (column.kind != memory::ColumnKind::kF64) {
-      return Status::InvalidArgument("corrupt wavelet sketch fast state columns");
+      return Status::InvalidArgument("corrupt wavelet sketch state columns");
     }
   }
   WDE_ASSIGN_OR_RETURN(const wavelet::WaveletFilter filter,
@@ -383,7 +311,7 @@ Status StreamingWaveletSelectivity::LoadFastStateImpl(
           options.domain_hi, count, sums));
   WDE_ASSIGN_OR_RETURN(const uint8_t has_estimate, io::ReadU8(reader.head()));
   if (has_estimate > 1) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
+    return Status::InvalidArgument("corrupt wavelet sketch state");
   }
   std::optional<core::WaveletEstimate> estimate;
   if (has_estimate != 0) {
@@ -392,7 +320,7 @@ Status StreamingWaveletSelectivity::LoadFastStateImpl(
   }
   WDE_ASSIGN_OR_RETURN(const uint8_t has_cv, io::ReadU8(reader.head()));
   if (has_cv > 1) {
-    return Status::InvalidArgument("corrupt wavelet sketch fast state");
+    return Status::InvalidArgument("corrupt wavelet sketch state");
   }
   std::optional<core::CrossValidationResult> cv;
   if (has_cv != 0) {
@@ -400,7 +328,7 @@ Status StreamingWaveletSelectivity::LoadFastStateImpl(
   }
   if (reader.head().remaining() != 0) {
     return Status::InvalidArgument(
-        "corrupt wavelet sketch fast state: trailing bytes");
+        "corrupt wavelet sketch state: trailing bytes");
   }
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;

@@ -101,62 +101,7 @@ Status WaveletSynopsisSelectivity::MergeFrom(const SelectivityEstimator& other) 
   return Status::OK();
 }
 
-Status WaveletSynopsisSelectivity::SaveStateImpl(io::Sink& sink) const {
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_lo));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(sink, options_.domain_hi));
-  WDE_RETURN_IF_ERROR(io::WriteI32(sink, options_.grid_log2));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.budget));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, options_.rebuild_interval));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, count_));
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, counts_));
-  WDE_RETURN_IF_ERROR(io::WriteU8(sink, reconstructed_.empty() ? 0 : 1));
-  if (reconstructed_.empty()) return Status::OK();
-  WDE_RETURN_IF_ERROR(io::WriteDoubleVector(sink, reconstructed_));
-  WDE_RETURN_IF_ERROR(io::WriteU64(sink, retained_));
-  return io::WriteU64(sink, built_at_count_);
-}
-
-Status WaveletSynopsisSelectivity::LoadStateImpl(io::Source& source) {
-  Options options;
-  WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(source));
-  WDE_ASSIGN_OR_RETURN(options.grid_log2, io::ReadI32(source));
-  WDE_ASSIGN_OR_RETURN(options.budget, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(options.rebuild_interval, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(const uint64_t count, io::ReadU64(source));
-  WDE_ASSIGN_OR_RETURN(std::vector<double> counts, io::ReadDoubleVector(source));
-  if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
-      !(options.domain_lo < options.domain_hi) || options.grid_log2 < 2 ||
-      options.grid_log2 > 22 || options.budget == 0 ||
-      options.rebuild_interval == 0 ||
-      counts.size() != (1ULL << options.grid_log2)) {
-    return Status::InvalidArgument("corrupt synopsis snapshot");
-  }
-  WDE_ASSIGN_OR_RETURN(const uint8_t has_cache, io::ReadU8(source));
-  std::vector<double> reconstructed;
-  uint64_t retained = 0;
-  uint64_t built_at_count = 0;
-  if (has_cache != 0) {
-    WDE_ASSIGN_OR_RETURN(reconstructed, io::ReadDoubleVector(source));
-    WDE_ASSIGN_OR_RETURN(retained, io::ReadU64(source));
-    WDE_ASSIGN_OR_RETURN(built_at_count, io::ReadU64(source));
-    if (reconstructed.size() != counts.size() || built_at_count > count) {
-      return Status::InvalidArgument("corrupt synopsis reconstruction cache");
-    }
-  }
-  if (source.remaining() != 0) {
-    return Status::InvalidArgument("corrupt synopsis snapshot: trailing bytes");
-  }
-  options_ = options;
-  count_ = static_cast<size_t>(count);
-  counts_ = std::move(counts);
-  reconstructed_ = std::move(reconstructed);
-  retained_ = static_cast<size_t>(retained);
-  built_at_count_ = static_cast<size_t>(built_at_count);
-  return Status::OK();
-}
-
-Status WaveletSynopsisSelectivity::SaveFastStateImpl(
+Status WaveletSynopsisSelectivity::SaveStateImpl(
     memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
@@ -173,7 +118,7 @@ Status WaveletSynopsisSelectivity::SaveFastStateImpl(
   return Status::OK();
 }
 
-Status WaveletSynopsisSelectivity::LoadFastStateImpl(
+Status WaveletSynopsisSelectivity::LoadStateImpl(
     memory::FastStateReader& reader) {
   Options options;
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
@@ -191,14 +136,14 @@ Status WaveletSynopsisSelectivity::LoadFastStateImpl(
       options.rebuild_interval == 0 || has_cache > 1 ||
       (has_cache != 0 && built_at > count) ||
       reader.head().remaining() != 0) {
-    return Status::InvalidArgument("corrupt synopsis fast state");
+    return Status::InvalidArgument("corrupt synopsis state");
   }
   const size_t cells = static_cast<size_t>(1) << options.grid_log2;
   std::vector<memory::ColumnSpec> expected = {
       {memory::ColumnKind::kF64, cells}};
   if (has_cache != 0) expected.push_back({memory::ColumnKind::kF64, cells});
   if (!memory::ColumnsMatch(reader.arena(), expected)) {
-    return Status::InvalidArgument("corrupt synopsis fast state columns");
+    return Status::InvalidArgument("corrupt synopsis state columns");
   }
   const std::span<const double> counts = reader.arena().F64(0);
   std::vector<double> reconstructed;

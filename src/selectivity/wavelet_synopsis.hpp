@@ -62,8 +62,6 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
   /// Number of non-zero retained coefficients after the last rebuild.
   size_t RetainedCoefficients() const;
 
-  bool supports_fast_snapshot() const override { return true; }
-
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::unique_ptr<SelectivityEstimator>(
         new WaveletSynopsisSelectivity(*this));
@@ -71,17 +69,13 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
 
  protected:
   double EstimateRangeImpl(double a, double b) const override;
-  /// Persists the integer count grid bit-exactly plus, when present, the
-  /// compressed reconstruction cache (it cannot be re-derived once the grid
-  /// has moved on), so a mid-rebuild-interval save restores to the same —
-  /// possibly stale — answers the saved synopsis was serving.
-  Status SaveStateImpl(io::Sink& sink) const override;
-  Status LoadStateImpl(io::Source& source) override;
-  /// Fast state: grid and reconstruction cache as bulk F64 columns (the
-  /// cache rides along just as in the portable format — it cannot be
-  /// re-derived once the grid has moved on).
-  Status SaveFastStateImpl(memory::FastStateWriter& writer) const override;
-  Status LoadFastStateImpl(memory::FastStateReader& reader) override;
+  /// State: the integer count grid plus, when present, the compressed
+  /// reconstruction cache as bulk F64 columns (the cache cannot be
+  /// re-derived once the grid has moved on), so a mid-rebuild-interval save
+  /// restores to the same — possibly stale — answers the saved synopsis was
+  /// serving.
+  Status SaveStateImpl(memory::FastStateWriter& writer) const override;
+  Status LoadStateImpl(memory::FastStateReader& reader) override;
   /// Quiesce: rebuild the compressed transform at the current count (the
   /// interval gate of RebuildIfStale does not apply to a forced refit).
   void ForceRefitImpl() const override {

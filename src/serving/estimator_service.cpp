@@ -1,8 +1,6 @@
 #include "serving/estimator_service.hpp"
 
 #include <algorithm>
-#include <cstdio>
-#include <string_view>
 #include <utility>
 
 #include "io/chunk.hpp"
@@ -29,7 +27,6 @@ EstimatorService::EstimatorService(
     const ServiceOptions& options)
     : options_(options),
       writer_(std::move(writer)),
-      sharded_(ShardedOf(writer_.get())),
       last_publish_(std::chrono::steady_clock::now()),
       service_id_(g_next_service_id.fetch_add(1, std::memory_order_relaxed)) {
   if (options_.cache_shards != 0) {
@@ -56,12 +53,19 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   if (options.max_staleness_ms < 0) {
     return Status::InvalidArgument("max_staleness_ms must be non-negative");
   }
+  // Epoch 1 publishes the writer's current state, so readers always have a
+  // view; a writer that cannot produce one is refused here, not at runtime.
+  std::unique_ptr<selectivity::SelectivityEstimator> first =
+      writer->CloneForView();
+  if (first == nullptr) {
+    return Status::FailedPrecondition(
+        writer->name() + " offers no CloneForView() and cannot publish views");
+  }
   std::unique_ptr<EstimatorService> service(
       new EstimatorService(std::move(writer), options));
   {
-    // Epoch 1: the writer's (empty) state, so readers always have a view.
     std::lock_guard<std::mutex> lock(service->writer_mu_);
-    service->PublishLocked(0);
+    service->PublishViewLocked(std::move(first), 0);
   }
   return service;
 }
@@ -74,32 +78,18 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   return Create(std::move(writer).value(), options);
 }
 
-selectivity::ShardedSelectivityEstimator* EstimatorService::ShardedOf(
-    selectivity::SelectivityEstimator* writer) {
-  const char* tag = writer->snapshot_type_tag();
-  if (tag != nullptr && std::string_view(tag) == "sharded") {
-    // Registry tags are unique per concrete type, so "sharded" IS the
-    // sharded engine — the same identity argument merge tags make.
-    return static_cast<selectivity::ShardedSelectivityEstimator*>(writer);
-  }
-  return nullptr;
+uint64_t EstimatorService::PublishLocked(uint64_t epoch_floor) {
+  std::unique_ptr<selectivity::SelectivityEstimator> fresh =
+      writer_->CloneForView();
+  // Create() and Restore() refuse writers without views, so null here is a
+  // broken CloneForView implementation, not a runtime condition.
+  WDE_CHECK(fresh != nullptr, "writer stopped offering CloneForView()");
+  return PublishViewLocked(std::move(fresh), epoch_floor);
 }
 
-uint64_t EstimatorService::PublishLocked(uint64_t epoch_floor) {
-  std::unique_ptr<selectivity::SelectivityEstimator> fresh;
-  if (sharded_ != nullptr) {
-    fresh = sharded_->ExtractMergedView();
-  } else if ((fresh = writer_->CloneForView()) != nullptr) {
-    // The cheap path: a CoW copy sharing the writer's fitted arenas — no
-    // serialize/parse round trip on the publish cadence.
-  } else {
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> clone =
-        selectivity::CloneViaSnapshot(*writer_);
-    // Create() verified the writer snapshots; a failure here is a broken
-    // SaveState/LoadState implementation, not a runtime condition.
-    WDE_CHECK(clone.ok(), clone.status().ToString().c_str());
-    fresh = std::move(clone).value();
-  }
+uint64_t EstimatorService::PublishViewLocked(
+    std::unique_ptr<selectivity::SelectivityEstimator> fresh,
+    uint64_t epoch_floor) {
   // Quiesce the view: bring every lazily fitted cache up to date with ALL
   // data it holds — not merely the interval-gated refresh a first query would
   // run, so a published view is always fitted at its full count — then prime
@@ -244,33 +234,19 @@ CacheStats EstimatorService::cache_stats() const {
 
 Status EstimatorService::Checkpoint(const std::string& path) const {
   std::lock_guard<std::mutex> lock(writer_mu_);
-  io::VectorSink sink;
-  WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
   io::VectorSink meta;
   // Publishes happen under writer_mu_ (held here), so this epoch is the one
   // the checkpointed writer state belongs to.
   WDE_RETURN_IF_ERROR(
       io::WriteU64(meta, published_epoch_.load(std::memory_order_acquire)));
   WDE_RETURN_IF_ERROR(io::WriteU64(meta, inserts_since_publish_));
-  WDE_RETURN_IF_ERROR(io::WriteChunk(sink, kChunkServiceState, meta.bytes()));
-  WDE_RETURN_IF_ERROR(writer_->SaveState(sink));
-  // Write-then-rename so a kill or disk-full midway leaves the previous
-  // checkpoint intact (the same discipline as SaveEstimatorSnapshotFile).
-  const std::string tmp_path = path + ".tmp";
-  Result<io::FileSink> file = io::FileSink::Open(tmp_path);
-  if (!file.ok()) return file.status();
-  Status written = file->Append(sink.bytes().data(), sink.bytes().size());
-  if (written.ok()) written = file->Close();
-  if (!written.ok()) {
-    std::remove(tmp_path.c_str());
-    return written;
-  }
-  if (std::rename(tmp_path.c_str(), path.c_str()) != 0) {
-    std::remove(tmp_path.c_str());
-    return Status::Internal("cannot move finished checkpoint over '" + path +
-                            "'");
-  }
-  return Status::OK();
+  return io::WriteFileDurably(path, [&](io::Sink& sink) {
+    WDE_RETURN_IF_ERROR(io::WriteSnapshotHeader(sink));
+    WDE_RETURN_IF_ERROR(io::WriteChunk(sink, kChunkServiceState, meta.bytes()));
+    // The writer's envelope follows the 12-byte header and the framed
+    // service chunk (12-byte chunk header + payload + 4-byte CRC).
+    return writer_->SaveState(sink, 12 + 12 + meta.bytes().size() + 4);
+  });
 }
 
 Status EstimatorService::Restore(const std::string& path) {
@@ -294,16 +270,27 @@ Status EstimatorService::Restore(const std::string& path) {
   if (file->remaining() != 0) {
     return Status::InvalidArgument("service checkpoint has trailing bytes");
   }
+  // The restored writer is not shared yet, so its view is extracted before
+  // taking the writer lock.
+  std::unique_ptr<selectivity::SelectivityEstimator> fresh =
+      (*writer)->CloneForView();
+  if (fresh == nullptr) {
+    return Status::FailedPrecondition(
+        (*writer)->name() + " offers no CloneForView() and cannot publish views");
+  }
+  std::lock_guard<std::mutex> lock(writer_mu_);
+  if ((*writer)->dims() != writer_->dims()) {
+    return Status::FailedPrecondition(
+        "checkpoint dimensionality does not match " + writer_->name());
+  }
   // Commit. The restored writer replaces ours and a FRESH view is rebuilt
   // from it — a checkpointed (possibly pacing-stale) view never crosses the
   // restore boundary — at an epoch strictly above both the checkpoint's and
   // everything this service has published, so every pre-restore cache entry
   // and held view is invalidated by epoch comparison alone.
-  std::lock_guard<std::mutex> lock(writer_mu_);
   writer_ = std::move(writer).value();
-  sharded_ = ShardedOf(writer_.get());
   inserts_since_publish_ = static_cast<size_t>(pending);
-  PublishLocked(saved_epoch);
+  PublishViewLocked(std::move(fresh), saved_epoch);
   return Status::OK();
 }
 

@@ -32,7 +32,7 @@
 /// keyed by the typed `Query` (see query_cache.hpp — strictly best-effort,
 /// bit-identical to recomputation), a client-side `AdmissionBatcher` that
 /// coalesces scalar point reads into batched admissions, and
-/// Checkpoint/Restore through the PR 4 snapshot envelope so a warm standby
+/// Checkpoint/Restore through the snapshot envelope so a warm standby
 /// can restore a leader's checkpoint and begin serving at a strictly newer
 /// epoch (the epoch bump on restore is a contract: no cached result or held
 /// view from before the restore can be confused with post-restore state).
@@ -56,7 +56,6 @@
 
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/selectivity_estimator.hpp"
-#include "selectivity/sharded_selectivity.hpp"
 #include "serving/query_cache.hpp"
 #include "util/result.hpp"
 
@@ -98,12 +97,12 @@ class EstimatorService {
     std::shared_ptr<const selectivity::SelectivityEstimator> estimator;
   };
 
-  /// Wraps `writer` (which must support snapshots — every shipped estimator
-  /// does) and publishes its empty state as epoch 1. When the writer is the
-  /// sharded engine, views are extracted with ExtractMergedView (one merged
-  /// single-estimator copy, cheaper to query than the wrapper); any other
-  /// estimator publishes via CloneForView (a copy-on-write arena share) when
-  /// it offers one, falling back to the CloneViaSnapshot deep-copy path.
+  /// Wraps `writer` (which must support snapshots and CloneForView — every
+  /// shipped estimator does) and publishes its current state as epoch 1.
+  /// Every view is writer->CloneForView(): a copy-on-write arena share, and
+  /// for the sharded engine its merged view (one single-estimator copy,
+  /// cheaper to query than the wrapper). A writer whose CloneForView() is
+  /// null is refused with a Status.
   static Result<std::unique_ptr<EstimatorService>> Create(
       std::unique_ptr<selectivity::SelectivityEstimator> writer,
       const ServiceOptions& options);
@@ -161,8 +160,10 @@ class EstimatorService {
   // ----------------------------------------------------- checkpoint/restore
 
   /// Persists the service — a snapshot-format file holding a service chunk
-  /// (current epoch + pacing position) and the writer estimator's envelope.
-  /// Concurrent readers are unaffected; writers queue on the mutex.
+  /// (current epoch + pacing position) and the writer estimator's envelope —
+  /// durably (io::WriteFileDurably): on error the previous checkpoint at
+  /// `path` is intact, and an OK return survives a crash. Concurrent readers
+  /// are unaffected; writers queue on the mutex.
   Status Checkpoint(const std::string& path) const;
 
   /// Restores a checkpoint written by Checkpoint() (possibly by another
@@ -171,7 +172,9 @@ class EstimatorService {
   /// never crosses the restore boundary) and publishes it at an epoch
   /// strictly greater than both the checkpoint's epoch and every epoch this
   /// service has published — so all pre-restore cache entries and held views
-  /// are invalidated by epoch. On error the service is untouched.
+  /// are invalidated by epoch. A checkpoint whose writer has a different
+  /// dimensionality than the current writer is rejected. On error the
+  /// service is untouched.
   Status Restore(const std::string& path);
 
  private:
@@ -182,14 +185,15 @@ class EstimatorService {
   /// as `max(current epoch, epoch_floor) + 1`. Caller holds writer_mu_.
   uint64_t PublishLocked(uint64_t epoch_floor);
 
+  /// PublishLocked's warm-up and swap for an already extracted view.
+  uint64_t PublishViewLocked(
+      std::unique_ptr<selectivity::SelectivityEstimator> fresh,
+      uint64_t epoch_floor);
+
   /// The reader entry point: returns the current view, from the calling
   /// thread's pinned copy when its epoch is current, refreshing it under
   /// view_mu_ otherwise.
   View AcquireView() const;
-
-  /// Re-derives the sharded fast path after writer_ changes.
-  static selectivity::ShardedSelectivityEstimator* ShardedOf(
-      selectivity::SelectivityEstimator* writer);
 
   void MaybePublishLocked();
 
@@ -198,7 +202,6 @@ class EstimatorService {
   /// Writer state, all guarded by writer_mu_.
   mutable std::mutex writer_mu_;
   std::unique_ptr<selectivity::SelectivityEstimator> writer_;
-  selectivity::ShardedSelectivityEstimator* sharded_ = nullptr;  // view of writer_
   size_t inserts_since_publish_ = 0;
   std::chrono::steady_clock::time_point last_publish_;
 

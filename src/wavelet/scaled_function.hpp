@@ -257,7 +257,7 @@ class WaveletBasis {
   int table_levels() const { return table_levels_; }
 
   /// The raw cascade-product tables (values on the dyadic grid). What the
-  /// snapshot fast path persists verbatim so FromTables can rebuild this
+  /// snapshot state persists verbatim so FromTables can rebuild this
   /// basis without rerunning the cascade.
   std::span<const double> phi_table() const { return phi_->values(); }
   std::span<const double> psi_table() const { return psi_->values(); }

@@ -19,6 +19,7 @@
 #include <thread>
 #include <vector>
 
+#include "io/serialize.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
@@ -353,6 +354,145 @@ TEST(EstimatorServiceTest, RestoreRejectsCorruptCheckpointsUntouched) {
   std::remove(path.c_str());
 }
 
+selectivity::EstimatorSpec Sharded2dSpec(const std::string& inner) {
+  selectivity::EstimatorSpec spec;
+  spec.tag = "sharded";
+  spec.sharded_inner_tag = inner;
+  spec.dims = 2;
+  spec.grid_log2 = 5;
+  spec.refit_interval = 512;
+  spec.shards = 3;
+  spec.block_size = 256;
+  return spec;
+}
+
+std::vector<selectivity::Query> RectWorkload() {
+  std::vector<selectivity::Query> queries;
+  for (int i = 0; i < 8; ++i) {
+    const double lo = 0.1 * i;
+    queries.push_back(selectivity::Query::Rect(lo, lo + 0.3, 0.2, 0.9));
+    queries.push_back(selectivity::Query::Marginal(1, lo, lo + 0.25));
+    queries.push_back(selectivity::Query::Conditional(lo, lo + 0.2, 0.0, 0.5));
+    queries.push_back(selectivity::Query::Range(lo, lo + 0.15));
+  }
+  return queries;
+}
+
+TEST(EstimatorServiceTest, ShardedTwoDimensionalCheckpointsRestoreEverywhere) {
+  // A 2-D sharded checkpoint restores through all three entry points — the
+  // service, the engine's own Restore, and the registry file loader — to the
+  // checkpointed view's answers, bitwise.
+  const std::string service_path = testing::TempDir() + "/wde_service_2d.snap";
+  const std::string engine_path = testing::TempDir() + "/wde_engine_2d.snap";
+  const std::vector<selectivity::Query> queries = RectWorkload();
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  for (const std::string inner : {"grid2d", "kde2d-prod"}) {
+    SCOPED_TRACE(inner);
+    const selectivity::EstimatorSpec spec = Sharded2dSpec(inner);
+    const std::vector<double> stream = UnitStream(95, 6000);
+
+    std::unique_ptr<serving::EstimatorService> leader = MakeService(options, spec);
+    leader->InsertBatch(stream);
+    leader->Publish();
+    const std::vector<double> checkpointed =
+        Answers(*leader->CurrentView().estimator, queries);
+    ASSERT_TRUE(leader->Checkpoint(service_path).ok());
+    std::unique_ptr<serving::EstimatorService> standby = MakeService(options, spec);
+    const Status restored = standby->Restore(service_path);
+    ASSERT_TRUE(restored.ok()) << restored.ToString();
+    EXPECT_EQ(standby->count(), leader->count());
+    EXPECT_EQ(Answers(*standby, queries), checkpointed);
+
+    std::unique_ptr<selectivity::SelectivityEstimator> engine =
+        *selectivity::MakeEstimator(spec);
+    engine->InsertBatch(stream);
+    auto& sharded = static_cast<selectivity::ShardedSelectivityEstimator&>(*engine);
+    ASSERT_TRUE(sharded.Checkpoint(engine_path).ok());
+    std::unique_ptr<selectivity::SelectivityEstimator> target =
+        *selectivity::MakeEstimator(spec);
+    auto& target_sharded =
+        static_cast<selectivity::ShardedSelectivityEstimator&>(*target);
+    const Status engine_restored = target_sharded.Restore(engine_path);
+    ASSERT_TRUE(engine_restored.ok()) << engine_restored.ToString();
+    EXPECT_EQ(Answers(target_sharded, queries), checkpointed);
+
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshotFile(engine_path);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->dims(), 2);
+    EXPECT_EQ(Answers(**loaded, queries), checkpointed);
+  }
+  std::remove(service_path.c_str());
+  std::remove(engine_path.c_str());
+}
+
+TEST(EstimatorServiceTest, DimensionalityMismatchIsRejectedUntouched) {
+  const std::string path = testing::TempDir() + "/wde_service_dims.snap";
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  std::unique_ptr<serving::EstimatorService> leader =
+      MakeService(options, Sharded2dSpec("grid2d"));
+  leader->InsertBatch(UnitStream(96, 2000));
+  ASSERT_TRUE(leader->Checkpoint(path).ok());
+
+  // A 1-D service refuses the 2-D checkpoint and keeps serving its own state.
+  std::unique_ptr<serving::EstimatorService> target = MakeService(options);
+  target->InsertBatch(UnitStream(97, 300));
+  const uint64_t epoch_before = target->Publish();
+  const std::vector<selectivity::Query> queries = MixedWorkload(98, 32);
+  const std::vector<double> answers_before = Answers(*target, queries);
+  EXPECT_FALSE(target->Restore(path).ok());
+  EXPECT_EQ(target->count(), 300u);
+  EXPECT_EQ(target->epoch(), epoch_before);
+  EXPECT_EQ(Answers(*target, queries), answers_before);
+
+  // So does a 1-D sharded engine, through its own Restore.
+  std::unique_ptr<selectivity::SelectivityEstimator> engine =
+      *selectivity::MakeEstimator(ShardedHistogramSpec());
+  engine->InsertBatch(UnitStream(99, 300));
+  auto& sharded = static_cast<selectivity::ShardedSelectivityEstimator&>(*engine);
+  ASSERT_TRUE(static_cast<selectivity::ShardedSelectivityEstimator&>(
+                  *selectivity::MakeEstimator(Sharded2dSpec("grid2d")).value())
+                  .Checkpoint(path)
+                  .ok());
+  const std::vector<double> engine_before = Answers(sharded, queries);
+  EXPECT_FALSE(sharded.Restore(path).ok());
+  EXPECT_EQ(sharded.count(), 300u);
+  EXPECT_EQ(Answers(sharded, queries), engine_before);
+  std::remove(path.c_str());
+}
+
+int FailRename(const char* from, const char* to) {
+  (void)from;
+  (void)to;
+  return -1;
+}
+
+TEST(EstimatorServiceTest, FailedCheckpointKeepsThePreviousOne) {
+  const std::string path = testing::TempDir() + "/wde_service_durable.snap";
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  std::unique_ptr<serving::EstimatorService> leader = MakeService(options);
+  leader->InsertBatch(UnitStream(101, 700));
+  ASSERT_TRUE(leader->Checkpoint(path).ok());
+
+  leader->InsertBatch(UnitStream(102, 700));
+  io::internal::rename_file = &FailRename;
+  const Status failed = leader->Checkpoint(path);
+  io::internal::rename_file = &std::rename;
+  EXPECT_FALSE(failed.ok());
+  std::FILE* tmp = std::fopen((path + ".tmp").c_str(), "rb");
+  EXPECT_EQ(tmp, nullptr);
+  if (tmp != nullptr) std::fclose(tmp);
+
+  // The previous checkpoint is intact: it restores to the first 700 values.
+  std::unique_ptr<serving::EstimatorService> standby = MakeService(options);
+  ASSERT_TRUE(standby->Restore(path).ok());
+  EXPECT_EQ(standby->count(), 700u);
+  std::remove(path.c_str());
+}
+
 TEST(EstimatorServiceTest, AdmissionBatcherMatchesDirectAnswersBitwise) {
   serving::ServiceOptions options;
   options.publish_interval = 0;
@@ -376,7 +516,7 @@ TEST(EstimatorServiceTest, AdmissionBatcherMatchesDirectAnswersBitwise) {
 
 TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
   // The reservoir cannot be sharded (no MergeFrom), but the service's
-  // snapshot-clone publish path serves it all the same.
+  // CloneForView publish path serves it all the same.
   selectivity::EstimatorSpec spec;
   spec.tag = "reservoir";
   spec.capacity = 256;
@@ -392,6 +532,19 @@ TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
   EXPECT_EQ(via_service, Answers(*service->CurrentView().estimator, queries));
 }
 
+/// A snapshotable estimator that offers no CloneForView(): it cannot be
+/// served.
+class ViewlessEstimator final : public selectivity::SelectivityEstimator {
+ public:
+  void Insert(double) override {}
+  size_t count() const override { return 0; }
+  std::string name() const override { return "viewless"; }
+  const char* snapshot_type_tag() const override { return "viewless"; }
+
+ protected:
+  double EstimateRangeImpl(double, double) const override { return 0.0; }
+};
+
 TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(
       serving::EstimatorService::Create(nullptr, serving::ServiceOptions{})
@@ -406,6 +559,11 @@ TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(serving::EstimatorService::Create(ShardedHistogramSpec(),
                                                  negative_staleness)
                    .ok());
+  Result<std::unique_ptr<serving::EstimatorService>> viewless =
+      serving::EstimatorService::Create(std::make_unique<ViewlessEstimator>(),
+                                        serving::ServiceOptions{});
+  ASSERT_FALSE(viewless.ok());
+  EXPECT_NE(viewless.status().message().find("CloneForView"), std::string::npos);
   selectivity::EstimatorSpec bad_spec;
   bad_spec.tag = "no-such-estimator";
   EXPECT_FALSE(

@@ -1,15 +1,16 @@
-// Tier-1 tests for the versioned snapshot/restore subsystem (PR 4): the io
+// Tier-1 tests for the versioned snapshot/restore subsystem: the io
 // primitives and chunk framing, round-trip fidelity — every registered
-// estimator answers bit-identically after save → load, including saves taken
-// mid refit/rebuild interval where lazily fitted caches are stale — hostile
-// input (truncated, bit-flipped, wrong magic, future version, hostile length
-// prefixes) degrading into Status errors rather than UB, the registry's
-// restore-without-naming-the-type path, cross-process-style snapshot merges
-// matching sequential ingest, and the sharded engine's checkpoint → restore →
-// continue-ingesting cycle. Run under ASan in CI.
+// estimator answers bit-identically after save → load through every loader
+// (in-memory, file, mmap), including saves taken mid refit/rebuild interval
+// where lazily fitted caches are stale — hostile input (truncated,
+// bit-flipped, wrong magic, other versions, hostile length prefixes, and
+// re-framed mutations of every estimator's state payload) degrading into
+// Status errors rather than UB, the registry's restore-without-naming-the-type
+// path, cross-process-style snapshot merges matching sequential ingest, the
+// sharded engine's checkpoint → restore → continue-ingesting cycle, and
+// durable file writes under injected failures. Run under ASan in CI.
 #include <gtest/gtest.h>
 
-#include <bit>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -17,8 +18,6 @@
 #include <string>
 #include <vector>
 
-#include "core/binned.hpp"
-#include "core/coefficients.hpp"
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 #include "selectivity/estimator_registry.hpp"
@@ -188,54 +187,6 @@ TEST(IoTest, ChunksValidateCrcAndBounds) {
   EXPECT_FALSE(io::ReadChunk(corrupt_source).ok());
 }
 
-// ------------------------------------------------------- core round trips
-
-TEST(CoreSnapshotTest, EmpiricalCoefficientsRoundTripBitExactly) {
-  const std::vector<double> xs = UnitStream(2, 4000);
-  core::EmpiricalCoefficients coeffs =
-      *core::EmpiricalCoefficients::Create(Sym8Basis(), 2, 7);
-  coeffs.AddAll(xs);
-
-  io::VectorSink sink;
-  ASSERT_TRUE(coeffs.Serialize(sink).ok());
-  io::SpanSource source(sink.bytes());
-  Result<core::EmpiricalCoefficients> restored =
-      core::EmpiricalCoefficients::Deserialize(source);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  EXPECT_EQ(source.remaining(), 0u);
-  ASSERT_EQ(restored->count(), coeffs.count());
-  for (int j = 2; j <= 7; ++j) {
-    const core::CoefficientLevel& a = coeffs.detail_level(j);
-    const core::CoefficientLevel& b = restored->detail_level(j);
-    ASSERT_EQ(a.size(), b.size());
-    for (int i = 0; i < a.size(); ++i) {
-      EXPECT_EQ(a.s1[static_cast<size_t>(i)], b.s1[static_cast<size_t>(i)]);
-      EXPECT_EQ(a.s2[static_cast<size_t>(i)], b.s2[static_cast<size_t>(i)]);
-    }
-  }
-  // The restored accumulator is merge-compatible with a live one: the basis
-  // identity survived the round trip.
-  EXPECT_TRUE(restored->Merge(coeffs).ok());
-}
-
-TEST(CoreSnapshotTest, BinnedFitRoundTripsBinCountsBitExactly) {
-  const std::vector<double> xs = UnitStream(3, 4096);
-  core::BinnedWaveletFit fit =
-      *core::BinnedWaveletFit::Fit(*wavelet::WaveletFilter::Symmlet(8), xs, 2, 9);
-  io::VectorSink sink;
-  ASSERT_TRUE(fit.Serialize(sink).ok());
-  io::SpanSource source(sink.bytes());
-  Result<core::BinnedWaveletFit> restored = core::BinnedWaveletFit::Deserialize(source);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  ASSERT_EQ(restored->count(), fit.count());
-  for (int j = 2; j < 9; ++j) {
-    for (int k = 0; k < (1 << j); ++k) {
-      EXPECT_EQ(restored->BetaHat(j, k), fit.BetaHat(j, k)) << "j=" << j << " k=" << k;
-    }
-  }
-  EXPECT_TRUE(restored->Merge(fit).ok());
-}
-
 // ----------------------------------------------- estimator round trips
 
 TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
@@ -351,29 +302,15 @@ TEST(HostileInputTest, EveryTruncationOfASnapshotErrorsCleanly) {
 
 TEST(HostileInputTest, EverySingleBitFlipErrorsCleanly) {
   // CRC framing covers the payloads; magic/version/chunk-header bytes have
-  // their own validation. No flip may crash or be silently accepted — except
-  // in the version field itself, where a flip can land on a valid *older*
-  // version, which readers accept by design (the field gates format features,
-  // it is not integrity-protected; the chunk CRCs are).
+  // their own validation, and the reader accepts exactly one version, so no
+  // flip anywhere may crash or be silently accepted.
   selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
   hist.InsertBatch(UnitStream(9, 100));
   const std::vector<uint8_t> bytes = SnapshotBytesOf(hist);
   std::vector<uint8_t> corrupt(bytes);
   for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    const bool in_version_field = byte >= 8 && byte < 12;
     for (int bit = 0; bit < 8; ++bit) {
       corrupt[byte] = bytes[byte] ^ static_cast<uint8_t>(1 << bit);
-      if (in_version_field) {
-        uint32_t version = 0;
-        std::memcpy(&version, corrupt.data() + 8, 4);
-        if constexpr (std::endian::native != std::endian::little) {
-          version = __builtin_bswap32(version);
-        }
-        if (version >= 1 && version <= io::kSnapshotFormatVersion) {
-          corrupt[byte] = bytes[byte];
-          continue;  // a valid older version: acceptance is the contract
-        }
-      }
       io::SpanSource source(corrupt);
       EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok())
           << "byte=" << byte << " bit=" << bit;
@@ -382,7 +319,7 @@ TEST(HostileInputTest, EverySingleBitFlipErrorsCleanly) {
   }
 }
 
-TEST(HostileInputTest, WrongMagicAndFutureVersionsAreRejected) {
+TEST(HostileInputTest, WrongMagicAndOtherVersionsAreRejected) {
   selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
   const std::vector<uint8_t> bytes = SnapshotBytesOf(hist);
 
@@ -394,41 +331,58 @@ TEST(HostileInputTest, WrongMagicAndFutureVersionsAreRejected) {
   ASSERT_FALSE(magic_result.ok());
   EXPECT_NE(magic_result.status().message().find("magic"), std::string::npos);
 
-  std::vector<uint8_t> future(bytes);
-  future[8] = 0xFF;  // version u32 little-endian follows the 8-byte magic
-  io::SpanSource future_source(future);
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> future_result =
-      selectivity::LoadEstimatorSnapshot(future_source);
-  ASSERT_FALSE(future_result.ok());
-  EXPECT_NE(future_result.status().message().find("version"), std::string::npos);
+  // The version u32 follows the 8-byte magic, little-endian. Every version
+  // but the current one — older writers included — is rejected by name.
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 255u}) {
+    std::vector<uint8_t> other(bytes);
+    for (int i = 0; i < 4; ++i) {
+      other[8 + static_cast<size_t>(i)] = static_cast<uint8_t>(version >> (8 * i));
+    }
+    io::SpanSource source(other);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> result =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_FALSE(result.ok()) << "version " << version;
+    EXPECT_NE(result.status().message().find("version " + std::to_string(version)),
+              std::string::npos)
+        << result.status().ToString();
+  }
+}
+
+/// A header + TYPE chunk for `tag`, ready for a state chunk.
+io::VectorSink EnvelopeHeadFor(const std::string& tag) {
+  io::VectorSink sink;
+  WDE_CHECK_OK(io::WriteSnapshotHeader(sink));
+  WDE_CHECK_OK(io::WriteChunk(
+      sink, selectivity::internal::kChunkEstimatorType,
+      std::span(reinterpret_cast<const uint8_t*>(tag.data()), tag.size())));
+  return sink;
 }
 
 TEST(HostileInputTest, ValidFramingWithGarbagePayloadErrors) {
   // A well-formed envelope (valid CRCs) whose state payload is noise must be
-  // caught by the estimator's own validation, not trusted.
-  io::VectorSink sink;
-  ASSERT_TRUE(io::WriteSnapshotHeader(sink).ok());
-  const std::string tag = "equi-width";
-  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  const std::vector<uint8_t> garbage(64, 0xA5);
+  // caught by the frame parser or the estimator's own validation, never
+  // trusted.
+  const std::vector<uint8_t> garbage(128, 0xA5);
+  io::VectorSink sink = EnvelopeHeadFor("equi-width");
   ASSERT_TRUE(
-      io::WriteChunk(sink, selectivity::internal::kChunkEstimatorState, garbage).ok());
+      io::WriteChunk(sink, selectivity::internal::kChunkEstimatorArena, garbage).ok());
   io::SpanSource source(sink.bytes());
   EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+
+  // The retired portable "STAT" state chunk is an unknown chunk now.
+  io::VectorSink stat = EnvelopeHeadFor("equi-width");
+  ASSERT_TRUE(io::WriteChunk(stat, 0x54415453, garbage).ok());
+  io::SpanSource stat_source(stat.bytes());
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> result =
+      selectivity::LoadEstimatorSnapshot(stat_source);
+  ASSERT_FALSE(result.ok());
+  EXPECT_NE(result.status().message().find("unknown state chunk"),
+            std::string::npos);
 }
 
 TEST(HostileInputTest, UnknownTypeTagIsNotFound) {
-  io::VectorSink sink;
-  ASSERT_TRUE(io::WriteSnapshotHeader(sink).ok());
-  const std::string tag = "no-such-estimator";
-  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorState,
+  io::VectorSink sink = EnvelopeHeadFor("no-such-estimator");
+  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorArena,
                              std::vector<uint8_t>{})
                   .ok());
   io::SpanSource source(sink.bytes());
@@ -436,6 +390,210 @@ TEST(HostileInputTest, UnknownTypeTagIsNotFound) {
       selectivity::LoadEstimatorSnapshot(source);
   ASSERT_FALSE(result.ok());
   EXPECT_EQ(result.status().code(), StatusCode::kNotFound);
+}
+
+TEST(HostileInputTest, ColumnDirectoryMismatchIsRejected) {
+  // A structurally valid ARN1 frame whose column directory has the wrong
+  // kind must fail the shape check, not abort in a typed accessor. The
+  // mutated payload is re-framed with a valid CRC.
+  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
+  hist.InsertBatch(UnitStream(21, 50));
+  io::VectorSink sink;
+  ASSERT_TRUE(hist.SaveState(sink, 12).ok());
+  const std::vector<uint8_t> envelope = sink.TakeBytes();
+  // Header-less envelope = TYPE chunk then ARNA chunk.
+  const size_t type_chunk = 16 + std::string("equi-width").size();
+  io::SpanSource parse(std::span<const uint8_t>(envelope).subspan(type_chunk));
+  Result<io::Chunk> arena_chunk = io::ReadChunk(parse);
+  ASSERT_TRUE(arena_chunk.ok());
+  std::vector<uint8_t> payload = arena_chunk->payload;
+  uint32_t head_bytes = 0;
+  std::memcpy(&head_bytes, payload.data() + 4, 4);
+  // Flip the first column's kind byte (column_count u32 precedes it).
+  const size_t kind_at = 8 + head_bytes + 4;
+  ASSERT_LT(kind_at, payload.size());
+  payload[kind_at] = 2;  // kF64 -> kU8: the shape check must refuse it
+  io::VectorSink rebuilt = EnvelopeHeadFor("equi-width");
+  ASSERT_TRUE(
+      io::WriteChunk(rebuilt, selectivity::internal::kChunkEstimatorArena, payload)
+          .ok());
+  io::SpanSource source(rebuilt.bytes());
+  EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+}
+
+// ------------------------------------------- hostile state-payload sweep
+//
+// Bit flips of a whole snapshot almost all die at a chunk CRC. This sweep
+// reaches each estimator's own validation instead: it mutates bytes of the
+// ARNA state payload and re-frames every mutant with a valid CRC, for every
+// registered tag plus the sharded engine over each 2-D tag. Every load must
+// end in a Status or a loaded estimator that answers queries — never an
+// abort (ASan/UBSan lanes run this too) — and a failed LoadState must leave
+// the target's answers bitwise-unchanged.
+
+struct SplitEnvelope {
+  std::vector<uint8_t> head;     // snapshot header + TYPE (+ DIMS) chunks
+  std::vector<uint8_t> payload;  // the ARNA chunk payload
+};
+
+SplitEnvelope SplitSnapshot(const std::vector<uint8_t>& bytes) {
+  io::SpanSource source(bytes);
+  WDE_CHECK(io::ReadSnapshotHeader(source).ok());
+  Result<io::Chunk> chunk = io::ReadChunk(source);  // TYPE
+  WDE_CHECK(chunk.ok());
+  size_t head_end = bytes.size() - source.remaining();
+  chunk = io::ReadChunk(source);
+  WDE_CHECK(chunk.ok());
+  if (chunk->tag == selectivity::internal::kChunkEstimatorDims) {
+    head_end = bytes.size() - source.remaining();
+    chunk = io::ReadChunk(source);
+    WDE_CHECK(chunk.ok());
+  }
+  WDE_CHECK(chunk->tag == selectivity::internal::kChunkEstimatorArena);
+  return SplitEnvelope{
+      std::vector<uint8_t>(bytes.begin(),
+                           bytes.begin() + static_cast<ptrdiff_t>(head_end)),
+      std::move(chunk->payload)};
+}
+
+std::vector<selectivity::Query> SweepQueries(int dims) {
+  std::vector<selectivity::Query> queries = {
+      selectivity::Query::Range(0.1, 0.6), selectivity::Query::Point(0.5),
+      selectivity::Query::Cdf(0.3), selectivity::Query::Quantile(0.7)};
+  if (dims == 2) {
+    queries.push_back(selectivity::Query::Rect(0.1, 0.6, 0.2, 0.9));
+    queries.push_back(selectivity::Query::Conditional(0.0, 0.5, 0.5, 1.0));
+  }
+  return queries;
+}
+
+std::vector<double> AnswersTo(const selectivity::SelectivityEstimator& est,
+                              const std::vector<selectivity::Query>& queries) {
+  std::vector<double> out(queries.size());
+  est.Answer(queries, out);
+  return out;
+}
+
+std::vector<selectivity::EstimatorSpec> SweepSpecs() {
+  std::vector<selectivity::EstimatorSpec> specs;
+  const selectivity::EstimatorRegistry& registry =
+      selectivity::EstimatorRegistry::Global();
+  for (const std::string& tag : registry.Tags()) {
+    selectivity::EstimatorSpec spec;
+    spec.tag = tag;
+    spec.dims = registry.NativeDims(tag);
+    spec.buckets = 16;
+    spec.grid_log2 = 4;
+    spec.budget = 16;
+    spec.filter = "haar";  // cheapest basis to re-derive per load
+    spec.table_levels = 8;
+    spec.j0 = 1;
+    spec.j_max = 5;
+    spec.capacity = 64;
+    spec.refit_interval = 512;
+    spec.block_size = 256;
+    spec.shards = 2;
+    specs.push_back(spec);
+    if (tag == "sharded") continue;
+    if (spec.dims == 2) {
+      selectivity::EstimatorSpec sharded = spec;
+      sharded.tag = "sharded";
+      sharded.sharded_inner_tag = tag;
+      specs.push_back(sharded);
+    }
+  }
+  return specs;
+}
+
+TEST(HostileStateSweepTest, ReframedPayloadMutationsYieldStatusOrEstimator) {
+  size_t loaded_mutants = 0;
+  size_t rejected_mutants = 0;
+  for (const selectivity::EstimatorSpec& spec : SweepSpecs()) {
+    SCOPED_TRACE(spec.tag + "/" + spec.sharded_inner_tag);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> made =
+        selectivity::MakeEstimator(spec);
+    ASSERT_TRUE(made.ok()) << made.status().ToString();
+    selectivity::SelectivityEstimator& original = **made;
+    original.InsertBatch(UnitStream(30, 1200));
+    const std::vector<selectivity::Query> queries = SweepQueries(original.dims());
+    (void)AnswersTo(original, queries);  // fitted caches ride in the payload
+    const std::vector<uint8_t> bytes = SnapshotBytesOf(original);
+    const SplitEnvelope split = SplitSnapshot(bytes);
+
+    // Deterministic, bounded positions: every byte of the frame prefix
+    // (magic, head, column directory, region size) plus an even stride
+    // through the pad and column region.
+    const size_t payload = split.payload.size();
+    uint32_t head_bytes = 0;
+    uint32_t columns = 0;
+    std::memcpy(&head_bytes, split.payload.data() + 4, 4);
+    std::memcpy(&columns, split.payload.data() + 8 + head_bytes, 4);
+    const size_t prefix =
+        std::min<size_t>(payload, 8 + head_bytes + 4 + 9 * size_t{columns} + 12);
+    // Long heads (the sharded engine's nested prototype envelope, the
+    // sketch's cached estimate) are swept fully over their first bytes and
+    // strided after that.
+    std::vector<size_t> positions;
+    const size_t dense = std::min<size_t>(prefix, 384);
+    for (size_t i = 0; i < dense; ++i) positions.push_back(i);
+    const auto stride = [&](size_t begin, size_t end, size_t count) {
+      for (size_t k = 0; k < count && begin < end; ++k) {
+        positions.push_back(begin + (end - begin) * k / count);
+      }
+    };
+    stride(dense, prefix, 128);
+    stride(prefix, payload, 64);
+
+    // The target is a restored twin of the original; its answers before any
+    // hostile load are the original's.
+    const std::vector<double> expected = AnswersTo(original, queries);
+    std::unique_ptr<selectivity::SelectivityEstimator> target;
+    const auto fresh_target = [&] {
+      io::SpanSource source(bytes);
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> twin =
+          selectivity::LoadEstimatorSnapshot(source);
+      WDE_CHECK(twin.ok(), twin.status().ToString().c_str());
+      target = std::move(twin).value();
+    };
+    fresh_target();
+    for (const size_t pos : positions) {
+      for (const uint8_t mask : {uint8_t{0x01}, uint8_t{0x80}, uint8_t{0xFF}}) {
+        std::vector<uint8_t> mutant_payload = split.payload;
+        mutant_payload[pos] ^= mask;
+        io::VectorSink mutant;
+        ASSERT_TRUE(mutant.Append(split.head.data(), split.head.size()).ok());
+        ASSERT_TRUE(io::WriteChunk(mutant,
+                                   selectivity::internal::kChunkEstimatorArena,
+                                   mutant_payload)
+                        .ok());
+        // Through the registry: a Status or an estimator that answers.
+        {
+          io::SpanSource source(mutant.bytes());
+          Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+              selectivity::LoadEstimatorSnapshot(source);
+          if (loaded.ok()) (void)AnswersTo(**loaded, queries);
+        }
+        // In place: a failed LoadState leaves the target untouched.
+        io::SpanSource source(mutant.bytes());
+        ASSERT_TRUE(io::ReadSnapshotHeader(source).ok());
+        const Status status = target->LoadState(source);
+        if (status.ok()) {
+          ++loaded_mutants;
+          (void)AnswersTo(*target, queries);
+          fresh_target();
+        } else {
+          ++rejected_mutants;
+          ASSERT_EQ(AnswersTo(*target, queries), expected)
+              << "pos=" << pos << " mask=" << static_cast<int>(mask) << ": "
+              << status.ToString();
+        }
+      }
+    }
+  }
+  // Both outcomes occur: column data is legitimately accepted, structure is
+  // rejected by validation.
+  EXPECT_GT(loaded_mutants, 0u);
+  EXPECT_GT(rejected_mutants, 0u);
 }
 
 // ------------------------------------------- cross-process-style merging
@@ -627,6 +785,31 @@ TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
   std::remove(path.c_str());
 }
 
+TEST(ShardedCheckpointTest, KdeCheckpointRestoresBitwise) {
+  // Replicas that carry fitted columns (sorted buffer + bandwidth) restore
+  // through the nested envelopes to the same answers.
+  const std::string path = testing::TempDir() + "/wde_kde_checkpoint.snap";
+  const std::vector<selectivity::RangeQuery> queries = Workload();
+  selectivity::KdeSelectivity::Options proto_options;
+  proto_options.refit_interval = 512;
+  selectivity::KdeSelectivity prototype(proto_options);
+  selectivity::ShardedSelectivityEstimator::Options options;
+  options.shards = 3;
+  options.block_size = 256;
+  selectivity::ShardedSelectivityEstimator node =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
+  node.InsertBatch(UnitStream(19, 9000));
+  const std::vector<double> before = AnswersOf(node, queries);
+  ASSERT_TRUE(node.Checkpoint(path).ok());
+
+  selectivity::ShardedSelectivityEstimator restored =
+      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
+  ASSERT_TRUE(restored.Restore(path).ok());
+  EXPECT_EQ(restored.count(), node.count());
+  EXPECT_EQ(AnswersOf(restored, queries), before);
+  std::remove(path.c_str());
+}
+
 TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   // The full distributed story: two sharded ingest nodes over disjoint
   // partitions write snapshots; a combiner node restores + merges them and
@@ -659,209 +842,114 @@ TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   EXPECT_EQ(AnswersOf(combiner, queries), AnswersOf(sequential, queries));
 }
 
-// ------------------------------------------------- fast (arena) snapshots
+// ------------------------------------------------------ loader equivalence
 
-std::vector<uint8_t> FastSnapshotBytesOf(
-    const selectivity::SelectivityEstimator& est) {
-  io::VectorSink sink;
-  WDE_CHECK_OK(selectivity::SaveEstimatorSnapshotFast(est, sink));
-  return sink.TakeBytes();
-}
-
-TEST(FastSnapshotTest, EveryRegisteredEstimatorRoundTripsBitIdentically) {
-  // The fast (ARNA) encoding must be answer-equivalent to the portable one
-  // for every registered tag: both restores agree bitwise with the saved
-  // estimator, queried or not.
+TEST(LoaderEquivalenceTest, EveryLoaderRestoresEveryTagBitIdentically) {
+  // One encoding, four ways in: an unanchored in-memory buffer (columns
+  // copied), an anchored one (columns borrowed), a file read into memory and
+  // an mmapped file. Each restores every registered tag bitwise, queried or
+  // not before the save.
+  const std::string path = testing::TempDir() + "/wde_loader_equivalence.snap";
   const std::vector<selectivity::RangeQuery> queries = Workload();
   for (const bool query_first : {true, false}) {
     for (const auto& est : MakeIngestedEstimators()) {
-      EXPECT_TRUE(est->supports_fast_snapshot()) << est->name();
+      SCOPED_TRACE(est->name());
       if (query_first) AnswersOf(*est, queries);  // warm the lazy caches
       const std::vector<double> before = AnswersOf(*est, queries);
+      auto bytes = std::make_shared<std::vector<uint8_t>>(SnapshotBytesOf(*est));
 
-      const std::vector<uint8_t> fast_bytes = FastSnapshotBytesOf(*est);
-      io::SpanSource fast_source(fast_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> fast =
-          selectivity::LoadEstimatorSnapshot(fast_source);
-      ASSERT_TRUE(fast.ok()) << est->name() << ": " << fast.status().ToString();
-      EXPECT_EQ((*fast)->name(), est->name());
-      EXPECT_EQ((*fast)->count(), est->count());
-      EXPECT_EQ(AnswersOf(**fast, queries), before) << est->name();
-
-      const std::vector<uint8_t> portable_bytes = SnapshotBytesOf(*est);
-      io::SpanSource portable_source(portable_bytes);
-      Result<std::unique_ptr<selectivity::SelectivityEstimator>> portable =
-          selectivity::LoadEstimatorSnapshot(portable_source);
-      ASSERT_TRUE(portable.ok()) << est->name();
-      EXPECT_EQ(AnswersOf(**portable, queries), before) << est->name();
-    }
-  }
-}
-
-TEST(FastSnapshotTest, MappedFileRestoreMatchesPortableForEveryTag) {
-  const std::string path = testing::TempDir() + "/wde_fast_snapshot.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
-  for (const auto& est : MakeIngestedEstimators()) {
-    const std::vector<double> before = AnswersOf(*est, queries);
-    ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFastFile(*est, path).ok())
-        << est->name();
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> mapped =
-        selectivity::LoadEstimatorSnapshotFileMapped(path);
-    ASSERT_TRUE(mapped.ok()) << est->name() << ": " << mapped.status().ToString();
-    EXPECT_EQ(AnswersOf(**mapped, queries), before) << est->name();
-    // A mapped restore may borrow the file's pages zero-copy; mutating the
-    // estimator must un-share (CoW) rather than write through the mapping,
-    // and the estimator keeps working after further ingest.
-    (*mapped)->InsertBatch(UnitStream(20, 500));
-    // A d-dimensional estimator consumes d interleaved values per observation.
-    EXPECT_EQ((*mapped)->count(),
-              est->count() + 500 / static_cast<size_t>(est->dims()))
-        << est->name();
-    AnswersOf(**mapped, queries);  // must not crash or corrupt
-  }
-  std::remove(path.c_str());
-}
-
-TEST(FastSnapshotTest, RestoredEstimatorContinuesIngestingIdentically) {
-  // The fast state must capture everything the portable one does, RNG
-  // included: the reservoir's acceptance sequence is the sharpest probe.
-  const std::vector<double> head = UnitStream(17, 6000);
-  const std::vector<double> tail = UnitStream(18, 2000);
-  selectivity::ReservoirSampleSelectivity twin(128, 31);
-  twin.InsertBatch(head);
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(twin);
-  io::SpanSource source(bytes);
-  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored =
-      selectivity::LoadEstimatorSnapshot(source);
-  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
-  twin.InsertBatch(tail);
-  (*restored)->InsertBatch(tail);
-  auto& reservoir =
-      static_cast<selectivity::ReservoirSampleSelectivity&>(**restored);
-  EXPECT_EQ(reservoir.reservoir(), twin.reservoir());
-  EXPECT_EQ(reservoir.count(), twin.count());
-}
-
-TEST(FastSnapshotTest, ShardedCheckpointRestoresFromEitherEncoding) {
-  // Restore() accepts a checkpoint written by either saver; the fast one
-  // restores to the same answers.
-  const std::string path = testing::TempDir() + "/wde_fast_checkpoint.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
-  selectivity::KdeSelectivity::Options proto_options;
-  proto_options.refit_interval = 512;
-  selectivity::KdeSelectivity prototype(proto_options);
-  selectivity::ShardedSelectivityEstimator::Options options;
-  options.shards = 3;
-  options.block_size = 256;
-  selectivity::ShardedSelectivityEstimator node =
-      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
-  node.InsertBatch(UnitStream(19, 9000));
-  const std::vector<double> before = AnswersOf(node, queries);
-  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFastFile(node, path).ok());
-
-  selectivity::ShardedSelectivityEstimator restored =
-      *selectivity::ShardedSelectivityEstimator::Create(prototype, options);
-  ASSERT_TRUE(restored.Restore(path).ok());
-  EXPECT_EQ(restored.count(), node.count());
-  EXPECT_EQ(AnswersOf(restored, queries), before);
-  std::remove(path.c_str());
-}
-
-TEST(FastSnapshotHostileTest, EveryTruncationErrorsCleanly) {
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 8);
-  hist.InsertBatch(UnitStream(8, 300));
-  AnswersOf(hist, Workload());  // populate the prefix cache column
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(hist);
-  for (size_t len = 0; len < bytes.size(); ++len) {
-    io::SpanSource source(std::span(bytes.data(), len));
-    EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok()) << "len=" << len;
-  }
-}
-
-TEST(FastSnapshotHostileTest, EverySingleBitFlipErrorsCleanly) {
-  // Identical contract to the portable artifact: the ARNA chunk is CRC-framed
-  // like every other chunk, so no flip may crash or be silently accepted
-  // (version-field flips landing on a valid older version excepted, as ever).
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
-  hist.InsertBatch(UnitStream(9, 100));
-  const std::vector<uint8_t> bytes = FastSnapshotBytesOf(hist);
-  std::vector<uint8_t> corrupt(bytes);
-  for (size_t byte = 0; byte < bytes.size(); ++byte) {
-    const bool in_version_field = byte >= 8 && byte < 12;
-    for (int bit = 0; bit < 8; ++bit) {
-      corrupt[byte] = bytes[byte] ^ static_cast<uint8_t>(1 << bit);
-      if (in_version_field) {
-        uint32_t version = 0;
-        std::memcpy(&version, corrupt.data() + 8, 4);
-        if constexpr (std::endian::native != std::endian::little) {
-          version = __builtin_bswap32(version);
-        }
-        if (version >= 1 && version <= io::kSnapshotFormatVersion) {
-          corrupt[byte] = bytes[byte];
-          continue;
-        }
+      std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> restored;
+      io::SpanSource copied(*bytes);
+      restored.push_back(*selectivity::LoadEstimatorSnapshot(copied));
+      io::SpanSource borrowed(*bytes, bytes);
+      restored.push_back(*selectivity::LoadEstimatorSnapshot(borrowed));
+      ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(*est, path).ok());
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> file =
+          selectivity::LoadEstimatorSnapshotFile(path);
+      ASSERT_TRUE(file.ok()) << file.status().ToString();
+      restored.push_back(std::move(file).value());
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> mapped =
+          selectivity::LoadEstimatorSnapshotFileMapped(path);
+      ASSERT_TRUE(mapped.ok()) << mapped.status().ToString();
+      restored.push_back(std::move(mapped).value());
+      for (const auto& r : restored) {
+        EXPECT_EQ(r->name(), est->name());
+        EXPECT_EQ(r->count(), est->count());
+        EXPECT_EQ(AnswersOf(*r, queries), before);
       }
-      io::SpanSource source(corrupt);
-      EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok())
-          << "byte=" << byte << " bit=" << bit;
+      // A mapped restore may borrow the file's pages zero-copy; mutating the
+      // estimator must un-share (CoW) rather than write through the mapping,
+      // and the estimator keeps working after further ingest. A
+      // d-dimensional estimator consumes d interleaved values per
+      // observation.
+      restored.back()->InsertBatch(UnitStream(20, 500));
+      EXPECT_EQ(restored.back()->count(),
+                est->count() + 500 / static_cast<size_t>(est->dims()));
+      AnswersOf(*restored.back(), queries);  // must not crash or corrupt
     }
-    corrupt[byte] = bytes[byte];
   }
+  std::remove(path.c_str());
 }
 
-TEST(FastSnapshotHostileTest, ValidFramingWithGarbageArenaPayloadErrors) {
-  // A well-formed envelope whose ARNA payload is noise must be caught by the
-  // frame parser or the estimator's own validation, never trusted.
-  io::VectorSink sink;
-  ASSERT_TRUE(io::WriteSnapshotHeader(sink).ok());
-  const std::string tag = "equi-width";
-  ASSERT_TRUE(io::WriteChunk(sink, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  const std::vector<uint8_t> garbage(128, 0xA5);
-  ASSERT_TRUE(
-      io::WriteChunk(sink, selectivity::internal::kChunkEstimatorArena, garbage).ok());
-  io::SpanSource source(sink.bytes());
-  EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+// ----------------------------------------------------- durable file writes
+
+std::vector<uint8_t> FileBytes(const std::string& path) {
+  Result<io::FileSource> file = io::FileSource::Open(path);
+  WDE_CHECK(file.ok(), file.status().ToString().c_str());
+  std::vector<uint8_t> bytes(file->remaining());
+  WDE_CHECK_OK(file->Read(bytes.data(), bytes.size()));
+  return bytes;
 }
 
-TEST(FastSnapshotHostileTest, ColumnDirectoryMismatchIsRejected) {
-  // A structurally valid ARN1 frame whose column directory disagrees with the
-  // head (wrong kind and wrong count) must fail the shape check, not abort in
-  // a typed accessor.
-  selectivity::EquiWidthHistogram hist(0.0, 1.0, 4);
-  hist.InsertBatch(UnitStream(21, 50));
-  io::VectorSink sink;
-  ASSERT_TRUE(hist.SaveStateFast(sink, 12).ok());
-  std::vector<uint8_t> envelope = sink.TakeBytes();
-  // Locate the ARNA payload: header-less envelope = TYPE chunk then ARNA
-  // chunk; the payload starts 12 bytes into the second chunk.
-  const size_t type_chunk = 16 + std::string("equi-width").size();
-  uint32_t head_bytes = 0;
-  std::memcpy(&head_bytes, envelope.data() + type_chunk + 12 + 4, 4);
-  // Flip the first column's kind byte (column_count u32 precedes it). The
-  // CRC no longer matches, so re-frame the chunk instead of patching bytes:
-  // parse out the payload, corrupt, rewrite.
-  io::SpanSource parse(std::span<const uint8_t>(envelope).subspan(type_chunk));
-  Result<io::Chunk> arena_chunk = io::ReadChunk(parse);
-  ASSERT_TRUE(arena_chunk.ok());
-  std::vector<uint8_t> payload = arena_chunk->payload;
-  const size_t kind_at = 8 + head_bytes + 4;
-  ASSERT_LT(kind_at, payload.size());
-  payload[kind_at] = 2;  // kF64 -> kU8: element size shrinks, head disagrees
-  io::VectorSink rebuilt;
-  ASSERT_TRUE(io::WriteSnapshotHeader(rebuilt).ok());
-  const std::string tag = "equi-width";
-  ASSERT_TRUE(io::WriteChunk(rebuilt, selectivity::internal::kChunkEstimatorType,
-                             std::span(reinterpret_cast<const uint8_t*>(tag.data()),
-                                       tag.size()))
-                  .ok());
-  ASSERT_TRUE(
-      io::WriteChunk(rebuilt, selectivity::internal::kChunkEstimatorArena, payload)
-          .ok());
-  io::SpanSource source(rebuilt.bytes());
-  EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+bool FileExists(const std::string& path) {
+  std::FILE* file = std::fopen(path.c_str(), "rb");
+  if (file == nullptr) return false;
+  std::fclose(file);
+  return true;
+}
+
+int FailRename(const char* from, const char* to) {
+  (void)from;
+  (void)to;
+  return -1;
+}
+
+TEST(DurableFileTest, FailedRenameKeepsPreviousSnapshotAndRemovesTemp) {
+  const std::string path = testing::TempDir() + "/wde_durable_rename.snap";
+  selectivity::EquiWidthHistogram hist(0.0, 1.0, 16);
+  hist.InsertBatch(UnitStream(40, 500));
+  ASSERT_TRUE(selectivity::SaveEstimatorSnapshotFile(hist, path).ok());
+  const std::vector<uint8_t> previous = FileBytes(path);
+
+  hist.InsertBatch(UnitStream(41, 500));
+  io::internal::rename_file = &FailRename;
+  const Status failed = selectivity::SaveEstimatorSnapshotFile(hist, path);
+  io::internal::rename_file = &std::rename;
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(FileBytes(path), previous);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+      selectivity::LoadEstimatorSnapshotFile(path);
+  ASSERT_TRUE(loaded.ok());
+  EXPECT_EQ((*loaded)->count(), 500u);
+  std::remove(path.c_str());
+}
+
+TEST(DurableFileTest, FailedWriteKeepsPreviousFileAndRemovesTemp) {
+  const std::string path = testing::TempDir() + "/wde_durable_write.bin";
+  const std::vector<uint8_t> previous = {1, 2, 3};
+  ASSERT_TRUE(io::WriteFileDurably(path, [&](io::Sink& sink) {
+                return sink.Append(previous.data(), previous.size());
+              }).ok());
+  const Status failed = io::WriteFileDurably(path, [](io::Sink& sink) {
+    const uint8_t partial[] = {9, 9};
+    WDE_RETURN_IF_ERROR(sink.Append(partial, sizeof(partial)));
+    return Status::Internal("writer died midway");
+  });
+  EXPECT_FALSE(failed.ok());
+  EXPECT_EQ(FileBytes(path), previous);
+  EXPECT_FALSE(FileExists(path + ".tmp"));
+  std::remove(path.c_str());
 }
 
 }  // namespace
