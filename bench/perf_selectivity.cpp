@@ -99,7 +99,7 @@ void BM_WaveletSketchQueryScalar(benchmark::State& state) {
   for (auto _ : state) {
     double acc = 0.0;
     for (const selectivity::RangeQuery& q : queries) {
-      acc += sketch.EstimateRange(q.lo, q.hi);
+      acc += sketch.Answer(selectivity::Query::Range(q.lo, q.hi));
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -112,10 +112,11 @@ void BM_WaveletSketchQueryBatch(benchmark::State& state) {
   selectivity::StreamingWaveletSelectivity sketch = MakeSketch();
   sketch.InsertBatch(Stream(1000000));
   sketch.Refit();
-  const std::vector<selectivity::RangeQuery> queries = Queries(1024);
+  const std::vector<selectivity::Query> queries =
+      selectivity::AsRangeQueries(Queries(1024));
   std::vector<double> answers(queries.size());
   for (auto _ : state) {
-    sketch.EstimateBatch(queries, answers);
+    sketch.Answer(queries, answers);
     benchmark::DoNotOptimize(answers.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -138,7 +139,7 @@ void BM_WaveletSketchStreamScalar(benchmark::State& state) {
     for (size_t i = 0; i < n; ++i) sketch.Insert(data[i]);
     double acc = 0.0;
     for (const selectivity::RangeQuery& q : queries) {
-      acc += sketch.EstimateRange(q.lo, q.hi);
+      acc += sketch.Answer(selectivity::Query::Range(q.lo, q.hi));
     }
     benchmark::DoNotOptimize(acc);
   }
@@ -150,14 +151,15 @@ BENCHMARK(BM_WaveletSketchStreamScalar);
 void BM_WaveletSketchStreamBatch(benchmark::State& state) {
   const size_t n = 1000000;
   const std::vector<double>& data = Stream(n);
-  const std::vector<selectivity::RangeQuery> queries = Queries(1024);
+  const std::vector<selectivity::Query> queries =
+      selectivity::AsRangeQueries(Queries(1024));
   std::vector<double> answers(queries.size());
   for (auto _ : state) {
     state.PauseTiming();
     selectivity::StreamingWaveletSelectivity sketch = MakeSketch(1 << 18);
     state.ResumeTiming();
     sketch.InsertBatch(std::span<const double>(data.data(), n));
-    sketch.EstimateBatch(queries, answers);
+    sketch.Answer(queries, answers);
     benchmark::DoNotOptimize(answers.data());
   }
   state.SetItemsProcessed(static_cast<int64_t>(state.iterations()) *
@@ -195,7 +197,7 @@ void QueryLoop(benchmark::State& state, Estimator& estimator) {
   for (auto _ : state) {
     a += 0.000917;
     if (a > 0.8) a -= 0.8;
-    benchmark::DoNotOptimize(estimator.EstimateRange(a, a + 0.15));
+    benchmark::DoNotOptimize(estimator.Answer(selectivity::Query::Range(a, a + 0.15)));
   }
 }
 

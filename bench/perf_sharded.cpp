@@ -75,7 +75,7 @@ struct RunResult {
 /// timing the whole insert+query workload.
 template <typename Estimator>
 RunResult RunWorkload(Estimator& estimator, const std::vector<double>& stream,
-                      const std::vector<selectivity::RangeQuery>& queries) {
+                      const std::vector<selectivity::Query>& queries) {
   RunResult result;
   result.answers.resize(queries.size());
   const auto start = std::chrono::steady_clock::now();
@@ -83,7 +83,7 @@ RunResult RunWorkload(Estimator& estimator, const std::vector<double>& stream,
   for (size_t offset = 0; offset < all.size(); offset += kIngestChunk) {
     estimator.InsertBatch(all.subspan(offset, std::min(kIngestChunk, all.size() - offset)));
   }
-  estimator.EstimateBatch(queries, result.answers);
+  estimator.Answer(queries, result.answers);
   result.seconds = bench::perf::SecondsSince(start);
   return result;
 }
@@ -154,8 +154,8 @@ int main(int argc, char** argv) {
   std::vector<double> stream(n);
   for (double& x : stream) x = data_rng.UniformDouble();
   stats::Rng query_rng(5);
-  const std::vector<selectivity::RangeQuery> queries =
-      selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3);
+  const std::vector<selectivity::Query> queries = selectivity::AsRangeQueries(
+      selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3));
 
   const double total_items = static_cast<double>(n + queries.size());
   std::vector<Row> rows;

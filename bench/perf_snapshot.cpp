@@ -151,8 +151,8 @@ int main(int argc, char** argv) {
   std::vector<double> stream(n);
   for (double& x : stream) x = data_rng.UniformDouble();
   stats::Rng query_rng(5);
-  const std::vector<selectivity::RangeQuery> queries =
-      selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3);
+  const std::vector<selectivity::Query> queries = selectivity::AsRangeQueries(
+      selectivity::CenteredRangeWorkload(query_rng, query_count, 0.0, 1.0, 0.02, 0.3));
 
   std::vector<Row> rows;
   for (const std::string& tag : selectivity::EstimatorRegistry::Global().Tags()) {
@@ -165,7 +165,7 @@ int main(int argc, char** argv) {
     // range queries are its axis-0 marginal.
     estimator->InsertBatch(stream);
     std::vector<double> before(queries.size());
-    estimator->EstimateBatch(queries, before);  // realistic: fitted cache exists
+    estimator->Answer(queries, before);  // realistic: fitted cache exists
 
     Row row;
     row.tag = tag;
@@ -189,7 +189,7 @@ int main(int argc, char** argv) {
       restored = std::move(loaded).value();
     });
     std::vector<double> after(queries.size());
-    restored->EstimateBatch(queries, after);
+    restored->Answer(queries, after);
     row.roundtrip_bit_identical =
         restored->count() == estimator->count() && after == before;
     restored.reset();
@@ -199,7 +199,7 @@ int main(int argc, char** argv) {
           selectivity::LoadEstimatorSnapshot(source);
       WDE_CHECK(loaded.ok());
       std::vector<double> probe(queries.size());
-      (*loaded)->EstimateBatch(queries, probe);
+      (*loaded)->Answer(queries, probe);
     });
 
     // ---- mmapped file restore (the warm-standby path) ----
@@ -212,7 +212,7 @@ int main(int argc, char** argv) {
       mapped_restored = std::move(loaded).value();
     });
     std::vector<double> mapped_after(queries.size());
-    mapped_restored->EstimateBatch(queries, mapped_after);
+    mapped_restored->Answer(queries, mapped_after);
     row.mmap_bit_identical =
         mapped_restored->count() == estimator->count() && mapped_after == before;
     mapped_restored.reset();
@@ -221,7 +221,7 @@ int main(int argc, char** argv) {
           selectivity::LoadEstimatorSnapshotFileMapped(tmp_path);
       WDE_CHECK(loaded.ok());
       std::vector<double> probe(queries.size());
-      (*loaded)->EstimateBatch(queries, probe);
+      (*loaded)->Answer(queries, probe);
     });
     std::remove(tmp_path.c_str());
 

@@ -151,7 +151,8 @@ int main() {
   }
   std::printf("P(0.45 <= X <= 0.55) after drift: wavelet %.3f, equi-width %.3f "
               "(stationary truth was %.3f)\n",
-              sketch->EstimateRange(0.45, 0.55), equi_width.EstimateRange(0.45, 0.55),
+              sketch->Answer(selectivity::Query::Range(0.45, 0.55)),
+              equi_width.Answer(selectivity::Query::Range(0.45, 0.55)),
               density->Cdf(0.55) - density->Cdf(0.45));
   std::printf("\nthe wavelet sketch used %zu inserts, no buffered rows, and "
               "cross-validated its own smoothing.\n",
@@ -186,8 +187,8 @@ int main() {
   std::vector<double> resumed = stream.Sample(8192, rng);
   sketch->InsertBatch(resumed);        // the never-killed twin
   (*restored)->InsertBatch(resumed);   // the restored node
-  const double twin = sketch->EstimateRange(0.1, 0.3);
-  const double revived = (*restored)->EstimateRange(0.1, 0.3);
+  const double twin = sketch->Answer(selectivity::Query::Range(0.1, 0.3));
+  const double revived = (*restored)->Answer(selectivity::Query::Range(0.1, 0.3));
   std::printf("P(0.1 <= X <= 0.3) after 8192 more rows: twin %.6f, restored %.6f "
               "(bit-identical: %s)\n",
               twin, revived, twin == revived ? "yes" : "NO");

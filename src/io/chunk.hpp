@@ -41,9 +41,11 @@ uint32_t Crc32(std::span<const uint8_t> bytes);
 /// estimators with dims() > 1 carry a "DIMS" chunk (u32 dimensionality)
 /// between the TYPE chunk and the state chunk; v5 — one state encoding:
 /// every estimator's state is one ARNA frame (memory/fast_state.hpp) and
-/// the STAT chunk is gone. No v1–v4 artifact was ever committed as a
-/// fixture, so v5 readers reject them rather than keep untested decoders.
-inline constexpr uint32_t kSnapshotFormatVersion = 5;
+/// the STAT chunk is gone; v6 — the kde-rot state head lost its
+/// eval-tolerance field (the kd-tree evaluation path is gone). No v1–v5
+/// artifact was ever committed as a fixture, so v6 readers reject them by
+/// name rather than keep untested decoders.
+inline constexpr uint32_t kSnapshotFormatVersion = 6;
 
 /// Writes the 12-byte snapshot header (magic + format version).
 Status WriteSnapshotHeader(Sink& sink);

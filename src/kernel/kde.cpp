@@ -79,27 +79,9 @@ double KernelDensityEstimator::Evaluate(double x) const {
   return acc / (static_cast<double>(sorted_.size()) * bandwidth_);
 }
 
-const KdeEvalTree& KernelDensityEstimator::Tree() const {
-  if (!tree_) tree_ = std::make_shared<const KdeEvalTree>(std::span(sorted_));
-  return *tree_;
-}
-
-double KernelDensityEstimator::Evaluate(double x, double tolerance) const {
-  // Small buffers: the exact linear pass beats even one level of traversal
-  // and satisfies any tolerance trivially (it is the tolerance-0 answer).
-  if (sorted_.size() <= KdeEvalTree::kLinearCutover) return Evaluate(x);
-  return Tree().DensitySum(sorted_, kernel_, bandwidth_, x, tolerance) /
-         (static_cast<double>(sorted_.size()) * bandwidth_);
-}
-
 void KernelDensityEstimator::EvaluateMany(std::span<const double> xs,
-                                          std::span<double> out,
-                                          double tolerance) const {
+                                          std::span<double> out) const {
   WDE_CHECK_EQ(xs.size(), out.size(), "EvaluateMany spans must match");
-  if (tolerance > 0.0) {
-    for (size_t i = 0; i < xs.size(); ++i) out[i] = Evaluate(xs[i], tolerance);
-    return;
-  }
   const double radius = kernel_.support_radius() * bandwidth_;
   const double norm = static_cast<double>(sorted_.size()) * bandwidth_;
   std::vector<double>& us = ScratchArgs();
@@ -178,23 +160,6 @@ double KernelDensityEstimator::CdfAt(double x) const {
     for (size_t m = 0; m < window; ++m) acc += ks[m];
   }
   return acc / static_cast<double>(sorted_.size());
-}
-
-double KernelDensityEstimator::CdfAt(double x, double tolerance) const {
-  if (sorted_.size() <= KdeEvalTree::kLinearCutover) return CdfAt(x);
-  return Tree().CdfSum(sorted_, kernel_, bandwidth_, x, tolerance) /
-         static_cast<double>(sorted_.size());
-}
-
-void KernelDensityEstimator::CdfAtMany(std::span<const double> xs,
-                                       std::span<double> out,
-                                       double tolerance) const {
-  WDE_CHECK_EQ(xs.size(), out.size(), "CdfAtMany spans must match");
-  if (tolerance > 0.0) {
-    for (size_t i = 0; i < xs.size(); ++i) out[i] = CdfAt(xs[i], tolerance);
-  } else {
-    for (size_t i = 0; i < xs.size(); ++i) out[i] = CdfAt(xs[i]);
-  }
 }
 
 }  // namespace kernel

@@ -12,7 +12,6 @@
 #include <span>
 #include <vector>
 
-#include "kernel/kde_tree.hpp"
 #include "kernel/kernels.hpp"
 #include "memory/arena.hpp"
 #include "util/result.hpp"
@@ -41,21 +40,10 @@ class KernelDensityEstimator {
 
   double Evaluate(double x) const;
 
-  /// Tree-pruned evaluation (routed through the kd-tree, built lazily on
-  /// first use; buffers at or below KdeEvalTree::kLinearCutover run the
-  /// exact linear pass instead, which satisfies any tolerance). `tolerance`
-  /// is a certified absolute error bound on the returned density (see
-  /// kde_tree.hpp for the derivation); tolerance 0 is bit-identical to
-  /// Evaluate(x) and only prunes exactly.
-  double Evaluate(double x, double tolerance) const;
-
-  /// out[i] = f̂(xs[i]). With tolerance 0 (the default), each query runs the
-  /// linear windowed pass with the kernel terms gathered into contiguous
-  /// scratch and evaluated by the SIMD batch kernel — bit-identical to
-  /// Evaluate(xs[i]). With a positive tolerance, queries run tree-pruned
-  /// under the certified bound.
-  void EvaluateMany(std::span<const double> xs, std::span<double> out,
-                    double tolerance = 0.0) const;
+  /// out[i] = f̂(xs[i]). Each query runs the linear windowed pass with the
+  /// kernel terms gathered into contiguous scratch and evaluated by the SIMD
+  /// batch kernel — bit-identical to Evaluate(xs[i]).
+  void EvaluateMany(std::span<const double> xs, std::span<double> out) const;
 
   /// Values on an inclusive uniform grid [lo, hi].
   std::vector<double> EvaluateOnGrid(double lo, double hi, size_t points) const;
@@ -73,16 +61,6 @@ class KernelDensityEstimator {
   /// of O(n). The one-sided/CDF query path of the selectivity layer.
   double CdfAt(double x) const;
 
-  /// Tree-pruned CDF (always routed through the kd-tree). tolerance 0 is
-  /// bit-identical to CdfAt(x); positive tolerances carry the certified
-  /// absolute bound of kde_tree.hpp.
-  double CdfAt(double x, double tolerance) const;
-
-  /// out[i] = CdfAt(xs[i]) — windowed + SIMD-gathered at tolerance 0
-  /// (bit-identical), tree-pruned otherwise.
-  void CdfAtMany(std::span<const double> xs, std::span<double> out,
-                 double tolerance = 0.0) const;
-
   double bandwidth() const { return bandwidth_; }
   const Kernel& kernel() const { return kernel_; }
   size_t sample_size() const { return sorted_.size(); }
@@ -91,13 +69,6 @@ class KernelDensityEstimator {
  private:
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
-  /// Lazily built on first pruned call and shared by copies (the tree stores
-  /// indices and aggregates only, so it is valid for any buffer with equal
-  /// contents). Never persisted: snapshot restore rebuilds on demand. Lazy
-  /// build follows the repo's warm-up contract — the first query through an
-  /// estimator refreshes lazy state before concurrent readers fan out.
-  const KdeEvalTree& Tree() const;
-
   Kernel kernel_;
   double bandwidth_;
   /// One F64 column holding the ascending samples. Never mutated after
@@ -105,7 +76,6 @@ class KernelDensityEstimator {
   /// share the storage) and moves.
   memory::Arena samples_;
   std::span<const double> sorted_;
-  mutable std::shared_ptr<const KdeEvalTree> tree_;
 };
 
 }  // namespace kernel

@@ -95,8 +95,8 @@ class FastStateReader {
 
   /// The configuration fields, positioned at the start of the head.
   /// LoadStateImpl must consume it fully (head().remaining() == 0) as part
-  /// of its validation.
-  io::Source& head() { return head_; }
+  /// of its validation. A copy of it peeks ahead without consuming.
+  io::SpanSource& head() { return head_; }
 
   const Arena& arena() const { return arena_; }
   Arena& arena() { return arena_; }

@@ -55,7 +55,6 @@ class Grid2dHistogram : public SelectivityEstimator {
   /// grid size. The peer's pending coordinate (if any) is ignored — see the
   /// class comment.
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "grid2d"; }
 
   int grid_log2() const { return grid_log2_; }

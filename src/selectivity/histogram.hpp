@@ -39,7 +39,6 @@ class EquiWidthHistogram : public SelectivityEstimator {
   /// Adds `other`'s bucket counts element-wise; requires identical domain
   /// and bucket count.
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "equi-width"; }
 
   int buckets() const { return static_cast<int>(buckets_); }
@@ -130,7 +129,6 @@ class EquiDepthHistogram : public SelectivityEstimator {
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "equi-depth"; }
 
  protected:

@@ -100,7 +100,6 @@ class Kde2dSelectivity : public SelectivityEstimator {
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde2d-prod"; }
 
   /// The copy shares the fitted arena (sorted coordinates, adaptive

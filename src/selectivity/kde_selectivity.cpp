@@ -79,12 +79,6 @@ void KdeSelectivity::Refit() const {
   }
 }
 
-double KdeSelectivity::FittedCdf(double x) const {
-  return options_.eval_tolerance > 0.0
-             ? kde_->CdfAt(x, options_.eval_tolerance)
-             : kde_->CdfAt(x);
-}
-
 double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
   RefitIfStale();
   if (!kde_.has_value()) {
@@ -100,14 +94,14 @@ double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
     // The Less/Cdf lowering: the windowed kernel antiderivative is
     // bit-identical to IntegrateRange(-inf, b) (see CdfAt) and touches only
     // the samples inside the kernel support around b.
-    return std::clamp(FittedCdf(b), 0.0, 1.0);
+    return std::clamp(kde_->CdfAt(b), 0.0, 1.0);
   }
   // CDF difference instead of the per-sample IntegrateRange sum: each
   // endpoint touches only its kernel window (O(log n + window) vs O(n));
   // the difference-of-sums vs sum-of-differences reassociation moves the
   // result by at most n·ulp, well inside every accuracy contract, and the
   // batch path below uses the identical expression.
-  return std::clamp(FittedCdf(b) - FittedCdf(a), 0.0, 1.0);
+  return std::clamp(kde_->CdfAt(b) - kde_->CdfAt(a), 0.0, 1.0);
 }
 
 std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneEmpty() const {
@@ -153,7 +147,6 @@ Status KdeSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_lo));
   WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.domain_hi));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), options_.refit_interval));
-  WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), options_.eval_tolerance));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), fitted_at_count_));
   WDE_RETURN_IF_ERROR(io::WriteU64(writer.head(), values_.size()));
   const bool has_kde = kde_.has_value();
@@ -173,7 +166,6 @@ Status KdeSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   WDE_ASSIGN_OR_RETURN(options.domain_lo, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.domain_hi, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(options.refit_interval, io::ReadU64(reader.head()));
-  WDE_ASSIGN_OR_RETURN(options.eval_tolerance, io::ReadDouble(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t fitted_at, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint64_t n_values, io::ReadU64(reader.head()));
   WDE_ASSIGN_OR_RETURN(const uint8_t has_kde, io::ReadU8(reader.head()));
@@ -188,7 +180,6 @@ Status KdeSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   }
   if (!std::isfinite(options.domain_lo) || !std::isfinite(options.domain_hi) ||
       !(options.domain_lo < options.domain_hi) || options.refit_interval == 0 ||
-      !std::isfinite(options.eval_tolerance) || options.eval_tolerance < 0.0 ||
       has_kde > 1 || fitted_at > n_values ||
       (has_kde == 1 && !(std::isfinite(bandwidth) && bandwidth > 0.0)) ||
       reader.head().remaining() != 0 ||
@@ -230,7 +221,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
     switch (q.kind) {
       case QueryKind::kLess:
       case QueryKind::kCdf:
-        out[i] = std::clamp(FittedCdf(q.a), 0.0, 1.0);
+        out[i] = std::clamp(kde_->CdfAt(q.a), 0.0, 1.0);
         break;
       case QueryKind::kQuantile:
         out[i] = QuantileByBisection(q.a);
@@ -244,7 +235,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
         break;
       default: {
         const RangeQuery r = LowerToRange(q);
-        out[i] = std::clamp(FittedCdf(r.hi) - FittedCdf(r.lo), 0.0, 1.0);
+        out[i] = std::clamp(kde_->CdfAt(r.hi) - kde_->CdfAt(r.lo), 0.0, 1.0);
         break;
       }
     }

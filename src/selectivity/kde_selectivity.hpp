@@ -18,12 +18,6 @@ namespace selectivity {
 /// of the former O(n) per-sample IntegrateRange sum; one-sided/CDF kinds use
 /// a single endpoint, bit-identical to the (-inf, x] lowering).
 ///
-/// With `Options::eval_tolerance > 0` the endpoints run tree-pruned under
-/// the kd-tree's certified bound (kde_tree.hpp), so a range answer deviates
-/// from the exact kernel CDF difference by at most 2·eval_tolerance (one
-/// bound per endpoint) before clamping. Tolerance 0 — the default, and what
-/// every equivalence suite pins — is bit-identical to the exact path.
-///
 /// Mergeable: the sample buffers concatenate in merge order and the KDE
 /// refits from the merged buffer. Answers depend only on the *sorted
 /// multiset* of buffered values — the rule-of-thumb bandwidth is derived
@@ -47,10 +41,6 @@ class KdeSelectivity : public SelectivityEstimator {
     double domain_lo = 0.0;
     double domain_hi = 1.0;
     size_t refit_interval = 1024;
-    /// Certified absolute error budget per CDF endpoint for tree-pruned
-    /// evaluation; 0 (default) answers exactly. Like refit_interval this is
-    /// an evaluation knob, not part of the merge-compatibility key.
-    double eval_tolerance = 0.0;
     /// How refits rebuild the sorted sample buffer (see the class comment).
     /// A pacing knob like refit_interval: not serialized, not part of the
     /// merge-compatibility key; snapshot restore preserves the live mode.
@@ -88,19 +78,16 @@ class KdeSelectivity : public SelectivityEstimator {
   bool SupportsTailMerge() const override { return true; }
   Status MergeTailFrom(const SelectivityEstimator& other,
                        size_t from_count) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "kde-rot"; }
 
-  /// The copy shares the fitted KDE's sorted sample arena copy-on-write
-  /// (and its lazily built kd-tree, which copies share by design).
+  /// The copy shares the fitted KDE's sorted sample arena copy-on-write.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<KdeSelectivity>(*this);
   }
 
  protected:
-  /// clamp(F̂(b) − F̂(a)) from the windowed (or tree-pruned, when
-  /// eval_tolerance > 0) kernel CDF; a (-inf, x] range (the Less/Cdf
-  /// lowering) is a single endpoint.
+  /// clamp(F̂(b) − F̂(a)) from the windowed kernel CDF; a (-inf, x] range
+  /// (the Less/Cdf lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
   /// State persists the fitted KDE's *sorted* sample buffer and
   /// bandwidth alongside the raw values, so restore adopts it via
@@ -125,8 +112,6 @@ class KdeSelectivity : public SelectivityEstimator {
   void RefitIfStale() const;
   /// Unconditional refit at the current count, honoring refit_mode.
   void Refit() const;
-  /// Fitted kernel CDF at x, honoring eval_tolerance. Requires kde_.
-  double FittedCdf(double x) const;
 
   Options options_;
   std::vector<double> values_;

@@ -116,6 +116,13 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
   return out;
 }
 
+std::vector<Query> AsRangeQueries(std::span<const RangeQuery> ranges) {
+  std::vector<Query> out;
+  out.reserve(ranges.size());
+  for (const RangeQuery& r : ranges) out.push_back(Query::Range(r.lo, r.hi));
+  return out;
+}
+
 SelectivityAccuracy EvaluateAccuracy(
     const SelectivityEstimator& estimator, std::span<const RangeQuery> queries,
     const std::function<double(const RangeQuery&)>& truth, double qerror_floor) {
@@ -123,7 +130,7 @@ SelectivityAccuracy EvaluateAccuracy(
   acc.queries = queries.size();
   if (queries.empty()) return acc;
   std::vector<double> estimates(queries.size());
-  estimator.EstimateBatch(queries, estimates);
+  estimator.Answer(AsRangeQueries(queries), estimates);
   double sq_sum = 0.0;
   for (size_t i = 0; i < queries.size(); ++i) {
     const RangeQuery& q = queries[i];

@@ -23,6 +23,10 @@ std::vector<RangeQuery> CenteredRangeWorkload(stats::Rng& rng, size_t count,
                                               double domain_lo, double domain_hi,
                                               double min_width, double max_width);
 
+/// A range workload as the batch Answer() takes: Query::Range(lo, hi) per
+/// range, in order.
+std::vector<Query> AsRangeQueries(std::span<const RangeQuery> ranges);
+
 /// Relative frequencies of the query kinds in a mixed workload (normalized
 /// internally; a zero weight drops the kind). The default mix resembles an
 /// optimizer trace: mostly ranges with a steady tail of equality, one-sided,
@@ -54,7 +58,8 @@ std::vector<Query> MixedQueryWorkload(stats::Rng& rng, size_t count,
 /// Accuracy aggregates of an estimator against a ground-truth selectivity
 /// oracle. The q-error is max(est, truth)/min(est, truth) with both floored
 /// at `qerror_floor` (the DB-standard multiplicative error measure).
-/// Scoring runs through the estimator's batch query path (EstimateBatch).
+/// Scoring runs through the estimator's batch query path (one Answer() batch
+/// of Query::Range).
 struct SelectivityAccuracy {
   double mean_abs_error = 0.0;
   double rmse = 0.0;

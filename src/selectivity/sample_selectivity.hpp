@@ -45,7 +45,6 @@ class ReservoirSampleSelectivity : public SelectivityEstimator {
   /// Weighted reservoir union (see the class comment); requires identical
   /// capacity.
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "reservoir"; }
 
   const std::vector<double>& reservoir() const { return reservoir_; }

@@ -1,7 +1,6 @@
 #include "selectivity/selectivity_estimator.hpp"
 
 #include <algorithm>
-#include <array>
 #include <cmath>
 #include <limits>
 #include <string_view>
@@ -167,23 +166,16 @@ void SelectivityEstimator::Answer(std::span<const Query> queries,
   }
 }
 
-void SelectivityEstimator::EstimateBatch(std::span<const RangeQuery> queries,
-                                         std::span<double> out) const {
-  WDE_CHECK_EQ(queries.size(), out.size(), "EstimateBatch spans must match");
-  if (queries.empty()) return;
-  // Chunked conversion through a stack buffer: bounded storage regardless of
-  // batch size, and Answer() runs its normalization per chunk (query answers
-  // are independent, so chunking cannot change them).
-  std::array<Query, 256> buffer;
-  size_t offset = 0;
-  while (offset < queries.size()) {
-    const size_t n = std::min(buffer.size(), queries.size() - offset);
-    for (size_t i = 0; i < n; ++i) {
-      buffer[i] = Query::Range(queries[offset + i].lo, queries[offset + i].hi);
-    }
-    Answer(std::span<const Query>(buffer.data(), n), out.subspan(offset, n));
-    offset += n;
+Status SelectivityEstimator::CheckMergePeer(
+    const SelectivityEstimator& other) const {
+  if (&other == this) {
+    return Status::InvalidArgument("cannot merge an estimator into itself");
   }
+  if (std::string_view(other.snapshot_type_tag()) != snapshot_type_tag()) {
+    return Status::FailedPrecondition("MergeFrom: " + name() + " vs " +
+                                      other.name());
+  }
+  return Status::OK();
 }
 
 RangeQuery SelectivityEstimator::LowerToRange(const Query& query) const {
@@ -260,9 +252,6 @@ double SelectivityEstimator::QuantileByBisection(double p) const {
 
 Status SelectivityEstimator::SaveState(io::Sink& sink,
                                        uint64_t base_offset) const {
-  if (!snapshotable()) {
-    return Status::FailedPrecondition(name() + " does not support snapshots");
-  }
   const std::string_view tag = snapshot_type_tag();
   WDE_RETURN_IF_ERROR(io::WriteChunk(
       sink, internal::kChunkEstimatorType,
@@ -283,9 +272,6 @@ Status SelectivityEstimator::SaveState(io::Sink& sink,
 }
 
 Status SelectivityEstimator::LoadState(io::Source& source) {
-  if (!snapshotable()) {
-    return Status::FailedPrecondition(name() + " does not support snapshots");
-  }
   WDE_ASSIGN_OR_RETURN(Envelope envelope, ReadEnvelope(source));
   if (envelope.tag != snapshot_type_tag()) {
     return Status::FailedPrecondition("snapshot of type '" + envelope.tag +
@@ -330,17 +316,6 @@ Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
   WDE_RETURN_IF_ERROR(
       shell->LoadStatePayload(envelope.payload, std::move(envelope.keepalive)));
   return shell;
-}
-
-Status SelectivityEstimator::SaveStateImpl(
-    memory::FastStateWriter& writer) const {
-  (void)writer;
-  return Status::FailedPrecondition(name() + " does not implement SaveStateImpl");
-}
-
-Status SelectivityEstimator::LoadStateImpl(memory::FastStateReader& reader) {
-  (void)reader;
-  return Status::FailedPrecondition(name() + " does not implement LoadStateImpl");
 }
 
 }  // namespace selectivity

@@ -20,15 +20,16 @@
 /// every kind onto EstimateRangeImpl) and overrides must stay bit-identical
 /// to that lowering (enforced by batch_equivalence_test and
 /// query_taxonomy_test). Implementations are not thread-safe (wrap in
-/// ShardedSelectivityEstimator or externally). Estimators whose state is
-/// additive additionally implement the mergeability contract
-/// (CloneEmpty/MergeFrom), which the sharded parallel ingest engine builds
-/// on, and every shipped estimator implements the snapshot contract
+/// ShardedSelectivityEstimator or externally). Every estimator implements
+/// the whole contract: mergeability (CloneEmpty/MergeFrom), which the
+/// sharded parallel ingest engine builds on; view extraction
+/// (CloneForView), which the serving layer publishes from; and snapshots
 /// (SaveState/LoadState over the versioned wire format of io/chunk.hpp),
-/// which makes fitted state a storable, shippable artifact — restore is
-/// bit-exact and merge-compatible. Estimators are constructed declaratively
-/// from an `EstimatorSpec` (estimator_spec.hpp) through the spec-aware
-/// factory registry (estimator_registry.hpp).
+/// which make fitted state a storable, shippable artifact — restore is
+/// bit-exact and merge-compatible. One string, snapshot_type_tag(),
+/// identifies the concrete type for all three. Estimators are constructed
+/// declaratively from an `EstimatorSpec` (estimator_spec.hpp) through the
+/// spec-aware factory registry (estimator_registry.hpp).
 #ifndef WDE_SELECTIVITY_SELECTIVITY_ESTIMATOR_HPP_
 #define WDE_SELECTIVITY_SELECTIVITY_ESTIMATOR_HPP_
 
@@ -76,8 +77,9 @@ inline constexpr uint32_t kChunkEstimatorDims = 0x534D4944;  // "DIMS"
 Result<std::unique_ptr<SelectivityEstimator>> LoadEstimatorEnvelope(
     io::Source& source);
 
-/// A closed range predicate [lo, hi] — the legacy query type, kept as the
-/// payload of Query::Range and for the EstimateBatch compatibility wrapper.
+/// A closed interval [lo, hi]: the value domain an estimator declares
+/// (Domain()), the range a 1-D query kind lowers to (LowerToRange()), and
+/// the output of the range workload generators (query_workload.hpp).
 struct RangeQuery {
   double lo = 0.0;
   double hi = 0.0;
@@ -233,19 +235,6 @@ class SelectivityEstimator {
     return out;
   }
 
-  /// Legacy range entry point: identical to Answer(Query::Range(a, b)).
-  double EstimateRange(double a, double b) const {
-    return Answer(Query::Range(a, b));
-  }
-
-  /// Legacy range-batch entry point: identical to Answer() over
-  /// Query::Range(q.lo, q.hi) per query. Thin wrapper: ranges are converted
-  /// through a fixed-size stack buffer (no heap allocation, no full-batch
-  /// copy) and answered by Answer(), so both entry points share one
-  /// normalization and one extension point.
-  void EstimateBatch(std::span<const RangeQuery> queries,
-                     std::span<double> out) const;
-
   /// Width of the equality interval a Point(x) query denotes: the
   /// estimator's declared resolution (bucket width, grid cell, finest
   /// wavelet cell, ...). The interface default 0 degenerates the lowering to
@@ -282,34 +271,24 @@ class SelectivityEstimator {
 
   // ------------------------------------------------------------ mergeability
   //
-  // Estimators whose internal state is additive (coefficient running sums,
-  // bin counts, sample buffers) support partition-then-combine: build one
-  // replica per shard with CloneEmpty(), ingest disjoint sub-streams, then
-  // fold the replicas together with MergeFrom(). The contract: merging
-  // replicas over disjoint sub-streams answers queries like one estimator
-  // over the concatenated stream — exactly for integer-count state
-  // (histograms, synopsis grids), to ~1e-12 relative for floating-point sums
-  // (the wavelet sketch). Estimators without an additive representation
-  // (e.g. the reservoir sample, whose unbiased merge needs fresh randomness)
-  // report unsupported: CloneEmpty() returns nullptr and MergeFrom() fails.
-
-  /// True when this estimator supports CloneEmpty()/MergeFrom().
-  bool mergeable() const { return merge_type_tag() != nullptr; }
+  // Every estimator supports partition-then-combine: build one replica per
+  // shard with CloneEmpty(), ingest disjoint sub-streams, then fold the
+  // replicas together with MergeFrom(). The contract: merging replicas over
+  // disjoint sub-streams answers queries like one estimator over the
+  // concatenated stream — exactly for integer-count state (histograms,
+  // synopsis grids), to ~1e-12 relative for floating-point sums (the wavelet
+  // sketch), and in distribution for the reservoir sample (its seeded merge
+  // draws a uniform sample of the union).
 
   /// A fresh estimator of the same concrete type and configuration with no
-  /// data, or nullptr when the estimator does not support merging.
-  virtual std::unique_ptr<SelectivityEstimator> CloneEmpty() const {
-    return nullptr;
-  }
+  /// data. Never nullptr.
+  virtual std::unique_ptr<SelectivityEstimator> CloneEmpty() const = 0;
 
   /// Folds `other`'s state into this estimator. Fails (leaving this
-  /// estimator untouched) when merging is unsupported, when `other` is a
-  /// different concrete type, or when the configurations are incompatible
-  /// (different domain, resolution, level range, ...).
-  virtual Status MergeFrom(const SelectivityEstimator& other) {
-    (void)other;
-    return Status::FailedPrecondition(name() + " does not support MergeFrom");
-  }
+  /// estimator untouched) when `other` is this estimator, a different
+  /// concrete type, or an incompatible configuration (different domain,
+  /// resolution, level range, ...).
+  virtual Status MergeFrom(const SelectivityEstimator& other) = 0;
 
   // The delta-merge refinement of MergeFrom, for estimators whose merged
   // state is a buffer that only ever appends (KDE sample buffer, equi-depth
@@ -337,14 +316,6 @@ class SelectivityEstimator {
     return Status::FailedPrecondition(name() + " does not support MergeTailFrom");
   }
 
-  /// Identity of the concrete type for MergeFrom compatibility checks
-  /// without an RTTI requirement: mergeable estimators return the address of
-  /// a class-local static (see WDE_SELECTIVITY_MERGE_TAG), so equal tags
-  /// guarantee a static_cast in MergeFrom is sound. nullptr means merging is
-  /// unsupported. Public because an implementation must read it through a
-  /// base-class reference.
-  virtual const void* merge_type_tag() const { return nullptr; }
-
   // -------------------------------------------------------------- snapshots
   //
   // Fitted state is persistable through the versioned, CRC-framed binary
@@ -354,10 +325,10 @@ class SelectivityEstimator {
   // estimator describes its state exactly once, as one SaveStateImpl /
   // LoadStateImpl pair over the fast-state frame of memory/fast_state.hpp
   // (scalar head + typed columns); that frame is the only wire encoding. The
-  // contract: a restored estimator answers Answer/EstimateBatch
-  // bit-identically to the estimator that saved — lazily fitted caches are
-  // persisted, so answers match even when the save landed mid refit-interval
-  // — and is merge-compatible with it under the ordinary MergeFrom rules.
+  // contract: a restored estimator answers Answer() bit-identically to the
+  // estimator that saved — lazily fitted caches are persisted, so answers
+  // match even when the save landed mid refit-interval — and is
+  // merge-compatible with it under the ordinary MergeFrom rules.
   // Decoding hostile bytes (truncated, bit-flipped, wrong magic, other
   // versions) yields a non-OK Status, never UB or an abort, and a failed
   // LoadState leaves the estimator untouched (parse fully, then commit). The
@@ -365,13 +336,12 @@ class SelectivityEstimator {
   // snapshots without naming the concrete type at the call site; the same
   // tag keys the declarative construction path (EstimatorSpec::tag).
 
-  /// Stable wire identity of the concrete type — the registry key, parallel
-  /// to merge_type_tag() (the string survives process boundaries, the
-  /// pointer does not). nullptr means snapshots are unsupported.
-  virtual const char* snapshot_type_tag() const { return nullptr; }
-
-  /// True when this estimator supports SaveState()/LoadState().
-  bool snapshotable() const { return snapshot_type_tag() != nullptr; }
+  /// The one identity of the concrete type: the snapshot envelope's TYPE
+  /// chunk, the registry key (== EstimatorSpec::tag), and the key
+  /// CheckMergePeer and the sharded engine compare before a static_cast.
+  /// Distinct concrete types return distinct strings; a subclass of a
+  /// concrete estimator inherits its parent's tag and merges as the parent.
+  virtual const char* snapshot_type_tag() const = 0;
 
   /// Writes this estimator's envelope: TYPE chunk, DIMS chunk when dims() !=
   /// 1, then one ARNA chunk holding the state frame. `base_offset` is the
@@ -397,11 +367,8 @@ class SelectivityEstimator {
   /// Estimators whose fitted buffers live in a memory::Arena share them
   /// copy-on-write, so the clone costs O(columns), not O(data); the first
   /// mutation on either side un-shares. The sharded engine returns its
-  /// merged view (ExtractMergedView). Returns nullptr when unsupported; such
-  /// an estimator cannot be served.
-  virtual std::unique_ptr<SelectivityEstimator> CloneForView() const {
-    return nullptr;
-  }
+  /// merged view (ExtractMergedView). Never nullptr.
+  virtual std::unique_ptr<SelectivityEstimator> CloneForView() const = 0;
 
   /// Restores any registered estimator from a whole snapshot (header +
   /// envelope) and folds it into this one via MergeFrom — the cross-process
@@ -418,10 +385,9 @@ class SelectivityEstimator {
   /// directory has the expected shape (memory::ColumnsMatch) — and only then
   /// commits, adopting the reader's arena columns (zero-copy when the
   /// frame's keepalive anchors them, copied otherwise); hostile bytes yield
-  /// a Status and leave the estimator untouched. Defaults report
-  /// unsupported.
-  virtual Status SaveStateImpl(memory::FastStateWriter& writer) const;
-  virtual Status LoadStateImpl(memory::FastStateReader& reader);
+  /// a Status and leave the estimator untouched.
+  virtual Status SaveStateImpl(memory::FastStateWriter& writer) const = 0;
+  virtual Status LoadStateImpl(memory::FastStateReader& reader) = 0;
 
  private:
   /// Parses one ARNA state payload (anchored by `keepalive`) and dispatches
@@ -436,20 +402,10 @@ class SelectivityEstimator {
  protected:
   /// Shared MergeFrom preamble: rejects self-merge (for buffer-append state
   /// it would self-insert — UB on reallocation — and for count state it
-  /// would silently double) and peers of a different concrete type (tag
-  /// mismatch). After an OK return, `other` is a distinct instance of this
-  /// concrete type and may be static_cast to it.
-  Status CheckMergePeer(const SelectivityEstimator& other) const {
-    if (&other == this) {
-      return Status::InvalidArgument("cannot merge an estimator into itself");
-    }
-    if (merge_type_tag() == nullptr ||
-        other.merge_type_tag() != merge_type_tag()) {
-      return Status::FailedPrecondition("MergeFrom: " + name() + " vs " +
-                                        other.name());
-    }
-    return Status::OK();
-  }
+  /// would silently double) and peers of a different concrete type
+  /// (snapshot_type_tag() mismatch). After an OK return, `other` is a
+  /// distinct instance of this concrete type and may be static_cast to it.
+  Status CheckMergePeer(const SelectivityEstimator& other) const;
 
   /// The scalar range extension point — the minimal surface a new estimator
   /// implements; every 1-D query kind lowers onto it. Called with a <= b; the
@@ -539,15 +495,6 @@ class SelectivityEstimator {
   /// bitwise.
   double QuantileByBisection(double p) const;
 };
-
-/// Defines the per-class merge tag used by mergeable estimators: a static
-/// member function whose local static's address identifies the concrete type.
-#define WDE_SELECTIVITY_MERGE_TAG()                \
-  static const void* MergeTag() {                  \
-    static const int tag = 0;                      \
-    return &tag;                                   \
-  }                                                \
-  const void* merge_type_tag() const override { return MergeTag(); }
 
 }  // namespace selectivity
 }  // namespace wde

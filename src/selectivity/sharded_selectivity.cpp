@@ -1,14 +1,42 @@
 #include "selectivity/sharded_selectivity.hpp"
 
 #include <algorithm>
+#include <string>
+#include <string_view>
 #include <utility>
 
+#include "io/chunk.hpp"
 #include "memory/fast_state.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "util/string_util.hpp"
 
 namespace wde {
 namespace selectivity {
+
+namespace {
+
+/// A sharded engine never wraps another one: MakeEstimator rejects the
+/// nesting, and Create/LoadStateImpl hold the same line so a restore cannot
+/// recurse once per hostile nested prototype envelope.
+Status CheckPrototypeTag(std::string_view tag) {
+  if (tag == "sharded") {
+    return Status::InvalidArgument("nesting sharded inside sharded is not supported");
+  }
+  return Status::OK();
+}
+
+/// The TYPE tag of the envelope at `source`'s position, read from a copy so
+/// `source` itself does not advance. LoadStateImpl checks every nested tag
+/// this way BEFORE parsing the nested state, so hostile bytes can never make
+/// a restore recurse into a nested sharded engine.
+Result<std::string> PeekEnvelopeTag(io::SpanSource source) {
+  WDE_ASSIGN_OR_RETURN(
+      const std::vector<uint8_t> tag,
+      io::ReadChunkExpecting(source, internal::kChunkEstimatorType));
+  return std::string(tag.begin(), tag.end());
+}
+
+}  // namespace
 
 Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
     const SelectivityEstimator& prototype, const Options& options) {
@@ -28,18 +56,12 @@ Result<ShardedSelectivityEstimator> ShardedSelectivityEstimator::Create(
         "interleaved coordinates of one observation never split across "
         "shards");
   }
-  if (!prototype.mergeable()) {
-    return Status::FailedPrecondition(
-        prototype.name() +
-        " does not support CloneEmpty/MergeFrom and cannot be sharded");
-  }
+  WDE_RETURN_IF_ERROR(CheckPrototypeTag(prototype.snapshot_type_tag()));
   std::unique_ptr<SelectivityEstimator> keeper = prototype.CloneEmpty();
-  WDE_CHECK(keeper != nullptr, "mergeable estimator returned a null clone");
   std::vector<std::unique_ptr<SelectivityEstimator>> replicas;
   replicas.reserve(options.shards);
   for (size_t s = 0; s < options.shards; ++s) {
     replicas.push_back(prototype.CloneEmpty());
-    WDE_CHECK(replicas.back() != nullptr, "mergeable estimator returned a null clone");
   }
   return ShardedSelectivityEstimator(options, std::move(keeper),
                                      std::move(replicas));
@@ -93,7 +115,6 @@ void ShardedSelectivityEstimator::InsertBatch(std::span<const double> xs) {
 std::unique_ptr<SelectivityEstimator> ShardedSelectivityEstimator::BuildMerged()
     const {
   std::unique_ptr<SelectivityEstimator> merged = prototype_->CloneEmpty();
-  WDE_CHECK(merged != nullptr, "mergeable estimator returned a null clone");
   for (const std::unique_ptr<SelectivityEstimator>& replica : replicas_) {
     // Replicas are clones of one prototype, so the merge cannot be
     // incompatible; a failure here is a broken MergeFrom implementation.
@@ -152,7 +173,6 @@ ShardedSelectivityEstimator::ExtractMergedView() const {
   // same multiset than the from-zero rebuild, which tail-mergeable
   // (buffer-keeping) estimators answer bit-identically.
   std::unique_ptr<SelectivityEstimator> view = merged_->CloneForView();
-  if (view == nullptr) return BuildMerged();  // no CoW copy offered
   for (size_t s = 0; s < replicas_.size(); ++s) {
     if (replicas_[s]->count() == merged_hw_[s]) continue;
     WDE_CHECK_OK(view->MergeTailFrom(*replicas_[s], merged_hw_[s]));
@@ -177,7 +197,7 @@ void ShardedSelectivityEstimator::ForceRefitImpl() const {
 }
 
 double ShardedSelectivityEstimator::EstimateRangeImpl(double a, double b) const {
-  return Merged().EstimateRange(a, b);
+  return Merged().Answer(Query::Range(a, b));
 }
 
 void ShardedSelectivityEstimator::AnswerImpl(std::span<const Query> queries,
@@ -294,13 +314,11 @@ Status ShardedSelectivityEstimator::LoadStateImpl(
   if (shards == 0 || shards > 65536 || block_size == 0 || refresh == 0) {
     return Status::InvalidArgument("corrupt sharded state layout");
   }
+  WDE_ASSIGN_OR_RETURN(const std::string tag, PeekEnvelopeTag(reader.head()));
+  WDE_RETURN_IF_ERROR(CheckPrototypeTag(tag));
   Result<std::unique_ptr<SelectivityEstimator>> prototype =
       LoadEstimatorEnvelope(reader.head());
   if (!prototype.ok()) return prototype.status();
-  if (!(*prototype)->mergeable()) {
-    return Status::InvalidArgument(
-        "corrupt sharded state: prototype is not mergeable");
-  }
   WDE_ASSIGN_OR_RETURN(const uint8_t has_merged, io::ReadU8(reader.head()));
   if (has_merged > 1 || reader.head().remaining() != 0) {
     return Status::InvalidArgument("corrupt sharded state");
@@ -322,6 +340,11 @@ Status ShardedSelectivityEstimator::LoadStateImpl(
     // mmapped image, or the reader's heap copy on the in-memory path.
     io::SpanSource column(arena.U8(static_cast<size_t>(s)),
                           arena.storage_keepalive());
+    WDE_ASSIGN_OR_RETURN(const std::string replica_tag, PeekEnvelopeTag(column));
+    if (replica_tag != tag) {
+      return Status::InvalidArgument(
+          "corrupt sharded state: heterogeneous shard replicas");
+    }
     Result<std::unique_ptr<SelectivityEstimator>> replica =
         LoadEstimatorEnvelope(column);
     if (!replica.ok()) return replica.status();
@@ -329,21 +352,20 @@ Status ShardedSelectivityEstimator::LoadStateImpl(
       return Status::InvalidArgument(
           "corrupt sharded state: trailing replica bytes");
     }
-    if ((*replica)->merge_type_tag() != (*prototype)->merge_type_tag()) {
-      return Status::InvalidArgument(
-          "corrupt sharded state: heterogeneous shard replicas");
-    }
     replicas.push_back(std::move(replica).value());
   }
   std::unique_ptr<SelectivityEstimator> merged;
   if (has_merged != 0) {
     io::SpanSource column(arena.U8(static_cast<size_t>(shards)),
                           arena.storage_keepalive());
+    WDE_ASSIGN_OR_RETURN(const std::string merged_tag, PeekEnvelopeTag(column));
+    if (merged_tag != tag) {
+      return Status::InvalidArgument("corrupt sharded state: merged view mismatch");
+    }
     Result<std::unique_ptr<SelectivityEstimator>> loaded =
         LoadEstimatorEnvelope(column);
     if (!loaded.ok()) return loaded.status();
-    if (column.remaining() != 0 ||
-        (*loaded)->merge_type_tag() != (*prototype)->merge_type_tag()) {
+    if (column.remaining() != 0) {
       return Status::InvalidArgument(
           "corrupt sharded state: merged view mismatch");
     }
@@ -387,7 +409,7 @@ Status ShardedSelectivityEstimator::Restore(const std::string& path) {
   Result<std::unique_ptr<SelectivityEstimator>> loaded =
       LoadEstimatorSnapshotFile(path);
   if (!loaded.ok()) return loaded.status();
-  if ((*loaded)->merge_type_tag() != merge_type_tag()) {
+  if (std::string_view((*loaded)->snapshot_type_tag()) != snapshot_type_tag()) {
     return Status::FailedPrecondition("checkpoint of " + (*loaded)->name() +
                                       " cannot restore into " + name());
   }

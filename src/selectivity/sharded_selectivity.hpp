@@ -11,7 +11,7 @@
 namespace wde {
 namespace selectivity {
 
-/// Sharded parallel ingest over any mergeable SelectivityEstimator: K replica
+/// Sharded parallel ingest over any non-sharded SelectivityEstimator: K replica
 /// estimators (built with the prototype's CloneEmpty) each own a deterministic
 /// slice of the stream, batch inserts fan out across the replicas on a
 /// ThreadPool, and queries are answered from a lazily refreshed merged view —
@@ -68,8 +68,8 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   };
 
   /// Builds K empty replicas of `prototype` (which contributes configuration
-  /// only, not data). Fails if the prototype does not support merging or the
-  /// options are degenerate.
+  /// only, not data). Fails if the prototype is itself sharded (nesting is
+  /// not supported) or the options are degenerate.
   ///
   /// Replicas are exact clones, so a prototype with periodic refits (e.g.
   /// the wavelet sketch's refit_interval) runs those refits inside every
@@ -108,7 +108,6 @@ class ShardedSelectivityEstimator : public SelectivityEstimator {
   /// path.
   std::unique_ptr<SelectivityEstimator> CloneEmpty() const override;
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "sharded"; }
 
   /// Writes a whole-file snapshot of this engine — partition metadata

@@ -68,7 +68,6 @@ class StreamingWaveletSelectivity : public SelectivityEstimator {
   /// Folds `other`'s coefficient sums into this sketch and invalidates the
   /// cached estimate; requires identical options and a compatible basis.
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "wavelet-cv"; }
 
   /// Brings the cached estimate up to date with the sums (CV +

@@ -56,7 +56,6 @@ class WaveletSynopsisSelectivity : public SelectivityEstimator {
   /// Adds `other`'s cell counts element-wise and invalidates the compressed
   /// transform; requires identical options.
   Status MergeFrom(const SelectivityEstimator& other) override;
-  WDE_SELECTIVITY_MERGE_TAG()
   const char* snapshot_type_tag() const override { return "haar-synopsis"; }
 
   /// Number of non-zero retained coefficients after the last rebuild.

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <utility>
+#include <vector>
 
 #include "io/chunk.hpp"
 #include "selectivity/estimator_registry.hpp"
@@ -41,11 +42,6 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   if (writer == nullptr) {
     return Status::InvalidArgument("writer estimator must not be null");
   }
-  if (!writer->snapshotable()) {
-    return Status::FailedPrecondition(
-        writer->name() +
-        " does not support snapshots and cannot publish views or checkpoint");
-  }
   if (options.cache_shards != 0 && options.cache_slots_per_shard == 0) {
     return Status::InvalidArgument(
         "cache_slots_per_shard must be positive when the cache is enabled");
@@ -53,19 +49,13 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
   if (options.max_staleness_ms < 0) {
     return Status::InvalidArgument("max_staleness_ms must be non-negative");
   }
-  // Epoch 1 publishes the writer's current state, so readers always have a
-  // view; a writer that cannot produce one is refused here, not at runtime.
-  std::unique_ptr<selectivity::SelectivityEstimator> first =
-      writer->CloneForView();
-  if (first == nullptr) {
-    return Status::FailedPrecondition(
-        writer->name() + " offers no CloneForView() and cannot publish views");
-  }
   std::unique_ptr<EstimatorService> service(
       new EstimatorService(std::move(writer), options));
   {
+    // Epoch 1 publishes the writer's current state, so readers always have a
+    // view.
     std::lock_guard<std::mutex> lock(service->writer_mu_);
-    service->PublishViewLocked(std::move(first), 0);
+    service->PublishLocked(0);
   }
   return service;
 }
@@ -79,12 +69,7 @@ Result<std::unique_ptr<EstimatorService>> EstimatorService::Create(
 }
 
 uint64_t EstimatorService::PublishLocked(uint64_t epoch_floor) {
-  std::unique_ptr<selectivity::SelectivityEstimator> fresh =
-      writer_->CloneForView();
-  // Create() and Restore() refuse writers without views, so null here is a
-  // broken CloneForView implementation, not a runtime condition.
-  WDE_CHECK(fresh != nullptr, "writer stopped offering CloneForView()");
-  return PublishViewLocked(std::move(fresh), epoch_floor);
+  return PublishViewLocked(writer_->CloneForView(), epoch_floor);
 }
 
 uint64_t EstimatorService::PublishViewLocked(
@@ -93,7 +78,7 @@ uint64_t EstimatorService::PublishViewLocked(
   // Quiesce the view: bring every lazily fitted cache up to date with ALL
   // data it holds — not merely the interval-gated refresh a first query would
   // run, so a published view is always fitted at its full count — then prime
-  // any remaining query-path state (e.g. a KDE's kd-tree) with one query.
+  // any remaining lazily built query-path state with one query.
   // After the swap below, concurrent readers only ever read the view.
   fresh->ForceRefit();
   (void)fresh->Answer(selectivity::Query::Cdf(fresh->Domain().hi));
@@ -274,10 +259,6 @@ Status EstimatorService::Restore(const std::string& path) {
   // taking the writer lock.
   std::unique_ptr<selectivity::SelectivityEstimator> fresh =
       (*writer)->CloneForView();
-  if (fresh == nullptr) {
-    return Status::FailedPrecondition(
-        (*writer)->name() + " offers no CloneForView() and cannot publish views");
-  }
   std::lock_guard<std::mutex> lock(writer_mu_);
   if ((*writer)->dims() != writer_->dims()) {
     return Status::FailedPrecondition(
@@ -292,29 +273,6 @@ Status EstimatorService::Restore(const std::string& path) {
   inserts_since_publish_ = static_cast<size_t>(pending);
   PublishViewLocked(std::move(fresh), saved_epoch);
   return Status::OK();
-}
-
-AdmissionBatcher::AdmissionBatcher(const EstimatorService& service,
-                                   size_t batch_size)
-    : service_(service), batch_size_(std::max<size_t>(1, batch_size)) {
-  queries_.reserve(batch_size_);
-  outs_.reserve(batch_size_);
-}
-
-void AdmissionBatcher::Enqueue(const selectivity::Query& query, double* out) {
-  WDE_CHECK(out != nullptr, "Enqueue needs a destination");
-  queries_.push_back(query);
-  outs_.push_back(out);
-  if (queries_.size() >= batch_size_) Flush();
-}
-
-void AdmissionBatcher::Flush() {
-  if (queries_.empty()) return;
-  values_.resize(queries_.size());
-  service_.Answer(queries_, values_);
-  for (size_t i = 0; i < outs_.size(); ++i) *outs_[i] = values_[i];
-  queries_.clear();
-  outs_.clear();
 }
 
 }  // namespace serving

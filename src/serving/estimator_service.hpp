@@ -30,12 +30,11 @@
 ///
 /// Layered on top: an epoch-invalidated, sharded hot-query result cache
 /// keyed by the typed `Query` (see query_cache.hpp — strictly best-effort,
-/// bit-identical to recomputation), a client-side `AdmissionBatcher` that
-/// coalesces scalar point reads into batched admissions, and
-/// Checkpoint/Restore through the snapshot envelope so a warm standby
-/// can restore a leader's checkpoint and begin serving at a strictly newer
-/// epoch (the epoch bump on restore is a contract: no cached result or held
-/// view from before the restore can be confused with post-restore state).
+/// bit-identical to recomputation) and Checkpoint/Restore through the
+/// snapshot envelope, so a warm standby can restore a leader's checkpoint
+/// and begin serving at a strictly newer epoch (the epoch bump on restore is
+/// a contract: no cached result or held view from before the restore can be
+/// confused with post-restore state).
 ///
 /// Staleness contract: a reader's answers lag ingest by at most the pacing
 /// budget (publish_interval - 1 values, or max_staleness_ms) plus whatever
@@ -52,7 +51,6 @@
 #include <mutex>
 #include <span>
 #include <string>
-#include <vector>
 
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/selectivity_estimator.hpp"
@@ -97,12 +95,10 @@ class EstimatorService {
     std::shared_ptr<const selectivity::SelectivityEstimator> estimator;
   };
 
-  /// Wraps `writer` (which must support snapshots and CloneForView — every
-  /// shipped estimator does) and publishes its current state as epoch 1.
-  /// Every view is writer->CloneForView(): a copy-on-write arena share, and
-  /// for the sharded engine its merged view (one single-estimator copy,
-  /// cheaper to query than the wrapper). A writer whose CloneForView() is
-  /// null is refused with a Status.
+  /// Wraps `writer` and publishes its current state as epoch 1. Every view
+  /// is writer->CloneForView(): a copy-on-write arena share, and for the
+  /// sharded engine its merged view (one single-estimator copy, cheaper to
+  /// query than the wrapper). A null writer is refused with a Status.
   static Result<std::unique_ptr<EstimatorService>> Create(
       std::unique_ptr<selectivity::SelectivityEstimator> writer,
       const ServiceOptions& options);
@@ -219,37 +215,6 @@ class EstimatorService {
   const uint64_t service_id_;
 
   std::unique_ptr<QueryResultCache> cache_;  // nullptr when disabled
-};
-
-/// Client-side admission batching for scalar point-read traffic: buffers
-/// (query, destination) pairs and admits them to the service as one batched
-/// Answer() call when `batch_size` accumulate, on Flush(), or at
-/// destruction. All queries of one flush are answered at one epoch (one view
-/// load), and per-query virtual dispatch, cache probing and view loading
-/// amortize across the batch. Results are bit-identical to issuing each
-/// query alone. Not thread-safe — one batcher per client thread.
-class AdmissionBatcher {
- public:
-  AdmissionBatcher(const EstimatorService& service, size_t batch_size);
-  ~AdmissionBatcher() { Flush(); }
-
-  AdmissionBatcher(const AdmissionBatcher&) = delete;
-  AdmissionBatcher& operator=(const AdmissionBatcher&) = delete;
-
-  /// Queues `query`; `*out` is written by the flush that admits it.
-  void Enqueue(const selectivity::Query& query, double* out);
-
-  /// Admits everything queued (no-op when empty).
-  void Flush();
-
-  size_t pending() const { return queries_.size(); }
-
- private:
-  const EstimatorService& service_;
-  const size_t batch_size_;
-  std::vector<selectivity::Query> queries_;
-  std::vector<double*> outs_;
-  std::vector<double> values_;  // flush scratch
 };
 
 }  // namespace serving

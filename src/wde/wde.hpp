@@ -20,10 +20,10 @@
 ///                 density estimator, confidence bands
 ///   selectivity — wavelet/KDE/histogram/sample selectivity estimators over
 ///                 range-query workloads, plus the sharded parallel ingest
-///                 wrapper over any mergeable estimator
+///                 wrapper over any estimator
 ///   serving     — the concurrent serving engine: epoch-published immutable
 ///                 estimator views with lock-free steady-state readers, the
-///                 typed-query result cache, admission batching, checkpoints
+///                 typed-query result cache, checkpoints
 ///   diagnostics — mixing/covariance-decay diagnostics
 ///   harness     — Monte-Carlo replication harness and experiment configs
 ///

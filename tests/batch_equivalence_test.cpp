@@ -1,6 +1,6 @@
 // Property tests for the batch-first hot paths: every batch entry point
 // (EvaluateMany / AntiderivativeMany / AddAll / AddBatch / InsertBatch /
-// EstimateBatch and the hoisted per-level evaluators) must produce results
+// batched Answer() and the hoisted per-level evaluators) must produce results
 // BIT-IDENTICAL to the scalar loop it replaces, across all estimators and
 // random domains. These tests are the contract that lets the scalar virtuals
 // stay the extension point while the batch paths carry production traffic.
@@ -250,7 +250,7 @@ TEST(BatchEquivalenceTest, BinnedAddBatchMatchesOneShotFitBitwise) {
 
 // ------------------------------------------------------------------ kernel
 
-TEST(BatchEquivalenceTest, KdeEvaluateManyAndCdfAtManyMatchScalarBitwise) {
+TEST(BatchEquivalenceTest, KdeEvaluateManyMatchesScalarBitwise) {
   stats::Rng rng(137);
   std::vector<double> data(1500);
   for (double& x : data) x = rng.UniformDouble();
@@ -262,25 +262,12 @@ TEST(BatchEquivalenceTest, KdeEvaluateManyAndCdfAtManyMatchScalarBitwise) {
     ASSERT_TRUE(kde.ok());
     const std::vector<double> xs = ProbePoints(rng, 400, -0.5, 1.5);
     std::vector<double> batch(xs.size());
-    // tolerance 0 (the default): the SIMD-gathered windowed pass must be
-    // bit-identical to the scalar evaluation; positive tolerances must
-    // dispatch to the same tree-pruned path the scalar overload runs.
-    for (double tol : {0.0, 1e-4}) {
-      kde->EvaluateMany(xs, batch, tol);
-      for (size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(batch[i], kde->Evaluate(xs[i], tol))
-            << kde->kernel().name() << " tol=" << tol << " x=" << xs[i];
-      }
-      kde->CdfAtMany(xs, batch, tol);
-      for (size_t i = 0; i < xs.size(); ++i) {
-        EXPECT_EQ(batch[i], kde->CdfAt(xs[i], tol))
-            << kde->kernel().name() << " tol=" << tol << " x=" << xs[i];
-      }
-    }
-    // And tolerance 0 equals the plain scalar entry points.
-    for (double x : xs) {
-      EXPECT_EQ(kde->Evaluate(x, 0.0), kde->Evaluate(x));
-      EXPECT_EQ(kde->CdfAt(x, 0.0), kde->CdfAt(x));
+    // The SIMD-gathered windowed pass must be bit-identical to the scalar
+    // evaluation.
+    kde->EvaluateMany(xs, batch);
+    for (size_t i = 0; i < xs.size(); ++i) {
+      EXPECT_EQ(batch[i], kde->Evaluate(xs[i]))
+          << kde->kernel().name() << " x=" << xs[i];
     }
   }
 }
@@ -317,17 +304,17 @@ void ExpectStreamEquivalence(selectivity::SelectivityEstimator* scalar,
     const std::vector<selectivity::RangeQuery> queries =
         selectivity::UniformRangeWorkload(query_rng, 50, -0.1, 1.1);
     std::vector<double> batch_answers(queries.size());
-    batch->EstimateBatch(queries, batch_answers);
+    batch->Answer(selectivity::AsRangeQueries(queries), batch_answers);
     for (size_t i = 0; i < queries.size(); ++i) {
-      EXPECT_EQ(batch_answers[i],
-                scalar->EstimateRange(queries[i].lo, queries[i].hi))
+      EXPECT_EQ(batch_answers[i], scalar->Answer(selectivity::Query::Range(
+                                      queries[i].lo, queries[i].hi)))
           << scalar->name() << " [" << queries[i].lo << ", " << queries[i].hi
           << "] after " << scalar->count() << " inserts";
     }
   }
 }
 
-TEST(BatchEquivalenceTest, WaveletSketchInsertBatchAndEstimateBatch) {
+TEST(BatchEquivalenceTest, WaveletSketchInsertBatchAndAnswerBatch) {
   selectivity::StreamingWaveletSelectivity::Options options;
   options.j0 = 2;
   options.j_max = 8;
@@ -346,42 +333,6 @@ TEST(BatchEquivalenceTest, KdeSelectivityBatchOverrides) {
   selectivity::KdeSelectivity scalar(options);
   selectivity::KdeSelectivity batch(options);
   ExpectStreamEquivalence(&scalar, &batch, 2002);
-}
-
-TEST(BatchEquivalenceTest, KdeSelectivityBoundedToleranceBatchOverrides) {
-  // The bounded tree-pruned evaluation mode must satisfy the same
-  // batch-equals-scalar bitwise contract as the exact default.
-  selectivity::KdeSelectivity::Options options;
-  options.refit_interval = 100;
-  options.eval_tolerance = 1e-5;
-  selectivity::KdeSelectivity scalar(options);
-  selectivity::KdeSelectivity batch(options);
-  ExpectStreamEquivalence(&scalar, &batch, 2112);
-}
-
-TEST(BatchEquivalenceTest, KdeSelectivityToleranceContractVsExact) {
-  // A range answer is CdfAt(hi) − CdfAt(lo), each endpoint within the
-  // certified eval_tolerance of exact, so the bounded estimator may deviate
-  // from the exact one by at most 2·tolerance (plus rounding slack).
-  const double tol = 1e-4;
-  selectivity::KdeSelectivity::Options exact_options;
-  selectivity::KdeSelectivity::Options bounded_options;
-  bounded_options.eval_tolerance = tol;
-  selectivity::KdeSelectivity exact(exact_options);
-  selectivity::KdeSelectivity bounded(bounded_options);
-  stats::Rng rng(2222);
-  std::vector<double> values(4000);
-  for (double& v : values) v = rng.UniformDouble();
-  exact.InsertBatch(values);
-  bounded.InsertBatch(values);
-  const std::vector<selectivity::RangeQuery> queries =
-      selectivity::UniformRangeWorkload(rng, 200, -0.1, 1.1);
-  for (const selectivity::RangeQuery& q : queries) {
-    EXPECT_LE(std::fabs(bounded.EstimateRange(q.lo, q.hi) -
-                        exact.EstimateRange(q.lo, q.hi)),
-              2.0 * tol + 1e-12)
-        << "[" << q.lo << ", " << q.hi << "]";
-  }
 }
 
 TEST(BatchEquivalenceTest, DefaultBatchImplementations) {
@@ -407,7 +358,7 @@ TEST(BatchEquivalenceTest, DefaultBatchImplementations) {
   ExpectStreamEquivalence(&syn_scalar.value(), &syn_batch.value(), 6006);
 }
 
-TEST(BatchEquivalenceTest, ShardedWrapperInsertBatchAndEstimateBatch) {
+TEST(BatchEquivalenceTest, ShardedWrapperInsertBatchAndAnswerBatch) {
   // The sharded engine routes scalar inserts and batch inserts through the
   // same position-based partition, so the wrapper satisfies the bitwise
   // equivalence contract like any other estimator.
@@ -504,38 +455,8 @@ TEST(BatchEquivalenceTest, AnswerMixedKindBatchMatchesScalarLoop) {
   }
 }
 
-TEST(BatchEquivalenceTest, AnswerRangeMatchesLegacyEstimateRange) {
-  // The acceptance contract of the redesign: Answer({kRange}) and the legacy
-  // EstimateRange/EstimateBatch wrappers are one path, bitwise.
-  for (const std::string& tag : selectivity::EstimatorRegistry::Global().Tags()) {
-    selectivity::EstimatorSpec spec;
-    spec.tag = tag;
-    spec.dims = selectivity::EstimatorRegistry::Global().NativeDims(tag);
-    spec.j_max = 7;
-    spec.grid_log2 = 7;
-    Result<std::unique_ptr<selectivity::SelectivityEstimator>> est =
-        selectivity::MakeEstimator(spec);
-    ASSERT_TRUE(est.ok()) << tag;
-    stats::Rng rng(4242);
-    std::vector<double> values(2000);
-    for (double& v : values) v = rng.UniformDouble();
-    (*est)->InsertBatch(values);
-    const std::vector<selectivity::RangeQuery> ranges =
-        selectivity::UniformRangeWorkload(rng, 100, -0.1, 1.1);
-    std::vector<double> legacy(ranges.size());
-    (*est)->EstimateBatch(ranges, legacy);
-    for (size_t i = 0; i < ranges.size(); ++i) {
-      const selectivity::Query q =
-          selectivity::Query::Range(ranges[i].lo, ranges[i].hi);
-      EXPECT_EQ(legacy[i], (*est)->Answer(q)) << tag;
-      EXPECT_EQ(legacy[i], (*est)->EstimateRange(ranges[i].lo, ranges[i].hi))
-          << tag;
-    }
-  }
-}
-
 TEST(BatchEquivalenceTest, WorkloadScoringUsesBatchPathConsistently) {
-  // EvaluateAccuracy now routes through EstimateBatch; its aggregates must
+  // EvaluateAccuracy routes through one batched Answer(); its aggregates must
   // match a hand-rolled scalar evaluation exactly.
   selectivity::EquiWidthHistogram hist(0.0, 1.0, 32);
   stats::Rng rng(7007);
@@ -547,7 +468,8 @@ TEST(BatchEquivalenceTest, WorkloadScoringUsesBatchPathConsistently) {
       selectivity::EvaluateAccuracy(hist, queries, truth);
   double mean_abs = 0.0;
   for (const selectivity::RangeQuery& q : queries) {
-    mean_abs += std::fabs(hist.EstimateRange(q.lo, q.hi) - truth(q));
+    mean_abs +=
+        std::fabs(hist.Answer(selectivity::Query::Range(q.lo, q.hi)) - truth(q));
   }
   mean_abs /= static_cast<double>(queries.size());
   EXPECT_EQ(acc.mean_abs_error, mean_abs);

@@ -192,9 +192,9 @@ TEST(SelectivityStackTest, SketchTracksDistributionDrift) {
   ASSERT_TRUE(sketch.ok());
   stats::Rng rng(66);
   for (int i = 0; i < 4096; ++i) sketch->Insert(rng.UniformDouble());
-  const double before = sketch->EstimateRange(0.4, 0.6);
+  const double before = sketch->Answer(selectivity::Query::Range(0.4, 0.6));
   for (int i = 0; i < 32768; ++i) sketch->Insert(rng.Uniform(0.45, 0.55));
-  const double after = sketch->EstimateRange(0.4, 0.6);
+  const double after = sketch->Answer(selectivity::Query::Range(0.4, 0.6));
   EXPECT_NEAR(before, 0.2, 0.05);
   EXPECT_GT(after, 0.6);
 }

@@ -7,6 +7,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <memory>
+#include <string>
 #include <vector>
 
 #include "core/binned.hpp"
@@ -14,6 +16,8 @@
 #include "core/cross_validation.hpp"
 #include "core/estimator.hpp"
 #include "parallel/thread_pool.hpp"
+#include "selectivity/estimator_registry.hpp"
+#include "selectivity/estimator_spec.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "selectivity/query_workload.hpp"
@@ -280,7 +284,8 @@ TEST(SelectivityMergeTest, EquiWidthMergeIsExact) {
   ASSERT_TRUE(left.MergeFrom(right).ok());
   EXPECT_EQ(left.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    EXPECT_EQ(left.EstimateRange(a, a + 0.1), sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(left.Answer(selectivity::Query::Range(a, a + 0.1)),
+              sequential.Answer(selectivity::Query::Range(a, a + 0.1)));
   }
 }
 
@@ -307,8 +312,10 @@ TEST(SelectivityMergeTest, EquiDepthAndKdeMergeMatchSequential) {
   // MergeFrom appends in order, so the merged buffers equal the sequential
   // buffers element-for-element: answers are bit-identical.
   for (double a = 0.0; a < 0.9; a += 0.11) {
-    EXPECT_EQ(ed_left.EstimateRange(a, a + 0.08), ed_seq.EstimateRange(a, a + 0.08));
-    EXPECT_EQ(kde_left.EstimateRange(a, a + 0.08), kde_seq.EstimateRange(a, a + 0.08));
+    EXPECT_EQ(ed_left.Answer(selectivity::Query::Range(a, a + 0.08)),
+              ed_seq.Answer(selectivity::Query::Range(a, a + 0.08)));
+    EXPECT_EQ(kde_left.Answer(selectivity::Query::Range(a, a + 0.08)),
+              kde_seq.Answer(selectivity::Query::Range(a, a + 0.08)));
   }
 }
 
@@ -330,7 +337,8 @@ TEST(SelectivityMergeTest, SynopsisMergeIsExact) {
   right.InsertBatch(all.subspan(2700));
   ASSERT_TRUE(left.MergeFrom(right).ok());
   for (double a = 0.0; a < 0.9; a += 0.09) {
-    EXPECT_EQ(left.EstimateRange(a, a + 0.1), sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(left.Answer(selectivity::Query::Range(a, a + 0.1)),
+              sequential.Answer(selectivity::Query::Range(a, a + 0.1)));
   }
 }
 
@@ -348,8 +356,8 @@ TEST(SelectivityMergeTest, SketchMergeMatchesSequentialWithinTolerance) {
   ASSERT_TRUE(left.MergeFrom(right).ok());
   EXPECT_EQ(left.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    ExpectRelNear(left.EstimateRange(a, a + 0.1),
-                  sequential.EstimateRange(a, a + 0.1), 1e-12);
+    ExpectRelNear(left.Answer(selectivity::Query::Range(a, a + 0.1)),
+                  sequential.Answer(selectivity::Query::Range(a, a + 0.1)), 1e-12);
   }
 }
 
@@ -460,7 +468,7 @@ TEST(ReservoirMergeTest, WeightedUnionSamplesBothSidesProportionally) {
   ASSERT_TRUE(a.MergeFrom(b).ok());
   EXPECT_EQ(a.count(), 60000u);
   // Binomial sd at p=2/3, n=1024 is ~0.015; 0.08 is a > 5 sigma margin.
-  EXPECT_NEAR(a.EstimateRange(0.0, 0.5), 2.0 / 3.0, 0.08);
+  EXPECT_NEAR(a.Answer(selectivity::Query::Range(0.0, 0.5)), 2.0 / 3.0, 0.08);
 }
 
 TEST(ReservoirMergeTest, RejectsCapacityMismatchAndSelfMerge) {
@@ -468,7 +476,6 @@ TEST(ReservoirMergeTest, RejectsCapacityMismatchAndSelfMerge) {
   selectivity::ReservoirSampleSelectivity a(64), other_capacity(32);
   a.InsertBatch(xs);
   other_capacity.InsertBatch(xs);
-  EXPECT_TRUE(a.mergeable());
   EXPECT_FALSE(a.MergeFrom(other_capacity).ok());
   EXPECT_FALSE(a.MergeFrom(a).ok());
   EXPECT_EQ(a.count(), xs.size());
@@ -495,7 +502,7 @@ TEST(ReservoirMergeTest, ShardedReservoirIsDeterministicAcrossPoolWidths) {
     sharded.InsertBatch(xs);
     std::vector<double> answers;
     for (double a = 0.0; a < 0.9; a += 0.1) {
-      answers.push_back(sharded.EstimateRange(a, a + 0.1));
+      answers.push_back(sharded.Answer(selectivity::Query::Range(a, a + 0.1)));
     }
     return answers;
   };
@@ -516,7 +523,7 @@ TEST(SelectivityMergeTest, RejectsTypeAndConfigMismatches) {
     return *selectivity::StreamingWaveletSelectivity::Create(Sym8Basis(), options);
   }();
 
-  EXPECT_FALSE(hist.MergeFrom(sketch).ok());  // different concrete type
+  EXPECT_FALSE(hist.MergeFrom(sketch).ok());  // different snapshot_type_tag()
   EXPECT_FALSE(sketch.MergeFrom(hist).ok());
   EXPECT_FALSE(hist.MergeFrom(more_buckets).ok());
   EXPECT_FALSE(hist.MergeFrom(other_domain).ok());
@@ -529,23 +536,38 @@ TEST(SelectivityMergeTest, RejectsTypeAndConfigMismatches) {
   EXPECT_TRUE(hist.MergeFrom(*clone).ok());
 }
 
+TEST(SelectivityMergeTest, DistinctTypesAreRejectedByTheirTypeTag) {
+  // snapshot_type_tag() is the one type identity: every pair of distinct
+  // registered types refuses to merge, in both directions, before any
+  // static_cast, while a same-type empty twin merges.
+  const selectivity::EstimatorRegistry& registry =
+      selectivity::EstimatorRegistry::Global();
+  std::vector<std::unique_ptr<selectivity::SelectivityEstimator>> all;
+  for (const std::string& tag : registry.Tags()) {
+    selectivity::EstimatorSpec spec;
+    spec.tag = tag;
+    spec.dims = registry.NativeDims(tag);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> made =
+        selectivity::MakeEstimator(spec);
+    ASSERT_TRUE(made.ok()) << tag;
+    ASSERT_EQ(std::string((*made)->snapshot_type_tag()), tag);
+    all.push_back(std::move(made).value());
+  }
+  for (const auto& a : all) {
+    EXPECT_TRUE(a->MergeFrom(*a->CloneEmpty()).ok()) << a->name();
+    for (const auto& b : all) {
+      if (a == b) continue;
+      const Status merged = a->MergeFrom(*b);
+      EXPECT_EQ(merged.code(), StatusCode::kFailedPrecondition)
+          << a->name() << " <- " << b->name();
+    }
+  }
+}
+
 // --------------------------------------------- ShardedSelectivityEstimator
-
-// A minimal estimator without the mergeability capabilities (the reservoir
-// gained them in PR 4, so the "cannot shard" case needs a dedicated stub).
-class NotMergeableEstimator : public selectivity::SelectivityEstimator {
- public:
-  void Insert(double) override {}
-  size_t count() const override { return 0; }
-  std::string name() const override { return "not-mergeable"; }
-
- protected:
-  double EstimateRangeImpl(double, double) const override { return 0.0; }
-};
 
 TEST(ShardedTest, CreateValidatesOptions) {
   selectivity::EquiWidthHistogram hist(0.0, 1.0, 64);
-  NotMergeableEstimator not_mergeable;
   selectivity::ShardedSelectivityEstimator::Options options;
   options.shards = 0;
   EXPECT_FALSE(
@@ -554,11 +576,20 @@ TEST(ShardedTest, CreateValidatesOptions) {
   options.block_size = 0;
   EXPECT_FALSE(
       selectivity::ShardedSelectivityEstimator::Create(hist, options).ok());
-  options = {};
-  // Non-mergeable prototypes cannot be sharded.
-  EXPECT_FALSE(
-      selectivity::ShardedSelectivityEstimator::Create(not_mergeable, options)
-          .ok());
+}
+
+TEST(ShardedTest, CreateRejectsShardedPrototype) {
+  // The spec path refuses sharded-inside-sharded; Create holds the same line,
+  // so no entry point can build the nested engine.
+  selectivity::EquiWidthHistogram hist(0.0, 1.0, 16);
+  selectivity::ShardedSelectivityEstimator::Options options;
+  options.shards = 2;
+  const selectivity::ShardedSelectivityEstimator inner =
+      *selectivity::ShardedSelectivityEstimator::Create(hist, options);
+  Result<selectivity::ShardedSelectivityEstimator> nested =
+      selectivity::ShardedSelectivityEstimator::Create(inner, options);
+  ASSERT_FALSE(nested.ok());
+  EXPECT_NE(nested.status().message().find("nesting sharded"), std::string::npos);
 }
 
 TEST(ShardedTest, ShardedHistogramMatchesSequentialExactly) {
@@ -579,9 +610,10 @@ TEST(ShardedTest, ShardedHistogramMatchesSequentialExactly) {
   const std::vector<selectivity::RangeQuery> queries =
       selectivity::UniformRangeWorkload(rng, 100, 0.0, 1.0);
   std::vector<double> got(queries.size());
-  sharded.EstimateBatch(queries, got);
+  sharded.Answer(selectivity::AsRangeQueries(queries), got);
   for (size_t i = 0; i < queries.size(); ++i) {
-    EXPECT_EQ(got[i], sequential.EstimateRange(queries[i].lo, queries[i].hi));
+    EXPECT_EQ(got[i], sequential.Answer(
+                          selectivity::Query::Range(queries[i].lo, queries[i].hi)));
   }
 }
 
@@ -600,16 +632,16 @@ TEST(ShardedTest, ShardedSketchMatchesSequentialWithinTolerance) {
 
   EXPECT_EQ(sharded.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    ExpectRelNear(sharded.EstimateRange(a, a + 0.1),
-                  sequential.EstimateRange(a, a + 0.1), 1e-12);
+    ExpectRelNear(sharded.Answer(selectivity::Query::Range(a, a + 0.1)),
+                  sequential.Answer(selectivity::Query::Range(a, a + 0.1)), 1e-12);
   }
 }
 
 TEST(ShardedTest, FixedShardCountIsBitIdenticalAcrossPoolSizes) {
   const std::vector<double> xs = UnitStream(14, 1 << 14);
   stats::Rng rng(141);
-  const std::vector<selectivity::RangeQuery> queries =
-      selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0);
+  const std::vector<selectivity::Query> queries = selectivity::AsRangeQueries(
+      selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0));
 
   const auto run = [&](parallel::ThreadPool* pool) {
     const selectivity::StreamingWaveletSelectivity prototype = MakeSketch(2048);
@@ -625,7 +657,7 @@ TEST(ShardedTest, FixedShardCountIsBitIdenticalAcrossPoolSizes) {
     sharded.InsertBatch(all.subspan(5000, 3));
     sharded.InsertBatch(all.subspan(5003));
     std::vector<double> answers(queries.size());
-    sharded.EstimateBatch(queries, answers);
+    sharded.Answer(queries, answers);
     return answers;
   };
 
@@ -656,7 +688,8 @@ TEST(ShardedTest, ScalarInsertMatchesInsertBatchBitwise) {
     EXPECT_EQ(scalar.shard(s).count(), batch.shard(s).count()) << "shard " << s;
   }
   for (double a = 0.0; a < 0.9; a += 0.05) {
-    EXPECT_EQ(scalar.EstimateRange(a, a + 0.1), batch.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(scalar.Answer(selectivity::Query::Range(a, a + 0.1)),
+              batch.Answer(selectivity::Query::Range(a, a + 0.1)));
   }
 }
 
@@ -667,8 +700,8 @@ TEST(ShardedTest, EmptyBatchesAreNoOps) {
   sharded.InsertBatch(std::span<const double>());
   sharded.InsertBatch(std::span<const double>(static_cast<const double*>(nullptr), 0));
   EXPECT_EQ(sharded.count(), 0u);
-  sharded.EstimateBatch({}, {});
-  EXPECT_DOUBLE_EQ(sharded.EstimateRange(0.2, 0.8), 0.0);
+  sharded.Answer({}, {});
+  EXPECT_DOUBLE_EQ(sharded.Answer(selectivity::Query::Range(0.2, 0.8)), 0.0);
 }
 
 TEST(ShardedTest, MergeRefreshIntervalAnswersFromStaleView) {
@@ -691,11 +724,11 @@ TEST(ShardedTest, MergeRefreshIntervalAnswersFromStaleView) {
   // 50 < 100 pending values: the view is allowed to stay stale...
   EXPECT_EQ(sharded.count(), 60u);
   EXPECT_EQ(sharded.MergedView().count(), 10u);
-  EXPECT_DOUBLE_EQ(sharded.EstimateRange(0.5, 1.0), 0.0);
+  EXPECT_DOUBLE_EQ(sharded.Answer(selectivity::Query::Range(0.5, 1.0)), 0.0);
   // ...until the cadence is crossed, which refreshes it.
   sharded.InsertBatch(second);
   EXPECT_EQ(sharded.MergedView().count(), 110u);
-  EXPECT_NEAR(sharded.EstimateRange(0.5, 1.0), 100.0 / 110.0, 1e-12);
+  EXPECT_NEAR(sharded.Answer(selectivity::Query::Range(0.5, 1.0)), 100.0 / 110.0, 1e-12);
 }
 
 TEST(ShardedTest, ShardedMergesShardWise) {
@@ -717,8 +750,8 @@ TEST(ShardedTest, ShardedMergesShardWise) {
   sequential.InsertBatch(all);
   EXPECT_EQ(node_a.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.06) {
-    EXPECT_EQ(node_a.EstimateRange(a, a + 0.1),
-              sequential.EstimateRange(a, a + 0.1));
+    EXPECT_EQ(node_a.Answer(selectivity::Query::Range(a, a + 0.1)),
+              sequential.Answer(selectivity::Query::Range(a, a + 0.1)));
   }
 
   // Layout mismatches are rejected.

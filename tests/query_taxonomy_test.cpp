@@ -166,26 +166,23 @@ TEST(QueryTaxonomyTest, SpecValidationRejectsBadFields) {
 }
 
 TEST(QueryTaxonomyTest, EveryKindLowersOntoTheRangePrimitive) {
-  // The documented lowering, asserted bitwise against the legacy range entry
-  // point for every estimator — including the ones with cheaper per-kind
+  // The documented lowering, asserted bitwise against Query::Range for every
+  // estimator — including the ones with cheaper per-kind
   // override paths (prefix sums, windowed kernel CDF, batched signed-CDF).
   for (auto& est : MakeIngestedEstimators(1201, 4000)) {
     stats::Rng rng(7);
     for (int rep = 0; rep < 40; ++rep) {
       const double x = rng.Uniform(-0.1, 1.1);
-      EXPECT_EQ(est->Answer(Query::Less(x)), est->EstimateRange(-kInf, x))
+      EXPECT_EQ(est->Answer(Query::Less(x)), est->Answer(Query::Range(-kInf, x)))
           << est->name() << " x=" << x;
-      EXPECT_EQ(est->Answer(Query::Cdf(x)), est->EstimateRange(-kInf, x))
+      EXPECT_EQ(est->Answer(Query::Cdf(x)), est->Answer(Query::Range(-kInf, x)))
           << est->name() << " x=" << x;
-      EXPECT_EQ(est->Answer(Query::Greater(x)), est->EstimateRange(x, kInf))
+      EXPECT_EQ(est->Answer(Query::Greater(x)), est->Answer(Query::Range(x, kInf)))
           << est->name() << " x=" << x;
       const double half = 0.5 * est->EqualityWidth();
       EXPECT_EQ(est->Answer(Query::Point(x)),
-                est->EstimateRange(x - half, x + half))
+                est->Answer(Query::Range(x - half, x + half)))
           << est->name() << " x=" << x;
-      const double y = rng.Uniform(-0.1, 1.1);
-      EXPECT_EQ(est->Answer(Query::Range(x, y)), est->EstimateRange(x, y))
-          << est->name();
     }
   }
 }
@@ -200,15 +197,16 @@ TEST(QueryTaxonomyTest, NanParametersAnswerZeroForEveryKind) {
     EXPECT_EQ(est->Answer(Query::Greater(kNan)), 0.0) << est->name();
     EXPECT_EQ(est->Answer(Query::Cdf(kNan)), 0.0) << est->name();
     EXPECT_EQ(est->Answer(Query::Quantile(kNan)), 0.0) << est->name();
-    // The legacy entry points inherit the same normalization.
-    EXPECT_EQ(est->EstimateRange(kNan, 0.5), 0.0) << est->name();
-    EXPECT_EQ(est->EstimateRange(0.5, kNan), 0.0) << est->name();
-    const std::vector<RangeQuery> queries{{0.2, 0.8}, {kNan, 0.5}, {0.1, 0.9}};
+    // Inside a batch, a NaN query answers 0.0 and leaves its neighbours'
+    // answers untouched.
+    const std::vector<Query> queries{Query::Range(0.2, 0.8),
+                                     Query::Range(kNan, 0.5),
+                                     Query::Range(0.1, 0.9)};
     std::vector<double> answers(queries.size());
-    est->EstimateBatch(queries, answers);
-    EXPECT_EQ(answers[0], est->EstimateRange(0.2, 0.8)) << est->name();
+    est->Answer(queries, answers);
+    EXPECT_EQ(answers[0], est->Answer(Query::Range(0.2, 0.8))) << est->name();
     EXPECT_EQ(answers[1], 0.0) << est->name();
-    EXPECT_EQ(answers[2], est->EstimateRange(0.1, 0.9)) << est->name();
+    EXPECT_EQ(answers[2], est->Answer(Query::Range(0.1, 0.9))) << est->name();
   }
 }
 
@@ -280,7 +278,7 @@ TEST(QueryTaxonomyTest, MultiDimKindsLowerAsDocumented) {
       double a = rng.Uniform(-0.1, 1.1);
       double b = rng.Uniform(-0.1, 1.1);
       if (b < a) std::swap(a, b);
-      EXPECT_EQ(est->Answer(Query::Marginal(0, a, b)), est->EstimateRange(a, b))
+      EXPECT_EQ(est->Answer(Query::Marginal(0, a, b)), est->Answer(Query::Range(a, b)))
           << est->name();
     }
     EXPECT_EQ(est->Answer(Query::Marginal(7, 0.2, 0.8)), 0.0) << est->name();
@@ -316,7 +314,7 @@ TEST(QueryTaxonomyTest, MultiDimKindsLowerAsDocumented) {
 
 TEST(QueryTaxonomyTest, InfiniteEndpointsAreLegalRangeLimits) {
   for (auto& est : MakeIngestedEstimators(1501, 2000)) {
-    const double total = est->EstimateRange(-kInf, kInf);
+    const double total = est->Answer(Query::Range(-kInf, kInf));
     EXPECT_GE(total, 0.9) << est->name();
     EXPECT_LE(total, 1.0 + 1e-9) << est->name();
     EXPECT_EQ(est->Answer(Query::Less(kInf)), total) << est->name();

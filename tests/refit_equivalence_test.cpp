@@ -118,24 +118,22 @@ TEST(RefitEquivalenceTest, EveryTagAnswersBitIdenticallyInBothModes) {
     // Merge schedule: fold a separately grown peer (same mode) into each and
     // keep going — a merge resets fitted caches, the next refit must
     // re-converge the modes bitwise.
-    if (incremental->mergeable()) {
-      std::unique_ptr<selectivity::SelectivityEstimator> peer_inc =
-          Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
-      std::unique_ptr<selectivity::SelectivityEstimator> peer_scr =
-          Make(SpecFor(tag, selectivity::RefitMode::kScratch));
-      const std::vector<double> peer_xs = UnitStream(99, 777);
-      peer_inc->InsertBatch(peer_xs);
-      peer_scr->InsertBatch(peer_xs);
-      (void)Answers(*peer_inc, queries);  // fit the peers before merging
-      (void)Answers(*peer_scr, queries);
-      ASSERT_TRUE(incremental->MergeFrom(*peer_inc).ok());
-      ASSERT_TRUE(scratch->MergeFrom(*peer_scr).ok());
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
-      const std::vector<double> more = UnitStream(100, 300);
-      incremental->InsertBatch(more);
-      scratch->InsertBatch(more);
-      EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
-    }
+    std::unique_ptr<selectivity::SelectivityEstimator> peer_inc =
+        Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
+    std::unique_ptr<selectivity::SelectivityEstimator> peer_scr =
+        Make(SpecFor(tag, selectivity::RefitMode::kScratch));
+    const std::vector<double> peer_xs = UnitStream(99, 777);
+    peer_inc->InsertBatch(peer_xs);
+    peer_scr->InsertBatch(peer_xs);
+    (void)Answers(*peer_inc, queries);  // fit the peers before merging
+    (void)Answers(*peer_scr, queries);
+    ASSERT_TRUE(incremental->MergeFrom(*peer_inc).ok());
+    ASSERT_TRUE(scratch->MergeFrom(*peer_scr).ok());
+    EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
+    const std::vector<double> more = UnitStream(100, 300);
+    incremental->InsertBatch(more);
+    scratch->InsertBatch(more);
+    EXPECT_EQ(Answers(*incremental, queries), Answers(*scratch, queries));
   }
 }
 

@@ -34,17 +34,17 @@ TEST(EquiWidthTest, ExactForAlignedRanges) {
   EquiWidthHistogram hist(0.0, 1.0, 10);
   for (int i = 0; i < 1000; ++i) hist.Insert((i % 10) / 10.0 + 0.05);
   EXPECT_EQ(hist.count(), 1000u);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.5), 0.5, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.3, 0.4), 0.1, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 1.0), 1.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.5)), 0.5, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.3, 0.4)), 0.1, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 1.0)), 1.0, 1e-12);
 }
 
 TEST(EquiWidthTest, InterpolatesWithinBuckets) {
   EquiWidthHistogram hist(0.0, 1.0, 2);
   for (int i = 0; i < 100; ++i) hist.Insert(0.25);  // all in bucket [0, 0.5)
   // Continuous-uniform assumption: half of bucket 0 -> half the mass.
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.25), 0.5, 1e-12);
-  EXPECT_NEAR(hist.EstimateRange(0.5, 1.0), 0.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.25)), 0.5, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.5, 1.0)), 0.0, 1e-12);
 }
 
 TEST(EquiWidthTest, ClampsOutOfDomainValues) {
@@ -52,12 +52,12 @@ TEST(EquiWidthTest, ClampsOutOfDomainValues) {
   hist.Insert(-3.0);
   hist.Insert(7.0);
   EXPECT_EQ(hist.count(), 2u);
-  EXPECT_NEAR(hist.EstimateRange(0.0, 1.0), 1.0, 1e-12);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 1.0)), 1.0, 1e-12);
 }
 
 TEST(EquiWidthTest, EmptyHistogramReturnsZero) {
   EquiWidthHistogram hist(0.0, 1.0, 4);
-  EXPECT_DOUBLE_EQ(hist.EstimateRange(0.2, 0.8), 0.0);
+  EXPECT_DOUBLE_EQ(hist.Answer(Query::Range(0.2, 0.8)), 0.0);
 }
 
 TEST(EquiDepthTest, QuantileBoundaries) {
@@ -65,8 +65,8 @@ TEST(EquiDepthTest, QuantileBoundaries) {
   stats::Rng rng(3);
   for (int i = 0; i < 4000; ++i) hist.Insert(rng.UniformDouble());
   // Uniform data: equi-depth ≈ equi-width.
-  EXPECT_NEAR(hist.EstimateRange(0.0, 0.25), 0.25, 0.03);
-  EXPECT_NEAR(hist.EstimateRange(0.25, 0.75), 0.5, 0.03);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.0, 0.25)), 0.25, 0.03);
+  EXPECT_NEAR(hist.Answer(Query::Range(0.25, 0.75)), 0.5, 0.03);
 }
 
 TEST(EquiDepthTest, AdaptsToSkew) {
@@ -82,16 +82,16 @@ TEST(EquiDepthTest, AdaptsToSkew) {
     wide.Insert(x);
   }
   const double truth = 0.45;  // P(X <= 0.05)
-  EXPECT_NEAR(deep.EstimateRange(0.0, 0.05), truth, 0.05);
-  EXPECT_GT(std::fabs(wide.EstimateRange(0.0, 0.05) - truth), 0.2);
+  EXPECT_NEAR(deep.Answer(Query::Range(0.0, 0.05)), truth, 0.05);
+  EXPECT_GT(std::fabs(wide.Answer(Query::Range(0.0, 0.05)) - truth), 0.2);
 }
 
 TEST(EquiDepthTest, RebuildIsLazyButConsistent) {
   EquiDepthHistogram hist(0.0, 1.0, 4);
   for (int i = 1; i <= 100; ++i) hist.Insert(i / 101.0);
-  const double first = hist.EstimateRange(0.0, 0.5);
+  const double first = hist.Answer(Query::Range(0.0, 0.5));
   for (int i = 1; i <= 100; ++i) hist.Insert(i / 101.0);
-  const double second = hist.EstimateRange(0.0, 0.5);
+  const double second = hist.Answer(Query::Range(0.0, 0.5));
   EXPECT_NEAR(first, second, 0.02);  // same distribution, rebuilt boundaries
 }
 
@@ -102,7 +102,7 @@ TEST(ReservoirTest, KeepsEverythingBelowCapacity) {
   for (int i = 0; i < 50; ++i) res.Insert(i / 50.0);
   EXPECT_EQ(res.reservoir().size(), 50u);
   EXPECT_EQ(res.count(), 50u);
-  EXPECT_NEAR(res.EstimateRange(0.0, 0.5), 0.5, 0.03);
+  EXPECT_NEAR(res.Answer(Query::Range(0.0, 0.5)), 0.5, 0.03);
 }
 
 TEST(ReservoirTest, CapacityBounded) {
@@ -116,7 +116,7 @@ TEST(ReservoirTest, UnbiasedOnStream) {
   ReservoirSampleSelectivity res(512, 9);
   stats::Rng rng(11);
   for (int i = 0; i < 50000; ++i) res.Insert(rng.UniformDouble());
-  EXPECT_NEAR(res.EstimateRange(0.2, 0.6), 0.4, 0.08);
+  EXPECT_NEAR(res.Answer(Query::Range(0.2, 0.6)), 0.4, 0.08);
 }
 
 // ---------------------------------------------------------- wavelet sketch
@@ -158,7 +158,7 @@ TEST(StreamingWaveletTest, MatchesBatchEstimate) {
   streaming->Refit();
   for (const auto& [a, b] : std::vector<std::pair<double, double>>{
            {0.1, 0.4}, {0.0, 1.0}, {0.6, 0.61}}) {
-    EXPECT_NEAR(streaming->EstimateRange(a, b),
+    EXPECT_NEAR(streaming->Answer(Query::Range(a, b)),
                 std::clamp(estimate.IntegrateRange(a, b), 0.0, 1.0), 1e-12);
   }
 }
@@ -176,7 +176,7 @@ TEST(StreamingWaveletTest, AccurateOnBimodalStream) {
   for (const auto& [a, b] : std::vector<std::pair<double, double>>{
            {0.25, 0.35}, {0.6, 0.7}, {0.45, 0.55}, {0.0, 0.5}}) {
     const double truth = density.Cdf(b) - density.Cdf(a);
-    EXPECT_NEAR(sketch->EstimateRange(a, b), truth, 0.05)
+    EXPECT_NEAR(sketch->Answer(Query::Range(a, b)), truth, 0.05)
         << "[" << a << "," << b << "]";
   }
 }
@@ -186,7 +186,7 @@ TEST(StreamingWaveletTest, EmptySketchReturnsZero) {
   Result<StreamingWaveletSelectivity> sketch =
       StreamingWaveletSelectivity::Create(Sym8Basis(), options);
   ASSERT_TRUE(sketch.ok());
-  EXPECT_DOUBLE_EQ(sketch->EstimateRange(0.1, 0.9), 0.0);
+  EXPECT_DOUBLE_EQ(sketch->Answer(Query::Range(0.1, 0.9)), 0.0);
   EXPECT_DOUBLE_EQ(sketch->EstimateDensity(0.5), 0.0);
 }
 
@@ -237,8 +237,8 @@ TEST(WaveletSynopsisTest, ExactOnUniformWithGenerousBudget) {
       WaveletSynopsisSelectivity::Create(options);
   ASSERT_TRUE(synopsis.ok());
   for (int i = 0; i < 6400; ++i) synopsis->Insert((i % 64 + 0.5) / 64.0);
-  EXPECT_NEAR(synopsis->EstimateRange(0.0, 0.5), 0.5, 1e-9);
-  EXPECT_NEAR(synopsis->EstimateRange(0.25, 0.75), 0.5, 1e-9);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.0, 0.5)), 0.5, 1e-9);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.25, 0.75)), 0.5, 1e-9);
 }
 
 TEST(WaveletSynopsisTest, BudgetBoundsRetainedCoefficients) {
@@ -267,7 +267,7 @@ TEST(WaveletSynopsisTest, CapturesCoarseStructureUnderTightBudget) {
     synopsis->Insert(rng.Bernoulli(0.8) ? rng.Uniform(0.0, 0.25)
                                         : rng.Uniform(0.25, 1.0));
   }
-  EXPECT_NEAR(synopsis->EstimateRange(0.0, 0.25), 0.8, 0.05);
+  EXPECT_NEAR(synopsis->Answer(Query::Range(0.0, 0.25)), 0.8, 0.05);
 }
 
 TEST(WaveletSynopsisTest, AdaptiveSketchBeatsSynopsisOnSharpBimodal) {
@@ -329,7 +329,7 @@ TEST(DirtyInputTest, NonFiniteValuesAreDropped) {
     est->Insert(-kInf);
     EXPECT_EQ(est->count(), 1u) << est->name();
     // Queries still work after dirty input.
-    const double sel = est->EstimateRange(0.0, 1.0);
+    const double sel = est->Answer(Query::Range(0.0, 1.0));
     EXPECT_GE(sel, 0.0) << est->name();
     EXPECT_LE(sel, 1.0 + 1e-9) << est->name();
   }
@@ -337,8 +337,8 @@ TEST(DirtyInputTest, NonFiniteValuesAreDropped) {
 
 // ----------------------------------------------------------- inverted ranges
 
-TEST(InvertedRangeTest, EstimateRangeNormalizesSwappedEndpoints) {
-  // One documented choice, made at the interface: EstimateRange(a, b) with
+TEST(InvertedRangeTest, RangeQueriesNormalizeSwappedEndpoints) {
+  // One documented choice, made at the interface: Query::Range(a, b) with
   // a > b denotes the same predicate as [b, a] — every implementation (and
   // any future one: the swap lives in the non-virtual entry point) must give
   // identical answers for both orders.
@@ -364,17 +364,18 @@ TEST(InvertedRangeTest, EstimateRangeNormalizesSwappedEndpoints) {
   for (SelectivityEstimator* est : all) {
     for (const auto& [a, b] : std::vector<std::pair<double, double>>{
              {0.2, 0.7}, {0.0, 1.0}, {0.45, 0.55}, {-0.5, 1.5}}) {
-      EXPECT_EQ(est->EstimateRange(b, a), est->EstimateRange(a, b))
+      EXPECT_EQ(est->Answer(Query::Range(b, a)), est->Answer(Query::Range(a, b)))
           << est->name() << " [" << b << ", " << a << "]";
-      EXPECT_GE(est->EstimateRange(b, a), 0.0) << est->name();
+      EXPECT_GE(est->Answer(Query::Range(b, a)), 0.0) << est->name();
     }
     // The batch path answers inverted queries identically to the scalar path.
-    const std::vector<RangeQuery> inverted{{0.7, 0.2}, {1.0, 0.0}, {0.55, 0.45}};
+    const std::vector<Query> inverted{Query::Range(0.7, 0.2),
+                                      Query::Range(1.0, 0.0),
+                                      Query::Range(0.55, 0.45)};
     std::vector<double> answers(inverted.size());
-    est->EstimateBatch(inverted, answers);
+    est->Answer(inverted, answers);
     for (size_t i = 0; i < inverted.size(); ++i) {
-      EXPECT_EQ(answers[i], est->EstimateRange(inverted[i].lo, inverted[i].hi))
-          << est->name();
+      EXPECT_EQ(answers[i], est->Answer(inverted[i])) << est->name();
     }
   }
 }
@@ -403,13 +404,13 @@ TEST(EmptySpanTest, BatchEntryPointsAreNoOps) {
     est->InsertBatch({});
     est->InsertBatch(null_span);
     EXPECT_EQ(est->count(), 0u) << est->name();
-    est->EstimateBatch({}, {});  // zero queries: touches nothing
+    est->Answer({}, {});  // zero queries: touches nothing
     est->Insert(0.5);
     est->InsertBatch(null_span);
     EXPECT_EQ(est->count(), 1u) << est->name();
-    const double before = est->EstimateRange(0.0, 1.0);
-    est->EstimateBatch(std::span<const RangeQuery>(), std::span<double>());
-    EXPECT_EQ(est->EstimateRange(0.0, 1.0), before) << est->name();
+    const double before = est->Answer(Query::Range(0.0, 1.0));
+    est->Answer(std::span<const Query>(), std::span<double>());
+    EXPECT_EQ(est->Answer(Query::Range(0.0, 1.0)), before) << est->name();
   }
 }
 
@@ -420,7 +421,7 @@ TEST(KdeSelectivityTest, MatchesTruthOnUniform) {
   KdeSelectivity kde(options);
   stats::Rng rng(23);
   for (int i = 0; i < 4000; ++i) kde.Insert(rng.UniformDouble());
-  EXPECT_NEAR(kde.EstimateRange(0.2, 0.7), 0.5, 0.05);
+  EXPECT_NEAR(kde.Answer(Query::Range(0.2, 0.7)), 0.5, 0.05);
 }
 
 TEST(KdeSelectivityTest, TinySampleFallback) {
@@ -428,7 +429,7 @@ TEST(KdeSelectivityTest, TinySampleFallback) {
   KdeSelectivity kde(options);
   kde.Insert(0.3);
   kde.Insert(0.6);
-  EXPECT_NEAR(kde.EstimateRange(0.0, 0.5), 0.5, 1e-12);
+  EXPECT_NEAR(kde.Answer(Query::Range(0.0, 0.5)), 0.5, 1e-12);
 }
 
 // ------------------------------------------------------------------ workload
@@ -453,12 +454,11 @@ TEST(WorkloadTest, CenteredQueriesRespectWidths) {
 
 TEST(WorkloadTest, AccuracyOfPerfectEstimatorIsIdeal) {
   // An estimator that answers with the truth must have zero error and
-  // q-error exactly 1.
-  class Oracle : public SelectivityEstimator {
+  // q-error exactly 1. The stub reuses a concrete estimator for everything
+  // but the range primitive.
+  class Oracle : public EquiWidthHistogram {
    public:
-    void Insert(double) override {}
-    size_t count() const override { return 1; }
-    std::string name() const override { return "oracle"; }
+    Oracle() : EquiWidthHistogram(0.0, 1.0, 1) {}
 
    protected:
     double EstimateRangeImpl(double a, double b) const override { return (b - a); }
@@ -475,11 +475,9 @@ TEST(WorkloadTest, AccuracyOfPerfectEstimatorIsIdeal) {
 }
 
 TEST(WorkloadTest, AccuracyDetectsBias) {
-  class Biased : public SelectivityEstimator {
+  class Biased : public EquiWidthHistogram {
    public:
-    void Insert(double) override {}
-    size_t count() const override { return 1; }
-    std::string name() const override { return "biased"; }
+    Biased() : EquiWidthHistogram(0.0, 1.0, 1) {}
 
    protected:
     double EstimateRangeImpl(double a, double b) const override {

@@ -493,30 +493,9 @@ TEST(EstimatorServiceTest, FailedCheckpointKeepsThePreviousOne) {
   std::remove(path.c_str());
 }
 
-TEST(EstimatorServiceTest, AdmissionBatcherMatchesDirectAnswersBitwise) {
-  serving::ServiceOptions options;
-  options.publish_interval = 0;
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
-  service->InsertBatch(UnitStream(81, 4000));
-  service->Publish();
-
-  const std::vector<selectivity::Query> queries = MixedWorkload(82, 100);
-  const std::vector<double> direct = Answers(*service, queries);
-
-  std::vector<double> batched(queries.size(), -1.0);
-  {
-    serving::AdmissionBatcher batcher(*service, 16);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      batcher.Enqueue(queries[i], &batched[i]);
-      EXPECT_LT(batcher.pending(), 16u);  // auto-flush keeps the buffer bounded
-    }
-  }  // destructor flushes the partial tail
-  EXPECT_EQ(batched, direct);
-}
-
-TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
-  // The reservoir cannot be sharded (no MergeFrom), but the service's
-  // CloneForView publish path serves it all the same.
+TEST(EstimatorServiceTest, ServesAnUnshardedReservoirWriter) {
+  // The service publishes through CloneForView alone, so a bare (unsharded)
+  // reservoir writer is served like the sharded production configuration.
   selectivity::EstimatorSpec spec;
   spec.tag = "reservoir";
   spec.capacity = 256;
@@ -532,19 +511,6 @@ TEST(EstimatorServiceTest, ServesEveryRegisteredWriterIncludingUnmergeable) {
   EXPECT_EQ(via_service, Answers(*service->CurrentView().estimator, queries));
 }
 
-/// A snapshotable estimator that offers no CloneForView(): it cannot be
-/// served.
-class ViewlessEstimator final : public selectivity::SelectivityEstimator {
- public:
-  void Insert(double) override {}
-  size_t count() const override { return 0; }
-  std::string name() const override { return "viewless"; }
-  const char* snapshot_type_tag() const override { return "viewless"; }
-
- protected:
-  double EstimateRangeImpl(double, double) const override { return 0.0; }
-};
-
 TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(
       serving::EstimatorService::Create(nullptr, serving::ServiceOptions{})
@@ -559,11 +525,6 @@ TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
   EXPECT_FALSE(serving::EstimatorService::Create(ShardedHistogramSpec(),
                                                  negative_staleness)
                    .ok());
-  Result<std::unique_ptr<serving::EstimatorService>> viewless =
-      serving::EstimatorService::Create(std::make_unique<ViewlessEstimator>(),
-                                        serving::ServiceOptions{});
-  ASSERT_FALSE(viewless.ok());
-  EXPECT_NE(viewless.status().message().find("CloneForView"), std::string::npos);
   selectivity::EstimatorSpec bad_spec;
   bad_spec.tag = "no-such-estimator";
   EXPECT_FALSE(

@@ -20,6 +20,7 @@
 
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
+#include "memory/fast_state.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
@@ -53,15 +54,16 @@ std::vector<double> UnitStream(uint64_t seed, size_t n) {
   return xs;
 }
 
-std::vector<selectivity::RangeQuery> Workload() {
+std::vector<selectivity::Query> Workload() {
   stats::Rng rng(99);
-  return selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0);
+  return selectivity::AsRangeQueries(
+      selectivity::UniformRangeWorkload(rng, 64, 0.0, 1.0));
 }
 
 std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& est,
-                              const std::vector<selectivity::RangeQuery>& queries) {
+                              const std::vector<selectivity::Query>& queries) {
   std::vector<double> out(queries.size());
-  est.EstimateBatch(queries, out);
+  est.Answer(queries, out);
   return out;
 }
 
@@ -190,10 +192,9 @@ TEST(IoTest, ChunksValidateCrcAndBounds) {
 // ----------------------------------------------- estimator round trips
 
 TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   size_t covered = 0;
   for (const auto& est : MakeIngestedEstimators()) {
-    ASSERT_TRUE(est->snapshotable()) << est->name();
     ASSERT_TRUE(
         selectivity::EstimatorRegistry::Global().Contains(est->snapshot_type_tag()))
         << est->name();
@@ -217,7 +218,7 @@ TEST(SnapshotRoundTripTest, EveryRegisteredEstimatorAnswersBitIdentically) {
 TEST(SnapshotRoundTripTest, UnqueriedEstimatorsRoundTripToo) {
   // Save before any query: caches are empty and the first fit happens on
   // both sides after restore — answers must still agree bitwise.
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   for (const auto& est : MakeIngestedEstimators()) {
     const std::vector<uint8_t> bytes = SnapshotBytesOf(*est);
     io::SpanSource source(bytes);
@@ -263,7 +264,8 @@ TEST(SnapshotRoundTripTest, LoadStateRestoresIntoExistingInstance) {
   ASSERT_TRUE(target.LoadState(source).ok());
   EXPECT_EQ(target.buckets(), 64);
   EXPECT_EQ(target.count(), saved.count());
-  EXPECT_EQ(target.EstimateRange(0.2, 0.7), saved.EstimateRange(0.2, 0.7));
+  EXPECT_EQ(target.Answer(selectivity::Query::Range(0.2, 0.7)),
+            saved.Answer(selectivity::Query::Range(0.2, 0.7)));
 
   // A different concrete type must refuse the same envelope, untouched.
   selectivity::EquiDepthHistogram wrong_type(0.0, 1.0, 8);
@@ -275,7 +277,7 @@ TEST(SnapshotRoundTripTest, LoadStateRestoresIntoExistingInstance) {
 
 TEST(SnapshotRoundTripTest, FileSnapshotsRoundTrip) {
   const std::string path = testing::TempDir() + "/wde_snapshot_test.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   selectivity::StreamingWaveletSelectivity sketch = MakeSketch(2048);
   sketch.InsertBatch(UnitStream(7, 5000));
   const std::vector<double> before = AnswersOf(sketch, queries);
@@ -333,7 +335,7 @@ TEST(HostileInputTest, WrongMagicAndOtherVersionsAreRejected) {
 
   // The version u32 follows the 8-byte magic, little-endian. Every version
   // but the current one — older writers included — is rejected by name.
-  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 6u, 255u}) {
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 255u}) {
     std::vector<uint8_t> other(bytes);
     for (int i = 0; i < 4; ++i) {
       other[8 + static_cast<size_t>(i)] = static_cast<uint8_t>(version >> (8 * i));
@@ -419,6 +421,82 @@ TEST(HostileInputTest, ColumnDirectoryMismatchIsRejected) {
           .ok());
   io::SpanSource source(rebuilt.bytes());
   EXPECT_FALSE(selectivity::LoadEstimatorSnapshot(source).ok());
+}
+
+/// A whole "sharded" snapshot built by hand: a layout head for one shard, the
+/// given prototype envelope, no merged view, and one replica column.
+std::vector<uint8_t> HandBuiltShardedSnapshot(
+    const selectivity::SelectivityEstimator& prototype,
+    const selectivity::SelectivityEstimator& replica) {
+  memory::FastStateWriter writer;
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 1));     // shards
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 64));    // block_size
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 1));     // merge_refresh_interval
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 0));     // stream position
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 0));     // pending since merge
+  WDE_CHECK_OK(prototype.SaveState(writer.head()));
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));  // no merged view
+  io::VectorSink replica_envelope;
+  WDE_CHECK_OK(replica.SaveState(replica_envelope));
+  writer.AddU8Owned(replica_envelope.TakeBytes());
+  io::VectorSink frame;
+  WDE_CHECK_OK(writer.Finish(frame, 0));
+  io::VectorSink snapshot = EnvelopeHeadFor("sharded");
+  WDE_CHECK_OK(io::WriteChunk(snapshot, selectivity::internal::kChunkEstimatorArena,
+                              frame.bytes()));
+  return snapshot.TakeBytes();
+}
+
+TEST(HostileInputTest, NestedShardedFramesAreRejected) {
+  // MakeEstimator and ShardedSelectivityEstimator::Create refuse to nest a
+  // sharded engine inside another, so no restore may build one either. The
+  // nested tag is refused before the nested state is parsed, so hostile
+  // bytes cannot make a restore recurse once per nesting level.
+  selectivity::EquiWidthHistogram hist(0.0, 1.0, 16);
+  hist.InsertBatch(UnitStream(31, 100));
+  selectivity::ShardedSelectivityEstimator::Options options;
+  options.shards = 2;
+  selectivity::ShardedSelectivityEstimator inner =
+      *selectivity::ShardedSelectivityEstimator::Create(hist, options);
+  inner.InsertBatch(UnitStream(32, 100));
+
+  // Sanity: the hand-built frame is a valid checkpoint for a flat engine.
+  {
+    const std::vector<uint8_t> flat = HandBuiltShardedSnapshot(hist, hist);
+    io::SpanSource source(flat);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->count(), hist.count());
+  }
+
+  // A sharded prototype envelope.
+  {
+    const std::vector<uint8_t> nested = HandBuiltShardedSnapshot(inner, inner);
+    io::SpanSource source(nested);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("nesting sharded"), std::string::npos)
+        << loaded.status().ToString();
+    // LoadState into a live engine fails the same way and leaves it untouched.
+    io::SpanSource again(nested);
+    ASSERT_TRUE(io::ReadSnapshotHeader(again).ok());
+    const double before = inner.Answer(selectivity::Query::Range(0.2, 0.7));
+    EXPECT_FALSE(inner.LoadState(again).ok());
+    EXPECT_EQ(inner.Answer(selectivity::Query::Range(0.2, 0.7)), before);
+  }
+
+  // A flat prototype whose replica column holds a sharded envelope.
+  {
+    const std::vector<uint8_t> nested = HandBuiltShardedSnapshot(hist, inner);
+    io::SpanSource source(nested);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_NE(loaded.status().message().find("heterogeneous"), std::string::npos)
+        << loaded.status().ToString();
+  }
 }
 
 // ------------------------------------------- hostile state-payload sweep
@@ -601,7 +679,7 @@ TEST(HostileStateSweepTest, ReframedPayloadMutationsYieldStatusOrEstimator) {
 TEST(SnapshotMergeTest, IntegerStateEstimatorsMergeFromSnapshotsBitExactly) {
   const std::vector<double> xs = UnitStream(10, 8000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
 
   const auto check = [&](auto make) {
     auto sequential = make();
@@ -651,8 +729,8 @@ TEST(SnapshotMergeTest, SketchMergeFromSnapshotsMatchesSequentialWithinTolerance
   ASSERT_TRUE(combiner.MergeFromSnapshot(source_b).ok());
   EXPECT_EQ(combiner.count(), sequential.count());
   for (double a = 0.0; a < 0.9; a += 0.07) {
-    const double got = combiner.EstimateRange(a, a + 0.1);
-    const double want = sequential.EstimateRange(a, a + 0.1);
+    const double got = combiner.Answer(selectivity::Query::Range(a, a + 0.1));
+    const double want = sequential.Answer(selectivity::Query::Range(a, a + 0.1));
     EXPECT_NEAR(got, want, 1e-12 * std::max(1.0, std::fabs(want)));
   }
 }
@@ -678,7 +756,7 @@ TEST(ShardedCheckpointTest, CheckpointRestoreContinueMatchesUninterruptedRun) {
   const std::string path = testing::TempDir() + "/wde_sharded_checkpoint.snap";
   const std::vector<double> xs = UnitStream(13, 40000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
 
   const auto make = []() {
     selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
@@ -758,17 +836,18 @@ TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
 
   selectivity::ShardedSelectivityEstimator node = make();
   node.InsertBatch(low);
-  const double stale = node.EstimateRange(0.5, 1.0);  // builds the view
+  // Builds the view.
+  const double stale = node.Answer(selectivity::Query::Range(0.5, 1.0));
   EXPECT_EQ(stale, 0.0);  // nothing above 0.5 yet
   node.InsertBatch(high);  // pending < interval: the stale view keeps serving
-  EXPECT_EQ(node.EstimateRange(0.5, 1.0), stale);
+  EXPECT_EQ(node.Answer(selectivity::Query::Range(0.5, 1.0)), stale);
   ASSERT_TRUE(node.Checkpoint(path).ok());
 
   // Pre-restore the live node still paces; the RESTORED engine must not.
   selectivity::ShardedSelectivityEstimator restored = make();
   ASSERT_TRUE(restored.Restore(path).ok());
   EXPECT_EQ(restored.count(), 8000u);
-  const double fresh = restored.EstimateRange(0.5, 1.0);
+  const double fresh = restored.Answer(selectivity::Query::Range(0.5, 1.0));
   EXPECT_NEAR(fresh, 0.5, 0.05);
   // And the rebuilt answer is exactly a quiesced merge of the same stream:
   // an engine with refresh interval 1 over the identical ingest agrees
@@ -781,7 +860,7 @@ TEST(ShardedCheckpointTest, PacedMergedViewNeverCrossesARestoreBoundary) {
       *selectivity::ShardedSelectivityEstimator::Create(prototype, eager_options);
   eager.InsertBatch(low);
   eager.InsertBatch(high);
-  EXPECT_EQ(fresh, eager.EstimateRange(0.5, 1.0));
+  EXPECT_EQ(fresh, eager.Answer(selectivity::Query::Range(0.5, 1.0)));
   std::remove(path.c_str());
 }
 
@@ -789,7 +868,7 @@ TEST(ShardedCheckpointTest, KdeCheckpointRestoresBitwise) {
   // Replicas that carry fitted columns (sorted buffer + bandwidth) restore
   // through the nested envelopes to the same answers.
   const std::string path = testing::TempDir() + "/wde_kde_checkpoint.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   selectivity::KdeSelectivity::Options proto_options;
   proto_options.refit_interval = 512;
   selectivity::KdeSelectivity prototype(proto_options);
@@ -816,7 +895,7 @@ TEST(ShardedCheckpointTest, DistributedNodesMergeViaSnapshots) {
   // answers exactly like one node over the whole stream.
   const std::vector<double> xs = UnitStream(16, 30000);
   const std::span<const double> all(xs);
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   const auto make = []() {
     selectivity::EquiWidthHistogram prototype(0.0, 1.0, 64);
     selectivity::ShardedSelectivityEstimator::Options options;
@@ -850,7 +929,7 @@ TEST(LoaderEquivalenceTest, EveryLoaderRestoresEveryTagBitIdentically) {
   // an mmapped file. Each restores every registered tag bitwise, queried or
   // not before the save.
   const std::string path = testing::TempDir() + "/wde_loader_equivalence.snap";
-  const std::vector<selectivity::RangeQuery> queries = Workload();
+  const std::vector<selectivity::Query> queries = Workload();
   for (const bool query_first : {true, false}) {
     for (const auto& est : MakeIngestedEstimators()) {
       SCOPED_TRACE(est->name());
