@@ -2,6 +2,8 @@
 
 #include <algorithm>
 #include <cmath>
+#include <numeric>
+#include <utility>
 
 #include "numerics/simd.hpp"
 #include "util/check.hpp"
@@ -23,20 +25,151 @@ std::vector<double>& ScratchVals() {
   return buf;
 }
 
+constexpr size_t kLeaf = KernelDensityEstimator::kLeafSize;
+
+// Σ K_cdf((x − xs[i])/h) over samples strictly inside the Epanechnikov
+// window, summed left to right.
+double DirectWindowSum(const double* xs, size_t count, double x, double h) {
+  double sum = 0.0;
+  for (size_t i = 0; i < count; ++i) {
+    sum += EpanechnikovCdfInterior((x - xs[i]) / h);
+  }
+  return sum;
+}
+
 }  // namespace
+
+/// Implicit segment tree over leaves of kLeafSize consecutive sorted
+/// samples. Level 0 holds the ⌈n/B⌉ leaves; node j of level ℓ covers leaves
+/// [j·2^ℓ, (j+1)·2^ℓ) and the samples inside them. Each node keeps its own
+/// centre m (the midpoint of its smallest and largest sample) and the
+/// moments E_p = Σ e_i^p, p = 1..3, of e_i = (x_i − m)/h. A node that lies
+/// wholly inside a kernel window spans less than 2h, so |e_i| ≤ 1 and
+/// |x − m| ≤ h there: every quantity a query touches is O(1) in units of h,
+/// whatever the data offset or bandwidth. Nodes spanning more are built too
+/// (they may even overflow) but no query ever reads them.
+struct KernelDensityEstimator::MomentTree {
+  struct Node {
+    double centre;
+    double e1;
+    double e2;
+    double e3;
+  };
+
+  /// Level-major node storage; level ℓ starts at level_begin[ℓ].
+  std::vector<Node> nodes;
+  std::vector<size_t> level_begin;
+
+  /// Samples under node j of `level`, clipped to the buffer.
+  static std::pair<size_t, size_t> SampleSpan(size_t level, size_t j, size_t n) {
+    const size_t first = (j << level) * kLeaf;
+    return {first, std::min(n, ((j + 1) << level) * kLeaf)};
+  }
+
+  static std::shared_ptr<const MomentTree> Build(std::span<const double> sorted,
+                                                 double h) {
+    const size_t n = sorted.size();
+    auto tree = std::make_shared<MomentTree>();
+    size_t width = (n + kLeaf - 1) / kLeaf;
+    // Σ_ℓ ⌈L/2^ℓ⌉ ≤ 2L + ⌈log₂ L⌉ nodes in all.
+    tree->nodes.reserve(2 * width + 64);
+    // Leaves: direct sums about the leaf centre.
+    tree->level_begin.push_back(0);
+    for (size_t j = 0; j < width; ++j) {
+      const auto [first, last] = SampleSpan(0, j, n);
+      Node leaf{std::midpoint(sorted[first], sorted[last - 1]), 0.0, 0.0, 0.0};
+      for (size_t i = first; i < last; ++i) {
+        const double e = (sorted[i] - leaf.centre) / h;
+        const double e_sq = e * e;
+        leaf.e1 += e;
+        leaf.e2 += e_sq;
+        leaf.e3 += e_sq * e;
+      }
+      tree->nodes.push_back(leaf);
+    }
+    // Internal nodes: each child's moments re-centred binomially onto the
+    // parent's centre, Σ(e + δ)^p with δ = (m_child − m_parent)/h.
+    for (size_t level = 0; width > 1; ++level) {
+      const size_t children = tree->level_begin[level];
+      const size_t parents = (width + 1) / 2;
+      tree->level_begin.push_back(tree->nodes.size());
+      for (size_t p = 0; p < parents; ++p) {
+        const auto [first, last] = SampleSpan(level + 1, p, n);
+        Node parent{std::midpoint(sorted[first], sorted[last - 1]), 0.0, 0.0, 0.0};
+        for (size_t c = 2 * p; c < std::min(width, 2 * p + 2); ++c) {
+          const Node child = tree->nodes[children + c];
+          const auto [child_first, child_last] = SampleSpan(level, c, n);
+          const double k = static_cast<double>(child_last - child_first);
+          const double d = (child.centre - parent.centre) / h;
+          parent.e1 += child.e1 + k * d;
+          parent.e2 += child.e2 + d * (2.0 * child.e1 + k * d);
+          parent.e3 += child.e3 + d * (3.0 * child.e2 + d * (3.0 * child.e1 + k * d));
+        }
+        tree->nodes.push_back(parent);
+      }
+      width = parents;
+    }
+    return tree;
+  }
+
+  /// Σ K_cdf(s − e_i) over the full node j of `level` (kLeafSize·2^level
+  /// samples), s = (x − m)/h, expanded in powers of s:
+  /// (k/2 − ¾E1 + ¼E3) + s·¾(k − E2) + s²·¾E1 − s³·k/4.
+  double NodeSum(size_t level, size_t j, double x, double h) const {
+    const Node& node = nodes[level_begin[level] + j];
+    const double k = static_cast<double>(kLeaf << level);
+    const double s = (x - node.centre) / h;
+    const double c0 = 0.5 * k - 0.75 * node.e1 + 0.25 * node.e3;
+    const double c1 = 0.75 * (k - node.e2);
+    const double c2 = 0.75 * node.e1;
+    const double c3 = -0.25 * k;
+    return c0 + s * (c1 + s * (c2 + s * c3));
+  }
+
+  /// Σ K_cdf((x − x_i)/h) over the window samples [lo, hi), lo < hi: the
+  /// partial leaves at both ends directly, the full leaves between them as
+  /// O(log n) covering nodes (the bottom-up segment-tree walk).
+  double WindowSum(std::span<const double> sorted, double x, double h,
+                   size_t lo, size_t hi) const {
+    const size_t first_leaf = lo / kLeaf;
+    const size_t last_leaf = (hi - 1) / kLeaf;
+    if (first_leaf == last_leaf) {
+      return DirectWindowSum(sorted.data() + lo, hi - lo, x, h);
+    }
+    const size_t head_end = (first_leaf + 1) * kLeaf;
+    const size_t tail_begin = last_leaf * kLeaf;
+    double sum = DirectWindowSum(sorted.data() + lo, head_end - lo, x, h) +
+                 DirectWindowSum(sorted.data() + tail_begin, hi - tail_begin, x, h);
+    size_t left = first_leaf + 1;
+    size_t right = last_leaf;
+    for (size_t level = 0; left < right; ++level, left >>= 1, right >>= 1) {
+      if (left & 1) sum += NodeSum(level, left++, x, h);
+      if (right & 1) sum += NodeSum(level, --right, x, h);
+    }
+    return sum;
+  }
+};
 
 KernelDensityEstimator::KernelDensityEstimator(Kernel kernel, double bandwidth,
                                                memory::Arena samples)
     : kernel_(std::move(kernel)),
       bandwidth_(bandwidth),
       samples_(std::move(samples)),
-      sorted_(samples_.F64(0)) {}
+      sorted_(samples_.F64(0)) {
+  if (kernel_.type() == KernelType::kEpanechnikov) {
+    tree_ = MomentTree::Build(sorted_, bandwidth_);
+  }
+}
 
 Result<KernelDensityEstimator> KernelDensityEstimator::Create(
     Kernel kernel, double bandwidth, std::span<const double> data) {
   if (data.empty()) return Status::InvalidArgument("KDE requires data");
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument("bandwidth must be positive and finite");
+  }
+  if (!std::all_of(data.begin(), data.end(),
+                   [](double x) { return std::isfinite(x); })) {
+    return Status::InvalidArgument("KDE samples must be finite");
   }
   const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, data.size()}};
   memory::Arena samples = memory::Arena::Create(specs);
@@ -53,9 +186,15 @@ Result<KernelDensityEstimator> KernelDensityEstimator::FromSorted(
   if (!(bandwidth > 0.0) || !std::isfinite(bandwidth)) {
     return Status::InvalidArgument("bandwidth must be positive and finite");
   }
+  // Finite ends plus `<=` between neighbours (false for NaN) imply every
+  // sample is finite and the buffer ascends.
+  if (!std::isfinite(sorted.front()) || !std::isfinite(sorted.back())) {
+    return Status::InvalidArgument("FromSorted: samples must be finite");
+  }
   for (size_t i = 1; i < sorted.size(); ++i) {
-    if (sorted[i - 1] > sorted[i]) {
-      return Status::InvalidArgument("FromSorted: samples are not ascending");
+    if (!(sorted[i - 1] <= sorted[i])) {
+      return Status::InvalidArgument(
+          "FromSorted: samples are not finite and ascending");
     }
   }
   const std::span<const uint8_t> bytes(
@@ -131,13 +270,9 @@ double KernelDensityEstimator::IntegrateRange(double a, double b) const {
 double KernelDensityEstimator::CdfAt(double x) const {
   // sorted_ ascends, so u = (x - X_i)/h descends along the array: a prefix
   // of samples saturates Kernel::Cdf at exactly 1.0 (u >= R), a suffix at
-  // exactly 0.0 (u <= -R), and only the window between them needs the table.
+  // exactly 0.0 (u <= -R), and only the window between them is summed.
   // Both split points use the very comparison the Cdf branches evaluate, and
-  // the saturated prefix sums to its exact integer count, so the result is
-  // bit-identical to the full per-sample sum of IntegrateRange(-inf, x).
-  // The window terms are gathered into contiguous scratch and evaluated by
-  // the SIMD batch CDF (elementwise bit-identical to Kernel::Cdf), then
-  // summed left to right exactly as the scalar loop did.
+  // the saturated prefix sums to its exact integer count.
   const double radius = kernel_.support_radius();
   const auto ones_end = std::partition_point(
       sorted_.begin(), sorted_.end(),
@@ -147,7 +282,15 @@ double KernelDensityEstimator::CdfAt(double x) const {
       [&](double xi) { return (x - xi) / bandwidth_ > -radius; });
   double acc = static_cast<double>(ones_end - sorted_.begin());
   const size_t window = static_cast<size_t>(zeros_begin - ones_end);
-  if (window != 0) {
+  if (window != 0 && tree_ != nullptr) {
+    acc += tree_->WindowSum(sorted_, x, bandwidth_,
+                            static_cast<size_t>(ones_end - sorted_.begin()),
+                            static_cast<size_t>(zeros_begin - sorted_.begin()));
+  } else if (window != 0) {
+    // Other kernels: the window terms are gathered into contiguous scratch
+    // and evaluated by the SIMD batch CDF (elementwise bit-identical to
+    // Kernel::Cdf), then summed left to right exactly as IntegrateRange's
+    // per-sample loop does.
     std::vector<double>& us = ScratchArgs();
     std::vector<double>& ks = ScratchVals();
     us.resize(window);

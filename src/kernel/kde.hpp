@@ -21,19 +21,25 @@ namespace kernel {
 
 /// Classical kernel density estimator f̂(x) = (nh)^{-1} Σ K((x - X_i)/h),
 /// evaluated over a sorted copy of the data so that compactly supported
-/// kernels cost O(log n + n·h) per query. This is the paper's baseline
-/// estimator (§5.4); no boundary correction is applied, as in the paper.
+/// kernels cost O(log n + n·h) per density query. For the Epanechnikov
+/// kernel a moment tree over the sorted samples answers the kernel CDF in
+/// O(log n + B) (see CdfAt). This is the paper's baseline estimator (§5.4);
+/// no boundary correction is applied, as in the paper.
 class KernelDensityEstimator {
  public:
+  /// Rejects empty data, NaN or ±inf samples and a bandwidth that is not
+  /// positive and finite.
   static Result<KernelDensityEstimator> Create(Kernel kernel, double bandwidth,
                                                std::span<const double> data);
 
   /// Snapshot restore: adopts an already-sorted sample buffer without
   /// re-sorting. When `sorted` is 64-byte-aligned and `keepalive` anchors its
   /// backing storage (an mmapped snapshot image), the estimator borrows the
-  /// bytes zero-copy; otherwise it copies them once. Ascending order is
-  /// verified in O(n) — out-of-order input yields a Status, never a silently
-  /// wrong estimator.
+  /// bytes zero-copy; otherwise it copies them once. Finite, ascending
+  /// samples are verified in O(n) — NaN, ±inf or out-of-order input yields
+  /// a Status, never a silently wrong estimator. The Epanechnikov moment
+  /// tree is rebuilt from the buffer in O(n), so the same sorted buffer
+  /// always yields the same tree.
   static Result<KernelDensityEstimator> FromSorted(
       Kernel kernel, double bandwidth, std::span<const double> sorted,
       std::shared_ptr<const void> keepalive);
@@ -52,14 +58,25 @@ class KernelDensityEstimator {
   /// baseline).
   double IntegrateRange(double a, double b) const;
 
-  /// The kernel CDF F̂(x) = n^{-1} Σ K_cdf((x - X_i)/h), evaluated over the
-  /// compact-support window only: samples whose kernel argument saturates
-  /// the CDF branch (u >= R → exactly 1, u <= -R → exactly 0) are counted or
-  /// skipped without a table lookup, found with the same predicate
-  /// arithmetic as the branches themselves — so the windowed sum is
-  /// bit-identical to IntegrateRange(-inf, x) at O(log n + window) instead
-  /// of O(n). The one-sided/CDF query path of the selectivity layer.
+  /// The kernel CDF F̂(x) = n^{-1} Σ K_cdf((x - X_i)/h), the one-sided/CDF
+  /// query path of the selectivity layer. Samples whose kernel argument
+  /// saturates the CDF (u >= R → exactly 1, u <= -R → exactly 0) are counted
+  /// or skipped, found by binary search with the predicate arithmetic of the
+  /// Cdf branches. The window between them costs:
+  ///   - Epanechnikov: O(log n + B) through the moment tree. The ≤ 2·B
+  ///     samples of the two partial leaves are summed directly with the
+  ///     exact cubic; every fully covered tree node adds Σ K_cdf(s − e_i) in
+  ///     closed form from its moments. Not bit-identical to
+  ///     IntegrateRange(-inf, x): with w window samples, L = ⌈n/B⌉ leaves and
+  ///     machine epsilon ε, |CdfAt(x) − F̂(x)| ≤
+  ///     ε·(2 + 16·(B + 64·⌈log₂ L⌉)·w/n) for any data offset and
+  ///     bandwidth (docs/ARCHITECTURE.md derives this worst case).
+  ///   - other kernels: O(log n + window), the window summed through the
+  ///     SIMD batch CdfMany — bit-identical to IntegrateRange(-inf, x).
   double CdfAt(double x) const;
+
+  /// Samples per leaf of the Epanechnikov moment tree.
+  static constexpr size_t kLeafSize = 64;
 
   double bandwidth() const { return bandwidth_; }
   const Kernel& kernel() const { return kernel_; }
@@ -67,6 +84,8 @@ class KernelDensityEstimator {
   std::span<const double> samples() const { return sorted_; }
 
  private:
+  struct MomentTree;
+
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
   Kernel kernel_;
@@ -76,6 +95,9 @@ class KernelDensityEstimator {
   /// share the storage) and moves.
   memory::Arena samples_;
   std::span<const double> sorted_;
+  /// Epanechnikov only (null otherwise): per-node moments of the sorted
+  /// samples, derived from `sorted_` at construction and shared by copies.
+  std::shared_ptr<const MomentTree> tree_;
 };
 
 }  // namespace kernel

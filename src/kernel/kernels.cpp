@@ -34,20 +34,22 @@ double RadiusFor(KernelType type) {
 }  // namespace
 
 Kernel::Kernel(KernelType type) : type_(type), radius_(RadiusFor(type)) {
-  // CDF table on [-R, R].
-  const size_t kCdfPoints = 4097;
-  const double cdf_dx = 2.0 * radius_ / static_cast<double>(kCdfPoints - 1);
-  std::vector<double> density(kCdfPoints);
-  for (size_t i = 0; i < kCdfPoints; ++i) {
-    density[i] = RawKernel(type_, -radius_ + cdf_dx * static_cast<double>(i));
+  // CDF table on [-R, R], for the kernels without a closed-form CDF here.
+  if (type_ != KernelType::kEpanechnikov) {
+    const size_t kCdfPoints = 4097;
+    const double cdf_dx = 2.0 * radius_ / static_cast<double>(kCdfPoints - 1);
+    std::vector<double> density(kCdfPoints);
+    for (size_t i = 0; i < kCdfPoints; ++i) {
+      density[i] = RawKernel(type_, -radius_ + cdf_dx * static_cast<double>(i));
+    }
+    std::vector<double> cdf = numerics::CumulativeTrapezoid(density, cdf_dx);
+    // Normalize the tail to exactly 1 so range estimates telescope cleanly.
+    const double total = cdf.back();
+    WDE_CHECK_GT(total, 0.99);
+    for (double& c : cdf) c /= total;
+    cdf_table_ = std::make_shared<const numerics::UniformGridInterpolator>(
+        -radius_, cdf_dx, std::move(cdf));
   }
-  std::vector<double> cdf = numerics::CumulativeTrapezoid(density, cdf_dx);
-  // Normalize the tail to exactly 1 so range estimates telescope cleanly.
-  const double total = cdf.back();
-  WDE_CHECK_GT(total, 0.99);
-  for (double& c : cdf) c /= total;
-  cdf_table_ = std::make_shared<const numerics::UniformGridInterpolator>(
-      -radius_, cdf_dx, std::move(cdf));
 
   // Self-convolution table on [-2R, 2R]; by symmetry compute t >= 0 and
   // mirror.
@@ -138,18 +140,28 @@ void Kernel::EvaluateMany(std::span<const double> us, std::span<double> out) con
 double Kernel::Cdf(double u) const {
   if (u <= -radius_) return 0.0;
   if (u >= radius_) return 1.0;
+  if (type_ == KernelType::kEpanechnikov) return EpanechnikovCdfInterior(u);
   return cdf_table_->Evaluate(u);
 }
 
 void Kernel::CdfMany(std::span<const double> us, std::span<double> out) const {
   WDE_CHECK_EQ(us.size(), out.size(), "CdfMany spans must match");
   const double radius = radius_;
+  const size_t count = us.size();
+  if (type_ == KernelType::kEpanechnikov) {
+    WDE_SIMD_LOOP
+    for (size_t i = 0; i < count; ++i) {
+      const double u = us[i];
+      out[i] = u <= -radius ? 0.0
+                            : (u >= radius ? 1.0 : EpanechnikovCdfInterior(u));
+    }
+    return;
+  }
   const double x0 = cdf_table_->x0();
   const double dx = cdf_table_->dx();
   const double* values = cdf_table_->values().data();
   const size_t n = cdf_table_->values().size();
   const double t_max = static_cast<double>(n - 1);
-  const size_t count = us.size();
   WDE_SIMD_LOOP
   for (size_t i = 0; i < count; ++i) {
     const double u = us[i];

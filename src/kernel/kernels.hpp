@@ -12,12 +12,20 @@ namespace kernel {
 
 enum class KernelType { kEpanechnikov, kGaussian, kBiweight, kTriangular };
 
+/// The Epanechnikov CDF on its support interior |u| < 1:
+/// K_cdf(u) = ½ + ¾u − ¼u³. Kernel::Cdf, Kernel::CdfMany and the KDE moment
+/// tree's partial leaves all evaluate this one expression.
+inline double EpanechnikovCdfInterior(double u) {
+  return 0.5 + u * (0.75 - 0.25 * u * u);
+}
+
 /// A symmetric probability kernel K with unit mass. Provides the kernel
 /// itself, its CDF (for selectivity/range queries), and its self-convolution
-/// K*K (for the exact ∫f̂² term of least-squares cross-validation). CDF and
-/// self-convolution are precomputed numerically on fine grids, which keeps
-/// the class kernel-agnostic; closed forms exist for the shipped kernels and
-/// are used as test oracles.
+/// K*K (for the exact ∫f̂² term of least-squares cross-validation). The
+/// Epanechnikov CDF is the exact cubic above; the other kernels' CDFs and
+/// every self-convolution are precomputed numerically on fine grids, which
+/// keeps the class kernel-agnostic; closed forms exist for the shipped
+/// kernels and are used as test oracles.
 class Kernel {
  public:
   explicit Kernel(KernelType type);
@@ -38,12 +46,13 @@ class Kernel {
   /// Gaussian).
   double support_radius() const { return radius_; }
 
-  /// ∫_{-∞}^{u} K.
+  /// ∫_{-∞}^{u} K: exactly 0 for u <= -R and 1 for u >= R; inside, the
+  /// closed-form cubic for Epanechnikov, the interpolated table otherwise.
   double Cdf(double u) const;
 
   /// out[i] = Cdf(us[i]) bit-identically. The scalar saturation branches are
-  /// rewritten as selects over clamped table indices so the loop is branch-
-  /// free and SIMD-annotated; interior lookups use the exact interpolation
+  /// rewritten as selects so the loop is branch-free and SIMD-annotated;
+  /// table lookups clamp their indices and use the exact interpolation
   /// arithmetic of UniformGridInterpolator::EvaluateOn.
   void CdfMany(std::span<const double> us, std::span<double> out) const;
 
@@ -59,6 +68,7 @@ class Kernel {
  private:
   KernelType type_;
   double radius_;
+  /// Null for Epanechnikov, whose CDF is evaluated in closed form.
   std::shared_ptr<const numerics::UniformGridInterpolator> cdf_table_;
   std::shared_ptr<const numerics::UniformGridInterpolator> conv_table_;
 };

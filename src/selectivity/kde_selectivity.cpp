@@ -91,16 +91,14 @@ double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
     return static_cast<double>(hits) / static_cast<double>(values_.size());
   }
   if (a == -std::numeric_limits<double>::infinity()) {
-    // The Less/Cdf lowering: the windowed kernel antiderivative is
-    // bit-identical to IntegrateRange(-inf, b) (see CdfAt) and touches only
-    // the samples inside the kernel support around b.
+    // The Less/Cdf lowering: one kernel-CDF endpoint (see CdfAt for its
+    // O(log n + B) cost and error bound).
     return std::clamp(kde_->CdfAt(b), 0.0, 1.0);
   }
-  // CDF difference instead of the per-sample IntegrateRange sum: each
-  // endpoint touches only its kernel window (O(log n + window) vs O(n));
-  // the difference-of-sums vs sum-of-differences reassociation moves the
-  // result by at most n·ulp, well inside every accuracy contract, and the
-  // batch path below uses the identical expression.
+  // CDF difference instead of the O(n) per-sample IntegrateRange sum: each
+  // endpoint costs O(log n + B) through the moment tree, within CdfAt's
+  // documented bound of the exact sum, and the batch path below uses the
+  // identical expression.
   return std::clamp(kde_->CdfAt(b) - kde_->CdfAt(a), 0.0, 1.0);
 }
 
@@ -186,18 +184,31 @@ Status KdeSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
       !memory::ColumnsMatch(reader.arena(), expected)) {
     return Status::InvalidArgument("corrupt kde state");
   }
+  // Insert clamps every value into the domain, so a value outside it (NaN
+  // included) can only come from hostile bytes.
+  const std::span<const double> values = reader.arena().F64(0);
+  const auto in_domain = [&](double x) {
+    return x >= options.domain_lo && x <= options.domain_hi;
+  };
+  if (!std::all_of(values.begin(), values.end(), in_domain)) {
+    return Status::InvalidArgument("corrupt kde state: value outside the domain");
+  }
   std::optional<kernel::KernelDensityEstimator> kde;
   if (has_kde == 1) {
-    // FromSorted verifies ascending order in O(n) — the only scan the fast
-    // restore pays — and borrows the column zero-copy; the arena's storage
+    // FromSorted verifies finite, ascending samples in O(n), rebuilds the
+    // moment tree and borrows the column zero-copy; the arena's storage
     // keepalive anchors the bytes whether they live in an mmapped image or
-    // in the reader's own heap copy.
+    // in the reader's own heap copy. Ascending, the samples lie in the
+    // domain iff both ends do.
     WDE_ASSIGN_OR_RETURN(
         kde, kernel::KernelDensityEstimator::FromSorted(
                  kernel::Kernel::Shared(kernel::KernelType::kEpanechnikov), bandwidth,
                  reader.arena().F64(1), reader.arena().storage_keepalive()));
+    if (!in_domain(kde->samples().front()) || !in_domain(kde->samples().back())) {
+      return Status::InvalidArgument(
+          "corrupt kde state: fitted sample outside the domain");
+    }
   }
-  const std::span<const double> values = reader.arena().F64(0);
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
   values_.assign(values.begin(), values.end());

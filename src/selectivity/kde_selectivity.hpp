@@ -13,10 +13,10 @@ namespace selectivity {
 /// Kernel-density selectivity baseline: buffers the stream (unlike the
 /// wavelet sketch it is NOT bounded-memory), rebuilds an Epanechnikov KDE
 /// with the rule-of-thumb bandwidth when stale, and answers every range as a
-/// difference of windowed kernel antiderivatives
-/// (KernelDensityEstimator::CdfAt — O(log n + window) per endpoint instead
-/// of the former O(n) per-sample IntegrateRange sum; one-sided/CDF kinds use
-/// a single endpoint, bit-identical to the (-inf, x] lowering).
+/// difference of kernel antiderivatives (KernelDensityEstimator::CdfAt —
+/// O(log n + B) per endpoint through the KDE's moment tree, B = 64 samples
+/// per leaf; one-sided/CDF kinds use a single endpoint, bit-identical to the
+/// (-inf, x] lowering).
 ///
 /// Mergeable: the sample buffers concatenate in merge order and the KDE
 /// refits from the merged buffer. Answers depend only on the *sorted
@@ -86,19 +86,20 @@ class KdeSelectivity : public SelectivityEstimator {
   }
 
  protected:
-  /// clamp(F̂(b) − F̂(a)) from the windowed kernel CDF; a (-inf, x] range
-  /// (the Less/Cdf lowering) is a single endpoint.
+  /// clamp(F̂(b) − F̂(a)) from the kernel CDF; a (-inf, x] range (the
+  /// Less/Cdf lowering) is a single endpoint.
   double EstimateRangeImpl(double a, double b) const override;
   /// State persists the fitted KDE's *sorted* sample buffer and
   /// bandwidth alongside the raw values, so restore adopts it via
   /// KernelDensityEstimator::FromSorted — no re-sort, no bandwidth
   /// re-derivation, and from an mmapped snapshot the sorted buffer is
-  /// borrowed zero-copy.
+  /// borrowed zero-copy. Restore rejects non-finite or out-of-order fitted
+  /// samples and any value or sample outside [domain_lo, domain_hi].
   Status SaveStateImpl(memory::FastStateWriter& writer) const override;
   Status LoadStateImpl(memory::FastStateReader& reader) override;
 
   /// Batched queries: one staleness check/refit, then kernel-CDF integrals
-  /// (windowed for one-sided kinds) straight off the fitted KDE; quantiles
+  /// (one endpoint for one-sided kinds) straight off the fitted KDE; quantiles
   /// through the shared bisection. Bit-identical to the scalar loop.
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;

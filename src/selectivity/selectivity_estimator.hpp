@@ -435,7 +435,7 @@ class SelectivityEstimator {
   /// scalar lowering AnswerOne(); overrides amortize staleness checks and
   /// per-level reconstruction setup across queries — and may substitute
   /// genuinely cheaper per-kind paths (signed-CDF evaluation, prefix sums,
-  /// windowed kernel antiderivatives) — but must stay bit-identical to the
+  /// kernel antiderivatives) — but must stay bit-identical to the
   /// default lowering (enforced by batch_equivalence_test and
   /// query_taxonomy_test).
   ///

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
+#include <limits>
 #include <vector>
 
 #include "kernel/bandwidth.hpp"
@@ -8,6 +10,7 @@
 #include "kernel/kernels.hpp"
 #include "numerics/integration.hpp"
 #include "numerics/special_functions.hpp"
+#include "selectivity/kde_selectivity.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
 
@@ -84,9 +87,14 @@ TEST(EpanechnikovTest, ClosedFormValues) {
   EXPECT_DOUBLE_EQ(k.Evaluate(0.0), 0.75);
   EXPECT_DOUBLE_EQ(k.Evaluate(0.5), 0.75 * 0.75);
   EXPECT_DOUBLE_EQ(k.Evaluate(1.1), 0.0);
-  // CDF closed form: (2 + 3u − u³)/4.
-  for (double u : {-0.5, 0.0, 0.3, 0.9}) {
-    EXPECT_NEAR(k.Cdf(u), 0.25 * (2.0 + 3.0 * u - u * u * u), 1e-6);
+  // CDF closed form: (2 + 3u − u³)/4 inside the support, saturated outside;
+  // Cdf ≡ CdfMany bitwise is pinned by the kernel sweep above.
+  for (int i = -1100; i <= 1100; ++i) {
+    const double u = static_cast<double>(i) / 1000.0;
+    const long double lu = u;
+    const long double exact =
+        u <= -1.0 ? 0.0L : (u >= 1.0 ? 1.0L : 0.25L * (2.0L + 3.0L * lu - lu * lu * lu));
+    EXPECT_NEAR(k.Cdf(u), static_cast<double>(exact), 1e-15) << "u=" << u;
   }
   // Roughness ∫K² = 3/5.
   EXPECT_NEAR(k.Roughness(), 0.6, 1e-5);
@@ -122,6 +130,190 @@ TEST(KdeTest, RejectsBadInput) {
   const std::vector<double> xs{1.0, 2.0};
   EXPECT_FALSE(KernelDensityEstimator::Create(k, 0.0, xs).ok());
   EXPECT_FALSE(KernelDensityEstimator::Create(k, -1.0, xs).ok());
+}
+
+TEST(KdeTest, RejectsNonFiniteSamples) {
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<std::vector<double>> hostile = {
+      {0.1, 0.2, nan, 0.4, 0.5}, {nan, 0.2, 0.3}, {0.1, 0.2, nan},
+      {0.1, 0.2, 1e300, inf},    {-inf, 0.1, 0.2}, {0.1, inf, inf},
+      {nan}};
+  for (KernelType type : {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+    const Kernel k(type);
+    for (const std::vector<double>& xs : hostile) {
+      const Result<KernelDensityEstimator> created =
+          KernelDensityEstimator::Create(k, 0.1, xs);
+      ASSERT_FALSE(created.ok()) << k.name();
+      EXPECT_EQ(created.status().code(), StatusCode::kInvalidArgument);
+      const Result<KernelDensityEstimator> adopted =
+          KernelDensityEstimator::FromSorted(k, 0.1, xs, nullptr);
+      ASSERT_FALSE(adopted.ok()) << k.name();
+      EXPECT_EQ(adopted.status().code(), StatusCode::kInvalidArgument);
+    }
+  }
+}
+
+// ------------------------------------------------- Epanechnikov moment tree
+
+/// F̂(x) = n⁻¹ Σ K_cdf((x − X_i)/h) in long double over every sample.
+double DirectCubicCdf(std::span<const double> xs, double x, double h) {
+  long double acc = 0.0L;
+  for (double xi : xs) {
+    const long double u = (static_cast<long double>(x) - xi) / h;
+    if (u >= 1.0L) {
+      acc += 1.0L;
+    } else if (u > -1.0L) {
+      acc += 0.5L + u * (0.75L - 0.25L * u * u);
+    }
+  }
+  return static_cast<double>(acc / static_cast<long double>(xs.size()));
+}
+
+/// The documented CdfAt bound ε·(2 + 16·(B + 64·⌈log₂ L⌉)·w/n), with w
+/// the samples strictly inside the kernel window around x.
+double CdfAtBound(std::span<const double> sorted, double x, double h) {
+  const size_t n = sorted.size();
+  size_t window = 0;
+  for (double xi : sorted) {
+    const double u = (x - xi) / h;
+    if (u > -1.0 && u < 1.0) ++window;
+  }
+  const size_t leaves =
+      (n + KernelDensityEstimator::kLeafSize - 1) / KernelDensityEstimator::kLeafSize;
+  size_t log_leaves = 0;
+  while ((size_t{1} << log_leaves) < leaves) ++log_leaves;
+  const double b = static_cast<double>(KernelDensityEstimator::kLeafSize);
+  return std::numeric_limits<double>::epsilon() *
+         (2.0 + 16.0 * (b + 64.0 * static_cast<double>(log_leaves)) *
+                    static_cast<double>(window) / static_cast<double>(n));
+}
+
+/// Probes below, across and above the data: a uniform sweep plus every
+/// window edge of a few samples.
+std::vector<double> ProbesFor(std::span<const double> sorted, double h) {
+  const double lo = sorted.front() - 2.0 * h;
+  const double hi = sorted.back() + 2.0 * h;
+  std::vector<double> xs;
+  for (int i = 0; i <= 200; ++i) xs.push_back(lo + (hi - lo) * i / 200.0);
+  for (size_t i = 0; i < sorted.size(); i += std::max<size_t>(1, sorted.size() / 7)) {
+    for (double offset : {-h, -0.5 * h, 0.0, 0.5 * h, h}) {
+      xs.push_back(sorted[i] + offset);
+    }
+  }
+  return xs;
+}
+
+void ExpectTreeMatchesOracle(std::vector<double> data, double h) {
+  const Result<KernelDensityEstimator> kde =
+      KernelDensityEstimator::Create(Kernel::Shared(KernelType::kEpanechnikov), h, data);
+  ASSERT_TRUE(kde.ok()) << kde.status().ToString();
+  const std::span<const double> sorted = kde->samples();
+  for (double x : ProbesFor(sorted, h)) {
+    const double got = kde->CdfAt(x);
+    EXPECT_NEAR(got, DirectCubicCdf(sorted, x, h), CdfAtBound(sorted, x, h))
+        << "n=" << sorted.size() << " h=" << h << " x=" << x;
+    EXPECT_GE(got, -1e-15);
+    EXPECT_LE(got, 1.0 + 1e-15);
+  }
+  EXPECT_EQ(kde->CdfAt(sorted.front() - 2.0 * h), 0.0);
+  EXPECT_EQ(kde->CdfAt(sorted.back() + 2.0 * h), 1.0);
+}
+
+std::vector<double> UniformSample(uint64_t seed, size_t n, double lo, double hi) {
+  stats::Rng rng(seed);
+  std::vector<double> xs(n);
+  for (double& x : xs) x = rng.Uniform(lo, hi);
+  return xs;
+}
+
+TEST(KdeMomentTreeTest, MatchesDirectCubicSumAcrossSizes) {
+  // Sizes around the leaf width (one partial leaf, exactly one leaf, one
+  // full leaf plus one sample) and well past it.
+  for (size_t n : {size_t{4}, size_t{63}, size_t{64}, size_t{65}, size_t{4097},
+                   size_t{200000}}) {
+    std::vector<double> xs = UniformSample(41 + n, n, 0.0, 1.0);
+    ExpectTreeMatchesOracle(xs, RuleOfThumbBandwidth(xs));
+  }
+}
+
+TEST(KdeMomentTreeTest, WindowsInsideOneLeafAndAcrossManyLeaves) {
+  const std::vector<double> xs = UniformSample(43, 4097, 0.0, 1.0);
+  // ~0.08 samples per window: nearly every window sits inside one leaf.
+  ExpectTreeMatchesOracle(xs, 1e-5);
+  // Most of the sample in every window: dozens of covering nodes.
+  ExpectTreeMatchesOracle(xs, 0.3);
+  // Wider than the data: no sample ever saturates.
+  ExpectTreeMatchesOracle(xs, 5.0);
+}
+
+TEST(KdeMomentTreeTest, DuplicateHeavyData) {
+  // 20000 samples on 17 distinct values: leaves and whole subtrees of equal
+  // keys, windows whose edges fall inside runs of duplicates.
+  std::vector<double> xs = UniformSample(47, 20000, 0.0, 1.0);
+  for (double& x : xs) x = std::round(x * 16.0) / 16.0;
+  ExpectTreeMatchesOracle(xs, 0.05);
+  ExpectTreeMatchesOracle(xs, 0.0625);
+  ExpectTreeMatchesOracle(xs, 0.4);
+}
+
+TEST(KdeMomentTreeTest, ShiftedDomainKeepsTheBound) {
+  // Data at [1e6, 1e6 + 1]: a global-shift prefix sum would lose ~20 bits
+  // to cancellation here; node-centred moments lose none.
+  std::vector<double> xs = UniformSample(53, 50000, 1e6, 1e6 + 1.0);
+  ExpectTreeMatchesOracle(xs, RuleOfThumbBandwidth(xs));
+  ExpectTreeMatchesOracle(xs, 0.2);
+}
+
+TEST(KdeMomentTreeTest, TinyBandwidth) {
+  // h = 1e-200 over [0, 1]: nodes spanning distinct values overflow their
+  // moments, and no window may ever read them. Only duplicate runs share a
+  // window, so those runs must be counted exactly.
+  std::vector<double> xs = UniformSample(59, 30000, 0.0, 1.0);
+  for (double& x : xs) x = std::round(x * 8.0) / 8.0;
+  const double h = 1e-200;
+  const Result<KernelDensityEstimator> kde =
+      KernelDensityEstimator::Create(Kernel::Shared(KernelType::kEpanechnikov), h, xs);
+  ASSERT_TRUE(kde.ok());
+  const std::span<const double> sorted = kde->samples();
+  for (double x : {-1.0, 0.0, 0.0625, 0.125, 0.5, 0.75, 1.0, 2.0}) {
+    for (double offset : {-0.5 * h, 0.0, 0.5 * h}) {
+      EXPECT_NEAR(kde->CdfAt(x + offset), DirectCubicCdf(sorted, x + offset, h),
+                  CdfAtBound(sorted, x + offset, h))
+          << "x=" << x << " offset=" << offset;
+    }
+  }
+  ExpectTreeMatchesOracle(UniformSample(61, 5000, 0.0, 1.0), 1e-9);
+}
+
+TEST(KdeMomentTreeTest, AgreesWithIntegrateRangeAndIsDeterministic) {
+  const std::vector<double> xs = UniformSample(67, 20000, 0.0, 1.0);
+  const double h = RuleOfThumbBandwidth(xs);
+  const Result<KernelDensityEstimator> kde =
+      KernelDensityEstimator::Create(Kernel::Shared(KernelType::kEpanechnikov), h, xs);
+  ASSERT_TRUE(kde.ok());
+  // The same sorted buffer always rebuilds the same tree: a FromSorted twin
+  // answers bitwise-identically.
+  const Result<KernelDensityEstimator> twin = KernelDensityEstimator::FromSorted(
+      Kernel::Shared(KernelType::kEpanechnikov), h, kde->samples(), nullptr);
+  ASSERT_TRUE(twin.ok());
+  const double inf = std::numeric_limits<double>::infinity();
+  for (double x : ProbesFor(kde->samples(), h)) {
+    EXPECT_EQ(twin->CdfAt(x), kde->CdfAt(x)) << "x=" << x;
+    EXPECT_NEAR(kde->CdfAt(x), kde->IntegrateRange(-inf, x), 1e-12) << "x=" << x;
+  }
+}
+
+TEST(KdeMomentTreeTest, KdeRotQuantileAndCdfRoundTrip) {
+  selectivity::KdeSelectivity est(selectivity::KdeSelectivity::Options{});
+  stats::Rng rng(71);
+  for (int i = 0; i < 100000; ++i) {
+    est.Insert(rng.Bernoulli(0.5) ? rng.Gaussian(0.3, 0.05) : rng.Gaussian(0.7, 0.1));
+  }
+  for (double p = 0.01; p < 1.0; p += 0.01) {
+    const double q = est.Answer(selectivity::Query::Quantile(p));
+    EXPECT_NEAR(est.Answer(selectivity::Query::Cdf(q)), p, 1e-9) << "p=" << p;
+  }
 }
 
 TEST(KdeTest, IntegratesToOne) {

@@ -11,9 +11,11 @@
 // durable file writes under injected failures. Run under ASan in CI.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
+#include <limits>
 #include <memory>
 #include <string>
 #include <vector>
@@ -496,6 +498,69 @@ TEST(HostileInputTest, NestedShardedFramesAreRejected) {
     ASSERT_FALSE(loaded.ok());
     EXPECT_NE(loaded.status().message().find("heterogeneous"), std::string::npos)
         << loaded.status().ToString();
+  }
+}
+
+/// A "kde-rot" snapshot on the domain [0, 1] built by hand, so each column
+/// can carry values no Insert could produce.
+std::vector<uint8_t> HandBuiltKdeSnapshot(const std::vector<double>& values,
+                                          const std::vector<double>& fitted) {
+  memory::FastStateWriter writer;
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.0));    // domain_lo
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 1.0));    // domain_hi
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 1024));      // refit_interval
+  WDE_CHECK_OK(io::WriteU64(writer.head(), fitted.size()));
+  WDE_CHECK_OK(io::WriteU64(writer.head(), values.size()));
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 1));          // has a fitted KDE
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.1));    // bandwidth
+  writer.AddF64(values);
+  writer.AddF64(fitted);
+  io::VectorSink frame;
+  WDE_CHECK_OK(writer.Finish(frame, 0));
+  io::VectorSink snapshot = EnvelopeHeadFor("kde-rot");
+  WDE_CHECK_OK(io::WriteChunk(snapshot, selectivity::internal::kChunkEstimatorArena,
+                              frame.bytes()));
+  return snapshot.TakeBytes();
+}
+
+TEST(HostileInputTest, KdeStateRejectsNonFiniteAndOutOfDomainValues) {
+  // Insert clamps into the domain and fitted samples are the sorted values,
+  // so NaN, ±inf or an out-of-domain number in either column is hostile.
+  // One such sample would turn every moment-tree answer into NaN.
+  const std::vector<double> clean = {0.1, 0.2, 0.3, 0.4, 0.5, 0.6};
+  {
+    const std::vector<uint8_t> bytes = HandBuiltKdeSnapshot(clean, clean);
+    io::SpanSource source(bytes);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->count(), clean.size());
+  }
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  // Each hostile number at the front, in the middle and at the back.
+  for (const double bad : {nan, inf, -inf, -0.25, 1.5, 1e300}) {
+    for (const size_t at : {size_t{0}, size_t{2}, clean.size() - 1}) {
+      std::vector<double> poisoned = clean;
+      poisoned[at] = bad;
+      std::vector<double> poisoned_sorted = poisoned;
+      if (!std::isnan(bad)) {
+        std::sort(poisoned_sorted.begin(), poisoned_sorted.end());
+      }
+      for (const bool in_values : {true, false}) {
+        SCOPED_TRACE(std::string(in_values ? "values" : "fitted") + " column, " +
+                     std::to_string(bad) + " at " + std::to_string(at));
+        const std::vector<uint8_t> bytes =
+            in_values ? HandBuiltKdeSnapshot(poisoned, clean)
+                      : HandBuiltKdeSnapshot(clean, poisoned_sorted);
+        io::SpanSource source(bytes);
+        Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+            selectivity::LoadEstimatorSnapshot(source);
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+            << loaded.status().ToString();
+      }
+    }
   }
 }
 
