@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
 
 #include "kernel/bandwidth.hpp"
 #include "memory/fast_state.hpp"
@@ -36,6 +37,13 @@ double CvRefinedBandwidth(const kernel::Kernel& kernel,
   const double cv = kernel::LeastSquaresCvBandwidth(kernel, sub);
   if (!std::isfinite(cv) || !(cv > 0.0)) return rot;
   return cv * std::pow(static_cast<double>(m) / static_cast<double>(n), 0.2);
+}
+
+/// A bandwidth whose every scale h·λ, λ ∈ [1/4, 4], is positive and finite,
+/// so no CDF argument divides by zero or by infinity.
+bool UsableBandwidth(double h) {
+  return std::isfinite(h * multidim::kMaxLambda) &&
+         h * multidim::kMinLambda > 0.0;
 }
 
 }  // namespace
@@ -144,19 +152,30 @@ std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
     hx = CvRefinedBandwidth(kernel_, sx, hx);
     hy = CvRefinedBandwidth(kernel_, ty, hy);
   }
-  if (!std::isfinite(hx) || !(hx > 0.0) || !std::isfinite(hy) || !(hy > 0.0)) {
+  if (!UsableBandwidth(hx) || !UsableBandwidth(hy)) {
     return std::nullopt;  // degenerate sample; keep the previous fit/fallback
   }
+  multidim::AdaptiveLambdas(sx, sy, options_.domain_lo0, options_.domain_hi0,
+                            options_.domain_lo1, options_.domain_hi1,
+                            options_.alpha, kPilotLog2, lambdas);
   Fitted fit;
-  fit.lambda_max = multidim::AdaptiveLambdas(
-      sx, sy, options_.domain_lo0, options_.domain_hi0, options_.domain_lo1,
-      options_.domain_hi1, options_.alpha, kPilotLog2, lambdas);
   fit.arena = std::move(arena);
   fit.col0 = 0;
   fit.n = fit_n;
   fit.hx = hx;
   fit.hy = hy;
+  fit.cells = BuildCells(fit);
   return fit;
+}
+
+std::shared_ptr<const multidim::ProdKde2dCells> Kde2dSelectivity::BuildCells(
+    const Fitted& fit) const {
+  // The index borrows the fitted columns; the storage handle keeps them
+  // valid for as long as any copy of the index lives.
+  return std::make_shared<const multidim::ProdKde2dCells>(
+      fit.sx(), fit.sy(), fit.lambdas(), fit.hx, fit.hy, options_.domain_lo0,
+      options_.domain_hi0, options_.domain_lo1, options_.domain_hi1,
+      fit.arena.storage_keepalive());
 }
 
 double Kde2dSelectivity::EstimateRectImpl(double lo0, double hi0, double lo1,
@@ -174,13 +193,7 @@ double Kde2dSelectivity::EstimateRectImpl(double lo0, double hi0, double lo1,
     }
     return static_cast<double>(hits) / static_cast<double>(xs_.size());
   }
-  // Scratch lives on this call's stack: concurrent readers over one fitted
-  // state (the sharded engine fans batch chunks across threads) never share
-  // mutable buffers.
-  multidim::ProdKde2dScratch scratch;
-  const double sum = multidim::ProdKde2dRectSum(
-      kernel_, fitted_->sx(), fitted_->sy(), fitted_->lambdas(), fitted_->hx,
-      fitted_->hy, fitted_->lambda_max, lo0, hi0, lo1, hi1, scratch);
+  const double sum = fitted_->cells->RectSum(kernel_, lo0, hi0, lo1, hi1);
   return std::clamp(sum / static_cast<double>(fitted_->n), 0.0, 1.0);
 }
 
@@ -193,20 +206,26 @@ std::unique_ptr<SelectivityEstimator> Kde2dSelectivity::CloneEmpty() const {
   return std::make_unique<Kde2dSelectivity>(options_);
 }
 
-Status Kde2dSelectivity::MergeFrom(const SelectivityEstimator& other) {
-  Status peer = CheckMergePeer(other);
-  if (!peer.ok()) return peer;
-  const auto& rhs = static_cast<const Kde2dSelectivity&>(other);
+Status Kde2dSelectivity::CheckMergeOptions(const SelectivityEstimator& other,
+                                           const char* what) const {
+  WDE_RETURN_IF_ERROR(CheckMergePeer(other));
+  const Options& rhs = static_cast<const Kde2dSelectivity&>(other).options_;
   // refit_interval/refit_mode pace only the owner's staleness; domains, α
   // and the CV flag shape answers and must match.
-  if (options_.domain_lo0 != rhs.options_.domain_lo0 ||
-      options_.domain_hi0 != rhs.options_.domain_hi0 ||
-      options_.domain_lo1 != rhs.options_.domain_lo1 ||
-      options_.domain_hi1 != rhs.options_.domain_hi1 ||
-      options_.alpha != rhs.options_.alpha ||
-      options_.cv_bandwidths != rhs.options_.cv_bandwidths) {
-    return Status::FailedPrecondition("MergeFrom: kde2d options mismatch");
+  if (options_.domain_lo0 != rhs.domain_lo0 ||
+      options_.domain_hi0 != rhs.domain_hi0 ||
+      options_.domain_lo1 != rhs.domain_lo1 ||
+      options_.domain_hi1 != rhs.domain_hi1 || options_.alpha != rhs.alpha ||
+      options_.cv_bandwidths != rhs.cv_bandwidths) {
+    return Status::FailedPrecondition(std::string(what) +
+                                      ": kde2d options mismatch");
   }
+  return Status::OK();
+}
+
+Status Kde2dSelectivity::MergeFrom(const SelectivityEstimator& other) {
+  WDE_RETURN_IF_ERROR(CheckMergeOptions(other, "MergeFrom"));
+  const auto& rhs = static_cast<const Kde2dSelectivity&>(other);
   xs_.insert(xs_.end(), rhs.xs_.begin(), rhs.xs_.end());
   ys_.insert(ys_.end(), rhs.ys_.begin(), rhs.ys_.end());
   fitted_.reset();  // refit from the merged buffers at the next query
@@ -216,17 +235,8 @@ Status Kde2dSelectivity::MergeFrom(const SelectivityEstimator& other) {
 
 Status Kde2dSelectivity::MergeTailFrom(const SelectivityEstimator& other,
                                        size_t from_count) {
-  Status peer = CheckMergePeer(other);
-  if (!peer.ok()) return peer;
+  WDE_RETURN_IF_ERROR(CheckMergeOptions(other, "MergeTailFrom"));
   const auto& rhs = static_cast<const Kde2dSelectivity&>(other);
-  if (options_.domain_lo0 != rhs.options_.domain_lo0 ||
-      options_.domain_hi0 != rhs.options_.domain_hi0 ||
-      options_.domain_lo1 != rhs.options_.domain_lo1 ||
-      options_.domain_hi1 != rhs.options_.domain_hi1 ||
-      options_.alpha != rhs.options_.alpha ||
-      options_.cv_bandwidths != rhs.options_.cv_bandwidths) {
-    return Status::FailedPrecondition("MergeTailFrom: kde2d options mismatch");
-  }
   if (from_count > rhs.xs_.size()) {
     return Status::InvalidArgument("MergeTailFrom: from_count past peer count");
   }
@@ -256,9 +266,8 @@ Status Kde2dSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
   writer.AddF64(xs_);
   writer.AddF64(ys_);
   if (has_fit) {
-    // The fitted columns plus both bandwidths: restore adopts everything
-    // verbatim instead of re-sorting and re-deriving (λ_max is re-derived —
-    // one max over the λ column — rather than trusted from the wire).
+    // The fitted columns plus both bandwidths: restore adopts them verbatim
+    // instead of re-sorting and re-deriving; the cell index is rebuilt.
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hx));
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hy));
     writer.AddF64(fitted_->sx());
@@ -306,17 +315,17 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
       options.alpha < 0.0 || options.alpha > 1.0 || cv > 1 ||
       have_pending > 1 || has_fit > 1 || fitted_at > n_values ||
       (has_fit == 1 && fitted_at < kMinFitSample) ||
-      (has_fit == 1 &&
-       !(std::isfinite(hx) && hx > 0.0 && std::isfinite(hy) && hy > 0.0)) ||
+      (has_fit == 1 && !(UsableBandwidth(hx) && UsableBandwidth(hy))) ||
       reader.head().remaining() != 0 ||
       !memory::ColumnsMatch(reader.arena(), expected)) {
     return Status::InvalidArgument("corrupt kde2d state");
   }
-  double lambda_max = 1.0;
   if (has_fit == 1) {
-    // The fitted columns are consumed by binary search (sx), the bandwidth
-    // rule (ty) and per-point scaling (λ): hostile orderings or non-finite
-    // entries must be rejected, not served.
+    // The fitted columns are consumed by the delta merge (sx/sy), the
+    // bandwidth rule (ty) and per-point scaling (λ): hostile orderings,
+    // non-finite entries or λ outside [1/4, 4] — which would stretch a
+    // cell's reach past the domain or to ±inf — must be rejected, not
+    // served.
     const std::span<const double> sx = reader.arena().F64(2);
     const std::span<const double> sy = reader.arena().F64(3);
     const std::span<const double> ty = reader.arena().F64(4);
@@ -324,13 +333,12 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
     if (!multidim::IsLexSorted(sx, sy)) {
       return Status::InvalidArgument("corrupt kde2d fitted columns");
     }
-    lambda_max = 0.0;
     for (size_t i = 0; i < ty.size(); ++i) {
       if (!std::isfinite(ty[i]) || (i > 0 && ty[i] < ty[i - 1]) ||
-          !std::isfinite(lambdas[i]) || !(lambdas[i] > 0.0)) {
+          !(lambdas[i] >= multidim::kMinLambda &&
+            lambdas[i] <= multidim::kMaxLambda)) {
         return Status::InvalidArgument("corrupt kde2d fitted columns");
       }
-      lambda_max = std::max(lambda_max, lambdas[i]);
     }
   }
   const std::span<const double> xs = reader.arena().F64(0);
@@ -352,7 +360,7 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
     fit.n = static_cast<size_t>(fitted_at);
     fit.hx = hx;
     fit.hy = hy;
-    fit.lambda_max = lambda_max;
+    fit.cells = BuildCells(fit);
     fitted_ = std::move(fit);
     fitted_at_count_ = static_cast<size_t>(fitted_at);
   } else {

@@ -1,12 +1,14 @@
 #ifndef WDE_SELECTIVITY_KDE2D_SELECTIVITY_HPP_
 #define WDE_SELECTIVITY_KDE2D_SELECTIVITY_HPP_
 
+#include <memory>
 #include <optional>
 #include <span>
 #include <vector>
 
 #include "kernel/kernels.hpp"
 #include "memory/arena.hpp"
+#include "multidim/prod_kde2d.hpp"
 #include "selectivity/selectivity_estimator.hpp"
 
 namespace wde {
@@ -18,10 +20,11 @@ namespace selectivity {
 /// point by Abramson-style adaptive factors λ_i from a binned pilot density
 /// (multidim/prod_kde2d.hpp). Every rectangle answers as
 ///   (1/n) Σ_i [axis-0 kernel-CDF difference] · [axis-1 kernel-CDF difference]
-/// over an x-window binary-searched out of the lex-sorted fitted sample —
-/// bit-exact pruning thanks to the kernel's compact support — with the
-/// per-axis CDF arguments running through the SIMD-annotated CdfMany batch
-/// kernels. 1-D kinds lower onto the axis-0 marginal
+/// through an exact cell-pruned sum (multidim::ProdKde2dCells): cells of a
+/// 64×64 grid whose points' CDF arguments provably saturate add their count
+/// or nothing, and only the points of cells straddling a rectangle edge run
+/// through the SIMD-annotated CdfMany batch kernels. 1-D kinds lower onto
+/// the axis-0 marginal
 /// EstimateRangeImpl(a, b) = EstimateRectImpl(a, b, -inf, +inf).
 ///
 /// Ingest is interleaved (x0, y0, x1, y1, ...): the first coordinate of an
@@ -47,7 +50,8 @@ namespace selectivity {
 /// snapshot mapping, and are never mutated in place. The adaptive factors
 /// and bandwidths are recomputed O(n) per refit in BOTH modes — they are
 /// global functions of the sorted sample, not mergeable state; the
-/// incremental win is the sort, not the fit.
+/// incremental win is the sort, not the fit. The cell index is rebuilt
+/// O(n) per fit and on restore; it is derived state, never serialized.
 class Kde2dSelectivity : public SelectivityEstimator {
  public:
   struct Options {
@@ -103,7 +107,8 @@ class Kde2dSelectivity : public SelectivityEstimator {
   const char* snapshot_type_tag() const override { return "kde2d-prod"; }
 
   /// The copy shares the fitted arena (sorted coordinates, adaptive
-  /// factors) copy-on-write; refits never mutate shared columns.
+  /// factors) copy-on-write and the immutable cell index; refits never
+  /// mutate shared state.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<Kde2dSelectivity>(*this);
   }
@@ -111,14 +116,16 @@ class Kde2dSelectivity : public SelectivityEstimator {
  protected:
   /// The axis-0 marginal: EstimateRectImpl(a, b, -inf, +inf).
   double EstimateRangeImpl(double a, double b) const override;
-  /// clamp((1/n) · product-kernel rectangle sum); exact-fraction fallback
-  /// below the minimum fit sample (or under degenerate bandwidths).
+  /// clamp((1/n) · cell-pruned product-kernel rectangle sum); exact-fraction
+  /// fallback below the minimum fit sample (or under degenerate bandwidths).
   double EstimateRectImpl(double lo0, double hi0, double lo1,
                           double hi1) const override;
   /// State persists the raw coordinate buffers plus the fitted columns
   /// (lex-sorted sx/sy, the sorted axis-1 shadow ty, the adaptive λ_i) and
   /// both bandwidths, so restore adopts the fit verbatim — no re-sort, no
-  /// CV re-run, zero-copy from an mmapped snapshot.
+  /// CV re-run, zero-copy from an mmapped snapshot — and rebuilds only the
+  /// O(n) cell index. λ outside [1/4, 4], the range AdaptiveLambdas
+  /// produces, is rejected.
   Status SaveStateImpl(memory::FastStateWriter& writer) const override;
   Status LoadStateImpl(memory::FastStateReader& reader) override;
 
@@ -130,15 +137,17 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// The fitted state: one arena of four parallel F64 columns starting at
   /// `col0` — sx/sy (lex-sorted coordinates), ty (the ascending-sorted
   /// axis-1 shadow the bandwidth rule reads), λ (adaptive factors) — plus
-  /// the derived scalars. Never mutated after commit; copies share the
-  /// arena copy-on-write.
+  /// the bandwidths and the cell index derived from them. Never mutated
+  /// after commit; copies share the arena copy-on-write and the index.
   struct Fitted {
     memory::Arena arena;
     size_t col0 = 0;
     size_t n = 0;
     double hx = 0.0;
     double hy = 0.0;
-    double lambda_max = 1.0;
+    /// Cell-major order of (sx, sy, λ) with per-cell pruning bounds
+    /// (+4 B/observation), answering every rectangle.
+    std::shared_ptr<const multidim::ProdKde2dCells> cells;
 
     std::span<const double> sx() const { return arena.F64(col0 + 0); }
     std::span<const double> sy() const { return arena.F64(col0 + 1); }
@@ -151,12 +160,20 @@ class Kde2dSelectivity : public SelectivityEstimator {
   void Refit() const;
   /// Builds the fitted state over the observation prefix [0, fit_n):
   /// lex-sort (delta-merged off `prev` when given), the sorted axis-1
-  /// shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive factors.
-  /// Empty on degenerate bandwidths (all-equal coordinates) — callers then
+  /// shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive factors and
+  /// the cell index. Empty on degenerate bandwidths (all-equal coordinates,
+  /// or an h whose h/4 underflows or 4h overflows) — callers then
   /// keep serving the previous fit or the exact-fraction fallback. A
   /// deterministic function of the observation prefix multiset, so snapshot
   /// restore reproduces the saved fit bit-exactly by re-running it.
   std::optional<Fitted> BuildFit(size_t fit_n, const Fitted* prev) const;
+  /// The cell index over a fit's columns and bandwidths.
+  std::shared_ptr<const multidim::ProdKde2dCells> BuildCells(
+      const Fitted& fit) const;
+  /// FailedPrecondition unless `other` is a kde2d peer with the same
+  /// domains, α and CV setting (they shape answers, not just pacing).
+  Status CheckMergeOptions(const SelectivityEstimator& other,
+                           const char* what) const;
 
   Options options_;
   kernel::Kernel kernel_;

@@ -1,8 +1,9 @@
 // Tier-1 tests for the multi-dimensional estimation subsystem: the pure 2-D
 // lattice and product-KDE math in src/multidim (cell indexing, summed-area
 // prefix tables, lex sorting and the incremental tail merge, adaptive
-// bandwidth factors, the windowed product-kernel rectangle sum vs a
-// no-pruning reference), the correlated synthetic-data generators, and the
+// bandwidth factors, the cell-pruned product-kernel rectangle sum vs a
+// no-pruning reference and a long double oracle, the exactness of every
+// pruned cell), the correlated synthetic-data generators, and the
 // estimator-level contracts of the two registered 2-D tags: rectangle
 // accuracy against analytic truth, correlation capture on the anti-product
 // distribution (where any product-of-marginals answer is badly wrong),
@@ -15,6 +16,7 @@
 #include <limits>
 #include <memory>
 #include <numeric>
+#include <string>
 #include <vector>
 
 #include "kernel/kernels.hpp"
@@ -167,25 +169,19 @@ TEST(ProdKde2dMathTest, AdaptiveLambdasSharpenDenseRegions) {
     ys.push_back(rng.Uniform(0.6, 1.0));
   }
   std::vector<double> lambdas(xs.size());
-  const double lambda_max = multidim::AdaptiveLambdas(
-      xs, ys, 0.0, 1.0, 0.0, 1.0, 0.5, 5, lambdas);
-  double max_seen = 0.0;
+  multidim::AdaptiveLambdas(xs, ys, 0.0, 1.0, 0.0, 1.0, 0.5, 5, lambdas);
   for (const double l : lambdas) {
-    EXPECT_GE(l, 0.25);
-    EXPECT_LE(l, 4.0);
-    max_seen = std::max(max_seen, l);
+    EXPECT_GE(l, multidim::kMinLambda);
+    EXPECT_LE(l, multidim::kMaxLambda);
   }
-  EXPECT_EQ(lambda_max, max_seen);
   EXPECT_LT(lambdas[0], lambdas[xs.size() - 1]);  // clump sharper than outlier
 
   // α = 0 disables adaptivity entirely.
-  const double flat_max = multidim::AdaptiveLambdas(
-      xs, ys, 0.0, 1.0, 0.0, 1.0, 0.0, 5, lambdas);
-  EXPECT_EQ(flat_max, 1.0);
+  multidim::AdaptiveLambdas(xs, ys, 0.0, 1.0, 0.0, 1.0, 0.0, 5, lambdas);
   for (const double l : lambdas) EXPECT_EQ(l, 1.0);
 }
 
-TEST(ProdKde2dMathTest, WindowedRectSumMatchesNoPruningReference) {
+TEST(ProdKde2dMathTest, CellPrunedRectSumMatchesNoPruningReference) {
   stats::Rng rng(47);
   const size_t n = 500;
   std::vector<double> xs(n), ys(n), lambdas(n);
@@ -195,10 +191,10 @@ TEST(ProdKde2dMathTest, WindowedRectSumMatchesNoPruningReference) {
   }
   multidim::SortPointsLex(xs, ys);
   for (double& l : lambdas) l = rng.Uniform(0.25, 4.0);
-  const double lambda_max = *std::max_element(lambdas.begin(), lambdas.end());
   const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
   const double hx = 0.04, hy = 0.07;
-  multidim::ProdKde2dScratch scratch;
+  const multidim::ProdKde2dCells cells(xs, ys, lambdas, hx, hy, 0.0, 1.0, 0.0,
+                                       1.0);
   for (int rep = 0; rep < 64; ++rep) {
     double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
     double lo1 = rng.Uniform(-0.2, 1.2), hi1 = rng.Uniform(-0.2, 1.2);
@@ -206,8 +202,7 @@ TEST(ProdKde2dMathTest, WindowedRectSumMatchesNoPruningReference) {
     if (hi1 < lo1) std::swap(lo1, hi1);
     if (rep % 7 == 0) lo0 = -kInf;
     if (rep % 11 == 0) hi1 = kInf;
-    const double got = multidim::ProdKde2dRectSum(
-        k, xs, ys, lambdas, hx, hy, lambda_max, lo0, hi0, lo1, hi1, scratch);
+    const double got = cells.RectSum(k, lo0, hi0, lo1, hi1);
     double want = 0.0;
     for (size_t i = 0; i < n; ++i) {
       const double sx = hx * lambdas[i];
@@ -222,9 +217,272 @@ TEST(ProdKde2dMathTest, WindowedRectSumMatchesNoPruningReference) {
   }
   // The all-space rectangle is exactly n: the compact-support CDF saturates
   // to exactly 0/1, so no tolerance is needed.
-  EXPECT_EQ(multidim::ProdKde2dRectSum(k, xs, ys, lambdas, hx, hy, lambda_max,
-                                       -kInf, kInf, -kInf, kInf, scratch),
-            static_cast<double>(n));
+  EXPECT_EQ(cells.RectSum(k, -kInf, kInf, -kInf, kInf), static_cast<double>(n));
+}
+
+/// The kernel CDF factor of one point on one axis, in long double straight
+/// from the definition: no pruning, no saturation shortcuts beyond the
+/// kernel's own support.
+long double DirectFactor(double c, double lambda, double h, double lo,
+                         double hi) {
+  const auto cdf = [&](double e) -> long double {
+    if (std::isinf(e)) return e > 0.0 ? 1.0L : 0.0L;
+    const long double u = (static_cast<long double>(e) - c) /
+                          (static_cast<long double>(h) * lambda);
+    if (u <= -1.0L) return 0.0L;
+    if (u >= 1.0L) return 1.0L;
+    return 0.5L + 0.75L * u - 0.25L * u * u * u;
+  };
+  return cdf(hi) - cdf(lo);
+}
+
+struct PointSet {
+  std::string what;
+  std::vector<double> xs, ys, lambdas;
+};
+
+/// Point sets whose geometry stresses the cell index: points exactly on
+/// cell boundaries and on the domain's upper edges (the closed last cell),
+/// every point in one cell, λ pinned at either end of its range.
+std::vector<PointSet> AdversarialPointSets() {
+  std::vector<PointSet> sets;
+  const double g = static_cast<double>(multidim::ProdKde2dCells::kGrid);
+  stats::Rng rng(59);
+  {
+    PointSet s{"cell boundaries and upper edges", {}, {}, {}};
+    for (int i = 0; i <= 64; i += 3) {
+      for (int j = 0; j <= 64; j += 5) {
+        s.xs.push_back(i / g);
+        s.ys.push_back(j / g);
+      }
+    }
+    for (int r = 0; r < 40; ++r) {
+      s.xs.push_back(1.0);  // clamped onto the upper edge
+      s.ys.push_back(rng.UniformDouble());
+      s.xs.push_back(rng.UniformDouble());
+      s.ys.push_back(1.0);
+    }
+    s.xs.push_back(1.0);
+    s.ys.push_back(1.0);
+    for (size_t i = 0; i < s.xs.size(); ++i) {
+      s.lambdas.push_back(rng.Uniform(0.25, 4.0));
+    }
+    sets.push_back(std::move(s));
+  }
+  {
+    PointSet s{"one cell", {}, {}, {}};
+    for (int i = 0; i < 600; ++i) {  // > one CdfMany chunk
+      s.xs.push_back(0.5 + rng.UniformDouble() / (2.0 * g));
+      s.ys.push_back(0.25 + rng.UniformDouble() / (2.0 * g));
+      s.lambdas.push_back(rng.Uniform(0.25, 4.0));
+    }
+    sets.push_back(std::move(s));
+  }
+  for (const double lambda : {multidim::kMinLambda, multidim::kMaxLambda}) {
+    PointSet s{"lambda " + std::to_string(lambda), {}, {}, {}};
+    for (int i = 0; i < 800; ++i) {
+      s.xs.push_back(rng.UniformDouble());
+      s.ys.push_back(rng.UniformDouble() * rng.UniformDouble());
+      s.lambdas.push_back(lambda);
+    }
+    sets.push_back(std::move(s));
+  }
+  return sets;
+}
+
+struct Rect {
+  double lo0, hi0, lo1, hi1;
+};
+
+/// Rectangles whose edges sit at a cell's inflated box: each of the four
+/// saturation thresholds c ± R·scale, nudged by 0 and ±1 ulp, and by
+/// ±1e-6 and ±1e-3 of the scale (the Epanechnikov CDF is flat at its support
+/// edge, so a threshold loosened by less than ~1e-8 cannot change a value);
+/// plus ±inf bounds and lo == hi.
+std::vector<Rect> AdversarialRects(const multidim::ProdKde2dCells& cells,
+                                   stats::Rng& rng) {
+  std::vector<Rect> rects;
+  const auto nudged = [](double v, double scale, int step) {
+    switch (step) {
+      case 0: return v;
+      case 1: return std::nextafter(v, kInf);
+      case 2: return std::nextafter(v, -kInf);
+      case 3: return v + 1e-6 * scale;
+      case 4: return v - 1e-6 * scale;
+      case 5: return v + 1e-3 * scale;
+      default: return v - 1e-3 * scale;
+    }
+  };
+  const std::span<const multidim::ProdKde2dCells::Cell> all = cells.cells();
+  for (size_t c = 0; c < all.size(); c += std::max<size_t>(1, all.size() / 12)) {
+    const multidim::ProdKde2dCells::Cell& cell = all[c];
+    const double xs = cell.x_scale, ys = cell.y_scale;  // reach at R = 1
+    for (int step = 0; step < 7; ++step) {
+      // Covered thresholds: hi at x_max + reach, lo at x_min − reach.
+      rects.push_back({nudged(cell.x_min - xs, xs, step),
+                       nudged(cell.x_max + xs, xs, step),
+                       nudged(cell.y_min - ys, ys, step),
+                       nudged(cell.y_max + ys, ys, step)});
+      // Disjoint thresholds: hi at x_min − reach, lo at x_max + reach.
+      rects.push_back({-kInf, nudged(cell.x_min - xs, xs, step),
+                       nudged(cell.y_max + ys, ys, step), kInf});
+      rects.push_back({nudged(cell.x_max + xs, xs, step), kInf, -kInf,
+                       nudged(cell.y_min - ys, ys, step)});
+    }
+  }
+  for (int r = 0; r < 24; ++r) {
+    double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
+    double lo1 = rng.Uniform(-0.2, 1.2), hi1 = rng.Uniform(-0.2, 1.2);
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    rects.push_back({lo0, hi0, lo1, hi1});
+    rects.push_back({lo0, lo0, lo1, hi1});  // lo == hi
+  }
+  rects.push_back({-kInf, kInf, -kInf, kInf});
+  rects.push_back({-kInf, -kInf, -kInf, kInf});
+  rects.push_back({kInf, kInf, -kInf, kInf});
+  rects.push_back({-kInf, kInf, 0.3, 0.3});
+  rects.push_back({0.2, kInf, -kInf, 0.7});
+  return rects;
+}
+
+TEST(ProdKde2dMathTest, CellPrunedRectSumMatchesLongDoubleOracleOnAdversarialGeometry) {
+  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
+  stats::Rng rng(61);
+  for (const PointSet& set : AdversarialPointSets()) {
+    SCOPED_TRACE(set.what);
+    std::vector<double> xs = set.xs, ys = set.ys;
+    multidim::SortPointsLex(xs, ys);
+    const size_t n = xs.size();
+    for (const double h : {0.004, 0.05}) {
+      const multidim::ProdKde2dCells cells(xs, ys, set.lambdas, h, 1.5 * h, 0.0,
+                                           1.0, 0.0, 1.0);
+      for (const Rect& r : AdversarialRects(cells, rng)) {
+        long double want = 0.0L;
+        for (size_t i = 0; i < n; ++i) {
+          want += DirectFactor(xs[i], set.lambdas[i], h, r.lo0, r.hi0) *
+                  DirectFactor(ys[i], set.lambdas[i], 1.5 * h, r.lo1, r.hi1);
+        }
+        const double got = cells.RectSum(k, r.lo0, r.hi0, r.lo1, r.hi1);
+        EXPECT_NEAR(got, static_cast<double>(want),
+                    1e-12 * static_cast<double>(n))
+            << "h=" << h << " rect [" << r.lo0 << "," << r.hi0 << "]x["
+            << r.lo1 << "," << r.hi1 << "]";
+        if (r.lo0 == r.hi0 || r.lo1 == r.hi1) {
+          // F(hi) − F(lo) of one argument: every factor is exactly 0.
+          EXPECT_EQ(got, 0.0);
+        }
+      }
+      EXPECT_EQ(cells.RectSum(k, -kInf, kInf, -kInf, kInf),
+                static_cast<double>(n));
+    }
+  }
+}
+
+TEST(ProdKde2dMathTest, SkippedCellsHaveExactlyUnitOrZeroFactors) {
+  // Every point of a cell the index counts (covered) or skips (disjoint)
+  // must have a per-point factor product of exactly 1 or exactly 0 — the
+  // claim that makes the pruning exact rather than approximate.
+  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
+  stats::Rng rng(67);
+  size_t covered = 0, disjoint = 0, straddling = 0;
+  std::vector<PointSet> sets = AdversarialPointSets();
+  {
+    PointSet anti{"anti-product", {}, {}, {}};
+    std::vector<double> data;
+    multidim::SampleAntiProduct2d(rng, 4000, 0.05, &data);
+    for (size_t i = 0; i < data.size(); i += 2) {
+      anti.xs.push_back(std::clamp(data[i], 0.0, 1.0));
+      anti.ys.push_back(std::clamp(data[i + 1], 0.0, 1.0));
+    }
+    multidim::SortPointsLex(anti.xs, anti.ys);
+    anti.lambdas.resize(anti.xs.size());
+    multidim::AdaptiveLambdas(anti.xs, anti.ys, 0.0, 1.0, 0.0, 1.0, 0.5, 5,
+                              anti.lambdas);
+    sets.push_back(std::move(anti));
+  }
+  for (const PointSet& set : sets) {
+    SCOPED_TRACE(set.what);
+    std::vector<double> xs = set.xs, ys = set.ys;
+    multidim::SortPointsLex(xs, ys);
+    const double hx = 0.02, hy = 0.03;
+    const multidim::ProdKde2dCells cells(xs, ys, set.lambdas, hx, hy, 0.0, 1.0,
+                                         0.0, 1.0);
+    for (const Rect& r : AdversarialRects(cells, rng)) {
+      for (const multidim::ProdKde2dCells::Cell& cell : cells.cells()) {
+        const multidim::ProdKde2dCells::Cover cover =
+            cells.Classify(k, cell, r.lo0, r.hi0, r.lo1, r.hi1);
+        if (cover == multidim::ProdKde2dCells::Cover::kStraddling) {
+          ++straddling;
+          continue;
+        }
+        const bool is_covered =
+            cover == multidim::ProdKde2dCells::Cover::kCovered;
+        ++(is_covered ? covered : disjoint);
+        for (size_t j = cell.begin; j < cell.end; ++j) {
+          const size_t i = cells.order()[j];
+          const double product =
+              multidim::AxisFactor(k, xs[i], set.lambdas[i], hx, r.lo0,
+                                   r.hi0) *
+              multidim::AxisFactor(k, ys[i], set.lambdas[i], hy, r.lo1, r.hi1);
+          ASSERT_EQ(product, is_covered ? 1.0 : 0.0)
+              << "point " << i << " rect [" << r.lo0 << "," << r.hi0 << "]x["
+              << r.lo1 << "," << r.hi1 << "]";
+        }
+      }
+    }
+  }
+  // All three verdicts occur, so the check is not vacuous.
+  EXPECT_GT(covered, 0u);
+  EXPECT_GT(disjoint, 0u);
+  EXPECT_GT(straddling, 0u);
+}
+
+TEST(ProdKde2dMathTest, CellIndexIsAStableCellMajorPermutation) {
+  stats::Rng rng(71);
+  std::vector<double> xs(3000), ys(3000), lambdas(3000);
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = rng.UniformDouble();
+    ys[i] = rng.UniformDouble() * rng.UniformDouble();
+    lambdas[i] = rng.Uniform(0.25, 4.0);
+  }
+  multidim::SortPointsLex(xs, ys);
+  const multidim::ProdKde2dCells cells(xs, ys, lambdas, 0.03, 0.03, 0.0, 1.0,
+                                       0.0, 1.0);
+  const size_t g = multidim::ProdKde2dCells::kGrid;
+  std::vector<bool> seen(xs.size(), false);
+  size_t expected_begin = 0;
+  size_t previous = 0;
+  for (const multidim::ProdKde2dCells::Cell& cell : cells.cells()) {
+    ASSERT_EQ(cell.begin, expected_begin);
+    ASSERT_LT(cell.begin, cell.end);
+    const size_t first = cells.order()[cell.begin];
+    const size_t id = multidim::CellIndex1d(xs[first], 0.0, 1.0, g) * g +
+                      multidim::CellIndex1d(ys[first], 0.0, 1.0, g);
+    if (cell.begin > 0) {
+      ASSERT_GT(id, previous);  // cell-major, ascending
+    }
+    previous = id;
+    for (size_t j = cell.begin; j < cell.end; ++j) {
+      const size_t i = cells.order()[j];
+      ASSERT_FALSE(seen[i]);
+      seen[i] = true;
+      EXPECT_EQ(multidim::CellIndex1d(xs[i], 0.0, 1.0, g) * g +
+                    multidim::CellIndex1d(ys[i], 0.0, 1.0, g),
+                id);
+      EXPECT_GE(xs[i], cell.x_min);
+      EXPECT_LE(xs[i], cell.x_max);
+      EXPECT_GE(ys[i], cell.y_min);
+      EXPECT_LE(ys[i], cell.y_max);
+      EXPECT_LE(0.03 * lambdas[i], cell.x_scale);
+      // Stable: input order survives inside a cell.
+      if (j > cell.begin) {
+        EXPECT_LT(cells.order()[j - 1], i);
+      }
+    }
+    expected_begin = cell.end;
+  }
+  EXPECT_EQ(expected_begin, xs.size());
 }
 
 // --------------------------------------------------------- synthetic data
@@ -468,6 +726,46 @@ TEST(MultiDimEstimatorTest, InterleaveParitySurvivesNonFiniteCoordinates) {
     EXPECT_EQ(est->count(), 3u) << tag;
     const selectivity::Query q = selectivity::Query::Rect(0.0, 0.45, 0.0, 0.45);
     EXPECT_EQ(est->Answer(q), clean->Answer(q)) << tag;
+  }
+}
+
+TEST(MultiDimEstimatorTest, Kde2dAnswersAreBoundedAndSplitAdditive) {
+  // Metamorphic properties that hold for any data: every mass answer lies
+  // in [0, 1]; splitting a rectangle at any cut on either axis preserves
+  // its mass (F(b) − F(m) + F(m) − F(a) = F(b) − F(a) per point); every
+  // conditional answer lies in [0, 1].
+  stats::Rng rng(103);
+  std::vector<double> data;
+  multidim::SampleAntiProduct2d(rng, 20000, 0.05, &data);
+  std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d("kde2d-prod");
+  est->InsertBatch(data);
+  est->ForceRefit();
+  stats::Rng query_rng(107);
+  for (int rep = 0; rep < 200; ++rep) {
+    double lo0 = query_rng.Uniform(-0.1, 1.1), hi0 = query_rng.Uniform(-0.1, 1.1);
+    double lo1 = query_rng.Uniform(-0.1, 1.1), hi1 = query_rng.Uniform(-0.1, 1.1);
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    if (rep % 9 == 0) lo0 = -kInf;
+    if (rep % 13 == 0) hi1 = kInf;
+    const double whole =
+        est->Answer(selectivity::Query::Rect(lo0, hi0, lo1, hi1));
+    EXPECT_GE(whole, 0.0);
+    EXPECT_LE(whole, 1.0);
+    const double cut0 = query_rng.Uniform(std::max(lo0, -0.1), hi0);
+    const double cut1 = query_rng.Uniform(lo1, std::min(hi1, 1.1));
+    const double split0 =
+        est->Answer(selectivity::Query::Rect(lo0, cut0, lo1, hi1)) +
+        est->Answer(selectivity::Query::Rect(cut0, hi0, lo1, hi1));
+    const double split1 =
+        est->Answer(selectivity::Query::Rect(lo0, hi0, lo1, cut1)) +
+        est->Answer(selectivity::Query::Rect(lo0, hi0, cut1, hi1));
+    EXPECT_NEAR(split0, whole, 1e-12) << "rep " << rep;
+    EXPECT_NEAR(split1, whole, 1e-12) << "rep " << rep;
+    const double conditional = est->Answer(
+        selectivity::Query::Conditional(lo0, hi0, lo1, hi1));
+    EXPECT_GE(conditional, 0.0);
+    EXPECT_LE(conditional, 1.0);
   }
 }
 

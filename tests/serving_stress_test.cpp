@@ -5,10 +5,12 @@
 // restores mid-traffic. The assertions are the invariants tsan cannot see:
 // per-reader epoch monotonicity, and answers through a HELD view staying
 // bit-identical no matter how many publishes happen in between (the RCU
-// immutability contract). Every schedule runs over a deterministic seed
+// immutability contract). A sharded kde2d-prod schedule covers the 2-D
+// query kinds and the cell index each published view shares with readers. Every schedule runs over a deterministic seed
 // matrix so failures reproduce.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <atomic>
 #include <cstdio>
 #include <memory>
@@ -35,10 +37,51 @@ selectivity::EstimatorSpec ShardedHistogramSpec() {
   return spec;
 }
 
+/// The 2-D case: every published view refits the merged kde2d-prod view and
+/// rebuilds its shared cell index, which readers then scan concurrently.
+selectivity::EstimatorSpec ShardedKde2dSpec() {
+  selectivity::EstimatorSpec spec;
+  spec.tag = "sharded";
+  spec.sharded_inner_tag = "kde2d-prod";
+  spec.dims = 2;
+  spec.shards = 4;
+  spec.block_size = 128;
+  spec.refit_interval = 256;
+  return spec;
+}
+
+/// Rect, marginal (either axis) and conditional queries over [0, 1]^2.
+std::vector<selectivity::Query> MultiDimQueries(stats::Rng& rng, size_t count) {
+  std::vector<selectivity::Query> queries;
+  queries.reserve(count);
+  for (size_t i = 0; i < count; ++i) {
+    double a = rng.UniformDouble(), b = rng.UniformDouble();
+    double c = rng.UniformDouble(), d = rng.UniformDouble();
+    if (b < a) std::swap(a, b);
+    if (d < c) std::swap(c, d);
+    switch (i % 4) {
+      case 0:
+        queries.push_back(selectivity::Query::Rect(a, b, c, d));
+        break;
+      case 1:
+        queries.push_back(selectivity::Query::Marginal(0, a, b));
+        break;
+      case 2:
+        queries.push_back(selectivity::Query::Marginal(1, c, d));
+        break;
+      default:
+        queries.push_back(selectivity::Query::Conditional(a, b, c, d));
+        break;
+    }
+  }
+  return queries;
+}
+
 std::unique_ptr<serving::EstimatorService> MakeService(
+    const selectivity::EstimatorSpec& spec,
     const serving::ServiceOptions& options) {
   Result<std::unique_ptr<serving::EstimatorService>> service =
-      serving::EstimatorService::Create(ShardedHistogramSpec(), options);
+      serving::EstimatorService::Create(spec, options);
   WDE_CHECK(service.ok(), service.status().ToString().c_str());
   return std::move(service).value();
 }
@@ -57,8 +100,11 @@ std::vector<double> AnswersOf(const selectivity::SelectivityEstimator& view,
 /// because gtest EXPECT_* is not thread-safe.
 void RunSchedule(uint64_t seed, int writers, int readers,
                  bool with_checkpointer, const serving::ServiceOptions& options,
-                 int batches_per_reader) {
-  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
+                 int batches_per_reader,
+                 const selectivity::EstimatorSpec& spec = ShardedHistogramSpec()) {
+  std::unique_ptr<serving::EstimatorService> service =
+      MakeService(spec, options);
+  const bool two_d = spec.dims == 2;
   std::atomic<uint64_t> epoch_regressions{0};
   std::atomic<uint64_t> held_view_divergences{0};
   std::atomic<bool> stop_writers{false};
@@ -68,7 +114,8 @@ void RunSchedule(uint64_t seed, int writers, int readers,
   for (int w = 0; w < writers; ++w) {
     threads.emplace_back([&, w] {
       stats::Rng rng(seed * 1000003 + static_cast<uint64_t>(w));
-      std::vector<double> block(257);
+      // 2-D blocks hold whole (x, y) observations.
+      std::vector<double> block(two_d ? 256 : 257);
       while (!stop_writers.load(std::memory_order_relaxed)) {
         for (double& x : block) x = rng.UniformDouble();
         service->InsertBatch(block);
@@ -82,7 +129,8 @@ void RunSchedule(uint64_t seed, int writers, int readers,
       uint64_t last_epoch = 0;
       for (int b = 0; b < batches_per_reader; ++b) {
         const std::vector<selectivity::Query> queries =
-            selectivity::MixedQueryWorkload(rng, 32, 0.0, 1.0);
+            two_d ? MultiDimQueries(rng, 32)
+                  : selectivity::MixedQueryWorkload(rng, 32, 0.0, 1.0);
         std::vector<double> out(queries.size());
         service->Answer(queries, out);
         const serving::EstimatorService::View held = service->CurrentView();
@@ -105,7 +153,7 @@ void RunSchedule(uint64_t seed, int writers, int readers,
       const std::string path = testing::TempDir() + "/wde_stress_" +
                                std::to_string(seed) + ".snap";
       std::unique_ptr<serving::EstimatorService> standby =
-          MakeService(options);
+          MakeService(spec, options);
       for (int i = 0; i < 4; ++i) {
         WDE_CHECK(service->Checkpoint(path).ok(), "stress checkpoint failed");
         // Warm-standby restore races the leader's writers and publishes.
@@ -161,6 +209,19 @@ TEST(ServingStressTest, CheckpointAndRestoreRaceTraffic) {
     RunSchedule(seed, /*writers=*/2, /*readers=*/2,
                 /*with_checkpointer=*/true, options,
                 /*batches_per_reader=*/40);
+  }
+}
+
+TEST(ServingStressTest, ShardedKde2dWritersVersusMultiDimReaders) {
+  // Writers refit and publish sharded kde2d-prod views while readers answer
+  // rect, marginal and conditional queries through the shared cell index.
+  serving::ServiceOptions options;
+  options.publish_interval = 1024;
+  options.cache_shards = 0;  // every answer scans the view's cell index
+  for (uint64_t seed : {9u, 10u}) {
+    RunSchedule(seed, /*writers=*/2, /*readers=*/3,
+                /*with_checkpointer=*/false, options,
+                /*batches_per_reader=*/30, ShardedKde2dSpec());
   }
 }
 

@@ -564,6 +564,81 @@ TEST(HostileInputTest, KdeStateRejectsNonFiniteAndOutOfDomainValues) {
   }
 }
 
+/// A "kde2d-prod" snapshot on [0, 1]^2 built by hand around a fitted λ
+/// column, so λ can carry values AdaptiveLambdas never produces.
+std::vector<uint8_t> HandBuiltKde2dSnapshot(const std::vector<double>& lambdas) {
+  const size_t n = lambdas.size();
+  std::vector<double> xs(n), ys(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
+    ys[i] = 1.0 - xs[i];
+  }
+  std::vector<double> ty = ys;
+  std::sort(ty.begin(), ty.end());
+  memory::FastStateWriter writer;
+  for (const double edge : {0.0, 1.0, 0.0, 1.0}) {  // both domains
+    WDE_CHECK_OK(io::WriteDouble(writer.head(), edge));
+  }
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 1024));    // refit_interval
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.5));  // alpha
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));        // no CV
+  WDE_CHECK_OK(io::WriteU64(writer.head(), n));       // fitted_at
+  WDE_CHECK_OK(io::WriteU64(writer.head(), n));       // observations
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));        // no pending half
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.0));
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 1));        // has a fit
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.1));  // hx
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.1));  // hy
+  writer.AddF64(xs);
+  writer.AddF64(ys);
+  writer.AddF64(xs);  // lex-sorted: xs ascend
+  writer.AddF64(ys);
+  writer.AddF64(ty);
+  writer.AddF64(lambdas);
+  io::VectorSink frame;
+  WDE_CHECK_OK(writer.Finish(frame, 0));
+  io::VectorSink snapshot = EnvelopeHeadFor("kde2d-prod");
+  WDE_CHECK_OK(io::WriteChunk(snapshot, selectivity::internal::kChunkEstimatorDims,
+                              std::vector<uint8_t>{2, 0, 0, 0}));
+  WDE_CHECK_OK(io::WriteChunk(snapshot, selectivity::internal::kChunkEstimatorArena,
+                              frame.bytes()));
+  return snapshot.TakeBytes();
+}
+
+TEST(HostileInputTest, Kde2dStateRejectsLambdasOutsideTheAdaptiveRange) {
+  // AdaptiveLambdas clamps λ to [1/4, 4]. A restored λ outside that range
+  // would stretch a cell's reach past the domain (or to ±inf) and defeat the
+  // rectangle pruning, so restore rejects it.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const std::vector<double> clean = {0.25, 0.5, 1.0, 2.0, 3.0, 4.0};
+  {
+    const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(clean);
+    io::SpanSource source(bytes);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->count(), clean.size());
+    EXPECT_EQ((*loaded)->Answer(selectivity::Query::Rect(-inf, inf, -inf, inf)),
+              1.0);
+  }
+  for (const double bad : {nan, inf, -inf, 0.0, -1.0, std::nextafter(0.25, 0.0),
+                           std::nextafter(4.0, 5.0), 1e300, 5e-324}) {
+    for (const size_t at : {size_t{0}, size_t{3}, clean.size() - 1}) {
+      SCOPED_TRACE("lambda " + std::to_string(bad) + " at " + std::to_string(at));
+      std::vector<double> poisoned = clean;
+      poisoned[at] = bad;
+      const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(poisoned);
+      io::SpanSource source(bytes);
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+          selectivity::LoadEstimatorSnapshot(source);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << loaded.status().ToString();
+    }
+  }
+}
+
 // ------------------------------------------- hostile state-payload sweep
 //
 // Bit flips of a whole snapshot almost all die at a chunk CRC. This sweep
