@@ -1,14 +1,16 @@
-// Multi-dimensional estimation bench: rectangle-query throughput and
-// accuracy of the two registered 2-D estimators — the prefix-sum grid
-// ("grid2d") and the product/adaptive KDE ("kde2d-prod") — at an equal
-// sample budget (both ingest the same stream; the committed rows carry each
-// estimator's snapshot size so the state budgets are visible too).
+// Multi-dimensional estimation bench: query throughput and accuracy of the
+// two registered 2-D estimators — the prefix-sum grid ("grid2d") and the
+// product/adaptive KDE ("kde2d-prod") — at an equal sample budget (both
+// ingest the same stream; the committed rows carry each estimator's
+// snapshot size so the state budgets are visible too).
 //
-// Section 1 (throughput): batched Answer() over a uniform rect workload vs
-// the scalar per-query loop, per tag, on the anti-product data set. The
-// batch path must be bit-identical to the scalar loop (the taxonomy
-// contract, here exercised through kRect), and the O(1)-per-rect grid must
-// out-run the cell-pruned KDE, whose cost is O(cells + points near an edge).
+// Section 1 (throughput): batched Answer() vs the scalar per-query loop, per
+// tag and per 2-D kind — rectangles, axis-0 and axis-1 marginals over the
+// rectangles' sides, and conditionals over the rectangles — on the
+// anti-product data set. The batch path must be bit-identical to the scalar
+// loop (the taxonomy contract), and the O(1)-per-rect grid must out-run the
+// KDE, whose rectangle sum walks a quadtree of moment nodes (cost
+// O(nodes along the rectangle's edges + points in uncertified leaves)).
 //
 // Section 2 (accuracy): mean absolute error and mean q-error against exact
 // truth (the fraction of ingested observations inside each rect) on two
@@ -24,15 +26,18 @@
 // Usage: perf_multidim [--n=200000] [--queries=4096] [--repeats=3]
 //                      [--out=BENCH_multidim.json] [--check]
 //
-// --check turns the contracts into gates: exit 1 if any batched rect answer
+// --check turns the contracts into gates: exit 1 if any batched answer
 // differs bitwise from the scalar loop, if grid2d does not out-run
-// kde2d-prod on rect throughput, if kde2d-prod answers fewer than 2e3 rect
-// queries per second (its cell-pruned sum; CI runs at n = 2e5, where the
-// x-window scan it replaced managed ~350), if either estimator's joint
-// answers fail to beat its own product-of-marginals baseline on the
-// anti-product workload, or if either mean absolute error exceeds 0.05. CI
-// runs with --check on the release build; debug binaries refuse --check
-// outright (bench_common.hpp).
+// kde2d-prod on rect throughput, if kde2d-prod answers fewer than 6.5e3
+// rect or marginal or 4e3 conditional queries per second (CI runs at
+// n = 2e5; each floor is half the slowest rate measured at the moment
+// quadtree's introduction, headroom for shared runners, and the rect floor
+// still sits above the 4.1e3 rects of the exact cell pruning the quadtree
+// replaced), if either
+// estimator's joint answers fail to beat its own product-of-marginals
+// baseline on the anti-product workload, or if either mean absolute error
+// exceeds 0.05. CI runs with --check on the release build; debug binaries
+// refuse --check outright (bench_common.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -55,7 +60,10 @@ namespace {
 
 using namespace wde;
 
-constexpr double kKde2dMinRectQps = 2e3;
+/// kde2d-prod throughput floors per kind at n = 2e5 (see the file comment).
+constexpr double kKde2dMinRectQps = 6.5e3;
+constexpr double kKde2dMinMarginalQps = 6.5e3;
+constexpr double kKde2dMinConditionalQps = 4e3;
 
 std::unique_ptr<selectivity::SelectivityEstimator> Make2d(
     const std::string& tag) {
@@ -88,11 +96,41 @@ std::vector<RectQuery> RectWorkload(uint64_t seed, size_t count) {
   return out;
 }
 
-std::vector<selectivity::Query> AsQueries(const std::vector<RectQuery>& rects) {
+/// The timed 2-D kinds, each built from the same rectangles.
+enum class Kind { kRect, kMarginal0, kMarginal1, kConditional };
+constexpr Kind kKinds[] = {Kind::kRect, Kind::kMarginal0, Kind::kMarginal1,
+                           Kind::kConditional};
+
+const char* KindName(Kind kind) {
+  switch (kind) {
+    case Kind::kRect: return "rect";
+    case Kind::kMarginal0: return "marginal0";
+    case Kind::kMarginal1: return "marginal1";
+    case Kind::kConditional: return "conditional";
+  }
+  return "?";
+}
+
+std::vector<selectivity::Query> AsQueries(const std::vector<RectQuery>& rects,
+                                          Kind kind) {
   std::vector<selectivity::Query> out;
   out.reserve(rects.size());
   for (const RectQuery& r : rects) {
-    out.push_back(selectivity::Query::Rect(r.lo0, r.hi0, r.lo1, r.hi1));
+    switch (kind) {
+      case Kind::kRect:
+        out.push_back(selectivity::Query::Rect(r.lo0, r.hi0, r.lo1, r.hi1));
+        break;
+      case Kind::kMarginal0:
+        out.push_back(selectivity::Query::Marginal(0, r.lo0, r.hi0));
+        break;
+      case Kind::kMarginal1:
+        out.push_back(selectivity::Query::Marginal(1, r.lo1, r.hi1));
+        break;
+      case Kind::kConditional:
+        out.push_back(
+            selectivity::Query::Conditional(r.lo0, r.hi0, r.lo1, r.hi1));
+        break;
+    }
   }
   return out;
 }
@@ -144,6 +182,7 @@ size_t SnapshotBytes(const selectivity::SelectivityEstimator& est) {
 
 struct ThroughputRow {
   std::string estimator;
+  Kind kind = Kind::kRect;
   size_t queries = 0;
   double batch_seconds = 0.0;
   double batch_qps = 0.0;
@@ -185,47 +224,53 @@ int main(int argc, char** argv) {
   multidim::SampleAntiProduct2d(anti_rng, n, 0.03, &anti);
 
   const std::vector<RectQuery> rects = RectWorkload(5, num_queries);
-  const std::vector<selectivity::Query> queries = AsQueries(rects);
+  const std::vector<selectivity::Query> queries =
+      AsQueries(rects, Kind::kRect);
 
   // -------------------------------------------------------------------------
-  // Section 1: rect throughput (anti-product data), batch vs scalar.
+  // Section 1: throughput per kind (anti-product data), batch vs scalar.
   // -------------------------------------------------------------------------
   std::vector<ThroughputRow> throughput_rows;
   for (const char* tag : {"grid2d", "kde2d-prod"}) {
     std::unique_ptr<selectivity::SelectivityEstimator> est = Make2d(tag);
     est->InsertBatch(anti);
     est->ForceRefit();
-
-    std::vector<double> batch(queries.size());
-    double batch_best = 0.0, scalar_best = 0.0;
-    for (size_t r = 0; r < repeats; ++r) {
-      const auto batch_start = std::chrono::steady_clock::now();
-      est->Answer(queries, batch);
-      const double batch_s = bench::perf::SecondsSince(batch_start);
-      if (r == 0 || batch_s < batch_best) batch_best = batch_s;
-      const auto scalar_start = std::chrono::steady_clock::now();
-      double sink = 0.0;
-      for (const selectivity::Query& q : queries) sink += est->Answer(q);
-      const double scalar_s = bench::perf::SecondsSince(scalar_start);
-      if (r == 0 || scalar_s < scalar_best) scalar_best = scalar_s;
-      volatile double guard = sink;  // keep the scalar loop from folding away
-      (void)guard;
+    for (const Kind kind : kKinds) {
+      const std::vector<selectivity::Query> timed = AsQueries(rects, kind);
+      std::vector<double> batch(timed.size());
+      double batch_best = 0.0, scalar_best = 0.0;
+      for (size_t r = 0; r < repeats; ++r) {
+        const auto batch_start = std::chrono::steady_clock::now();
+        est->Answer(timed, batch);
+        const double batch_s = bench::perf::SecondsSince(batch_start);
+        if (r == 0 || batch_s < batch_best) batch_best = batch_s;
+        const auto scalar_start = std::chrono::steady_clock::now();
+        double sink = 0.0;
+        for (const selectivity::Query& q : timed) sink += est->Answer(q);
+        const double scalar_s = bench::perf::SecondsSince(scalar_start);
+        if (r == 0 || scalar_s < scalar_best) scalar_best = scalar_s;
+        volatile double guard = sink;  // keep the scalar loop from folding away
+        (void)guard;
+      }
+      bool bitwise = true;
+      for (size_t i = 0; i < timed.size(); ++i) {
+        bitwise = bitwise && batch[i] == est->Answer(timed[i]);
+      }
+      ThroughputRow row;
+      row.estimator = tag;
+      row.kind = kind;
+      row.queries = timed.size();
+      row.batch_seconds = batch_best;
+      row.batch_qps = static_cast<double>(timed.size()) / batch_best;
+      row.scalar_qps = static_cast<double>(timed.size()) / scalar_best;
+      row.batch_equals_scalar = bitwise;
+      throughput_rows.push_back(row);
+      std::printf(
+          "%-10s %-11s throughput: batch %.3g q/s  scalar %.3g q/s  bitwise "
+          "%s\n",
+          tag, KindName(kind), row.batch_qps, row.scalar_qps,
+          bitwise ? "true" : "false");
     }
-    bool bitwise = true;
-    for (size_t i = 0; i < queries.size(); ++i) {
-      bitwise = bitwise && batch[i] == est->Answer(queries[i]);
-    }
-    ThroughputRow row;
-    row.estimator = tag;
-    row.queries = queries.size();
-    row.batch_seconds = batch_best;
-    row.batch_qps = static_cast<double>(queries.size()) / batch_best;
-    row.scalar_qps = static_cast<double>(queries.size()) / scalar_best;
-    row.batch_equals_scalar = bitwise;
-    throughput_rows.push_back(row);
-    std::printf(
-        "%-10s rect throughput: batch %.3g q/s  scalar %.3g q/s  bitwise %s\n",
-        tag, row.batch_qps, row.scalar_qps, bitwise ? "true" : "false");
   }
 
   // -------------------------------------------------------------------------
@@ -275,15 +320,16 @@ int main(int argc, char** argv) {
                "\"repeats\": %zu, \"grid_log2\": 6},\n",
                n, num_queries, repeats);
   bench::perf::WriteHostJson(out);
-  std::fprintf(out, "  \"rect_throughput\": [\n");
+  std::fprintf(out, "  \"throughput\": [\n");
   for (size_t i = 0; i < throughput_rows.size(); ++i) {
     const ThroughputRow& row = throughput_rows[i];
     std::fprintf(out,
-                 "    {\"estimator\": \"%s\", \"queries\": %zu, "
-                 "\"batch_seconds\": %.6f, \"batch_qps\": %.1f, "
-                 "\"scalar_qps\": %.1f, \"batch_equals_scalar\": %s}%s\n",
-                 row.estimator.c_str(), row.queries, row.batch_seconds,
-                 row.batch_qps, row.scalar_qps,
+                 "    {\"estimator\": \"%s\", \"kind\": \"%s\", "
+                 "\"queries\": %zu, \"batch_seconds\": %.6f, "
+                 "\"batch_qps\": %.1f, \"scalar_qps\": %.1f, "
+                 "\"batch_equals_scalar\": %s}%s\n",
+                 row.estimator.c_str(), KindName(row.kind), row.queries,
+                 row.batch_seconds, row.batch_qps, row.scalar_qps,
                  row.batch_equals_scalar ? "true" : "false",
                  i + 1 < throughput_rows.size() ? "," : "");
   }
@@ -307,27 +353,44 @@ int main(int argc, char** argv) {
 
   if (ArgBool(argc, argv, "check")) {
     int violations = 0;
+    const auto find = [&](const std::string& tag, Kind kind) {
+      for (const ThroughputRow& row : throughput_rows) {
+        if (row.estimator == tag && row.kind == kind) return row;
+      }
+      WDE_CHECK(false, "missing throughput row");
+      return ThroughputRow{};
+    };
     for (const ThroughputRow& row : throughput_rows) {
       if (!row.batch_equals_scalar) {
         std::fprintf(stderr,
-                     "CHECK FAILED: %s batched rect answers differ from the "
+                     "CHECK FAILED: %s batched %s answers differ from the "
                      "scalar loop\n",
-                     row.estimator.c_str());
+                     row.estimator.c_str(), KindName(row.kind));
         ++violations;
       }
     }
-    if (throughput_rows[0].batch_qps <= throughput_rows[1].batch_qps) {
+    const double grid_rect = find("grid2d", Kind::kRect).batch_qps;
+    const double kde_rect = find("kde2d-prod", Kind::kRect).batch_qps;
+    if (grid_rect <= kde_rect) {
       std::fprintf(stderr,
                    "CHECK FAILED: grid2d (%.3g q/s) did not out-run "
                    "kde2d-prod (%.3g q/s) on rect throughput\n",
-                   throughput_rows[0].batch_qps, throughput_rows[1].batch_qps);
+                   grid_rect, kde_rect);
       ++violations;
     }
-    if (throughput_rows[1].batch_qps < kKde2dMinRectQps) {
-      std::fprintf(stderr,
-                   "CHECK FAILED: kde2d-prod answered %.3g rect q/s < %.3g\n",
-                   throughput_rows[1].batch_qps, kKde2dMinRectQps);
-      ++violations;
+    const std::pair<Kind, double> floors[] = {
+        {Kind::kRect, kKde2dMinRectQps},
+        {Kind::kMarginal0, kKde2dMinMarginalQps},
+        {Kind::kMarginal1, kKde2dMinMarginalQps},
+        {Kind::kConditional, kKde2dMinConditionalQps}};
+    for (const auto& [kind, floor] : floors) {
+      const double qps = find("kde2d-prod", kind).batch_qps;
+      if (qps < floor) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: kde2d-prod answered %.3g %s q/s < %.3g\n",
+                     qps, KindName(kind), floor);
+        ++violations;
+      }
     }
     for (const AccuracyRow& row : accuracy_rows) {
       if (row.joint.mean_abs_error > 0.05) {

@@ -9,13 +9,6 @@
 namespace wde {
 namespace multidim {
 
-size_t CellIndex1d(double x, double lo, double hi, size_t g) {
-  x = std::clamp(x, lo, hi);
-  const double t = (x - lo) / (hi - lo) * static_cast<double>(g);
-  const auto cell = std::clamp(static_cast<long>(t), 0L, static_cast<long>(g) - 1);
-  return static_cast<size_t>(cell);
-}
-
 double CellSpace1d(double x, double lo, double hi, size_t g) {
   // Clamp in domain units first: ±inf lands exactly on an edge without ever
   // entering the scale arithmetic (inf - inf would poison it).

@@ -8,6 +8,7 @@
 #ifndef WDE_MULTIDIM_GRID2D_HPP_
 #define WDE_MULTIDIM_GRID2D_HPP_
 
+#include <algorithm>
 #include <cstddef>
 #include <span>
 
@@ -16,8 +17,15 @@ namespace multidim {
 
 /// Cell index of `x` on one axis with `g` cells over [lo, hi]: linear map
 /// clamped to [0, g-1] (the last cell is closed, like the 1-D equi-width
-/// histogram's bucket rule). Requires finite x, lo < hi, g >= 1.
-size_t CellIndex1d(double x, double lo, double hi, size_t g);
+/// histogram's bucket rule). Requires finite x, lo < hi, g >= 1. Inline:
+/// the tree and pilot builds call it twice per point.
+inline size_t CellIndex1d(double x, double lo, double hi, size_t g) {
+  x = std::clamp(x, lo, hi);
+  const double t = (x - lo) / (hi - lo) * static_cast<double>(g);
+  const auto cell =
+      std::clamp(static_cast<long>(t), 0L, static_cast<long>(g) - 1);
+  return static_cast<size_t>(cell);
+}
 
 /// Cell-space coordinate of `x` on one axis: ((x - lo) / (hi - lo)) · g,
 /// clamped to [0, g]. ±inf clamps exactly to the matching edge (0 or g);

@@ -5,14 +5,15 @@
 ///   f̂(x, y) = (1/n) Σ_i K((x−x_i)/(hx·λ_i)) · K((y−y_i)/(hy·λ_i))
 ///                       / (hx·λ_i · hy·λ_i),
 ///
+/// K the Epanechnikov kernel (support [−1, 1], cubic CDF),
 /// in the Mazeika/Böhlen/Trivellato product/adaptive style: the two
 /// bandwidths come from the paper's per-dimension rule of thumb (optionally
 /// refined by least-squares CV), and λ_i = (pilot_i / ḡ)^(−α) sharpens the
 /// kernel where a binned pilot density says the data is dense. Rectangle
-/// masses are products of per-axis kernel-CDF differences, summed over the
-/// cells of a 64×64 grid that straddle the rectangle's edges — the compact
-/// kernel support makes the pruning exact, not approximate
-/// (ProdKde2dCells).
+/// masses are sums of products of per-axis kernel-CDF differences, answered
+/// from a dyadic quadtree (ProdKde2dTree): the compact kernel support lets
+/// whole nodes add their count or nothing exactly, and nodes along an edge
+/// add a closed-form polynomial in their bivariate moments.
 ///
 /// No estimator/IO dependencies — the selectivity adapter owns storage,
 /// refit pacing and snapshots; these kernels are deterministic functions of
@@ -27,7 +28,6 @@
 #include <span>
 #include <vector>
 
-#include "kernel/kernels.hpp"
 
 namespace wde {
 namespace multidim {
@@ -69,99 +69,160 @@ inline constexpr double kMaxLambda = 4.0;
 /// The per-point axis factor of the product kernel for one axis interval
 /// [lo, hi] (lo <= hi, neither NaN):
 ///
-///   F(hi) − F(lo),  F(e) = Kcdf((e − c) / (h·λ))  for finite e,
-///                   F(+inf) = 1, F(−inf) = 0,
+///   F(hi) − F(lo),  F(e) = Kcdf(fl(fl(e − c) · q)),  q = fl(1 / fl(h·λ)),
 ///
-/// so a rectangle's un-normalized mass is Σ_i fx_i · fy_i. Infinite
-/// endpoints are folded to the exact CDF limits and never reach CdfMany.
-double AxisFactor(const kernel::Kernel& k, double c, double lambda, double h,
-                  double lo, double hi);
+/// Kcdf the Epanechnikov CDF as kernel::Kernel::Cdf evaluates it, so a
+/// rectangle's un-normalized mass is Σ_i fx_i · fy_i. An infinite endpoint
+/// gives an infinite argument, which the CDF saturates to its exact limit
+/// (F(+inf) = 1, F(−inf) = 0).
+double AxisFactor(double c, double lambda, double h, double lo, double hi);
 
-/// Exact cell-pruned rectangle sums over a fitted point set:
+/// Pilot grid resolution of the adaptive factors: AdaptiveLambdas bins the
+/// points on a 2^kPilotLog2 × 2^kPilotLog2 grid over the domain, so λ is a
+/// function of the pilot cell.
+inline constexpr int kPilotLog2 = 5;
+
+/// Rectangle sums over a fitted point set from a dyadic quadtree of
+/// bivariate moment nodes:
 ///
 ///   RectSum(rect) = Σ_i fx_i · fy_i   (see AxisFactor; the caller divides
 ///                                       by n)
 ///
-/// Build: one stable counting sort by CellIndex1d cell over a fixed 64×64
-/// grid on the domain yields the points' cell-major order (x-cell major,
-/// y-cell minor) as a 4-byte permutation of the input columns, which the
-/// index borrows rather than copies. Every non-empty cell keeps its range of
-/// that order, its points' tight bounding box and fl(h·λ_max) per axis,
-/// every non-empty x-column the union of its cells' boxes. O(n),
-/// deterministic in the point sequence.
+/// Layout: node 0 is the domain; every node at level L < kGridLog2 splits
+/// into its non-empty quadrants, so level kGridLog2 is the 64×64 grid, and a
+/// node at level L ∈ [kGridLog2, kMaxLevel) splits again only when it holds
+/// more than kSplitAbove points. A node's non-empty children are
+/// contiguous in nodes(), in quadrant order (x-half major, y-half minor).
+/// One stable counting sort by the points' 2^kMaxLevel-grid Morton key
+/// (CellIndex1d cells, x bit above y bit at every level) yields the
+/// quadrant-major order as a 4-byte permutation of the input columns, which
+/// the tree borrows rather than copies: every node owns a contiguous range
+/// of it. Every node
+/// keeps its points' tight bounding box and, per axis, the inverse scale
+/// q = fl(1/fl(h·λ_max)) of its largest λ. A node whose points share one λ
+/// and whose box is narrower than two scales on some axis (only such an
+/// axis can ever be certified interior) also keeps the 16 moments Σ zᵃtᵇ
+/// (a, b ≤ 3) of z = fl(fl(x − cx)·qx), t = fl(fl(y − cy)·qy) about its box
+/// midpoint (cx, cy), i.e. in units of its scales h·λ. The pilot grid nests
+/// in the tree (2^kGridLog2 = 2^(kGridLog2 − kPilotLog2) · 2^kPilotLog2, and
+/// CellIndex1d scales by powers of two exactly), so on a fit by
+/// AdaptiveLambdas every node at level >= kPilotLog2 has one λ, as does any
+/// coarser node whose pilot cells share a λ (the clamp at kMaxLambda makes
+/// that common in sparse regions). A restored λ column may vary inside a
+/// cell; such nodes simply have no moments. O(n), deterministic in the
+/// point sequence.
 ///
-/// Query: an axis of a cell (or column) is classified by evaluating the
-/// per-point CDF arguments at the box's extreme corner with the box's
-/// largest scale, in the same floating-point operations the per-point
-/// factors use. Correctly rounded subtraction and division are monotone in
-/// each operand, so that one evaluation bounds every point's argument: when
-/// it saturates the CDF (|u| >= R, the kernel's support radius), every
-/// point's does too, and the axis factor of every point in the box is
-/// exactly 1 (covered) or exactly 0 (disjoint). A cell covered on both axes
-/// adds its count; one disjoint on either axis adds nothing; only the points
-/// of straddling cells are evaluated, through CdfMany, and a covered axis of
-/// a straddling cell is skipped (1·f == f exactly). The terms accumulate in
-/// one sequential chain in cell-major order, so the sum is a deterministic
-/// function of (points, bandwidths, domain, rectangle) — batch ≡ scalar,
-/// restore ≡ live — and differs from the unpruned Σ_i fx_i·fy_i only by the
-/// summation order. Requires bandwidths with h·kMinLambda > 0 and
+/// Query: one walk from the root in node order. An axis of a node is judged
+/// by evaluating the per-point CDF arguments at the box's extreme corners
+/// with the box's smallest inverse scale, in the same floating-point
+/// operations the per-point factors use. Correctly rounded subtraction and
+/// multiplication are monotone in each operand, so those evaluations bound
+/// every point's argument:
+///   - a node whose every point saturates the CDF on some endpoint so that
+///     its factor is exactly 0 (disjoint) adds nothing;
+///   - a node whose every point has factors of exactly 1 (covered) adds its
+///     count;
+///   - a moment node whose every finite endpoint is either saturated or
+///     strictly interior (|u| < 1 for every point, judged the same way)
+///     adds Σ_ab p_a q_b M_ab: each axis factor is then the cubic F(d − z)
+///     (or a constant) in the point's offset z, so the node's sum is a
+///     polynomial in its moments;
+///   - anything else descends to its children, or, at a leaf, evaluates its
+///     points one by one (AxisFactor's arithmetic, bitwise), skipping a
+///     covered axis (1·f == f exactly).
+/// The terms accumulate in one sequential chain in walk order, so the sum is
+/// a deterministic function of (points, bandwidths, domain, rectangle) —
+/// batch ≡ scalar, restore ≡ live. Covered and disjoint nodes are exact;
+/// a moment node of k points differs from the exact real sum of its
+/// per-point products by at most 2^9·k·(k + 32)·ε (ε = 2^−53), the rounding
+/// of its moments, coefficients and dot product (docs/ARCHITECTURE.md
+/// derives it). Hence, with K the largest moment node used,
+///   |RectSum − Σ_i fx_i·fy_i| ≤ ε·n·(n + 64 + 2^9·(K + 32)),
+/// the n² term being the worst case of the one sequential chain.
+///
+/// Requires bandwidths with h·kMinLambda > 0 and both 1/(h·kMinLambda) and
 /// h·kMaxLambda finite, λ_i ∈ [kMinLambda, kMaxLambda], finite coordinates
-/// (points outside the domain still answer exactly, but land in an edge
+/// (points outside the domain still answer correctly, but land in an edge
 /// cell and weaken its pruning) and fewer than 2^32 points. Immutable after
 /// construction, so concurrent queries over one instance are safe.
-class ProdKde2dCells {
+class ProdKde2dTree {
  public:
-  /// Cells per axis of the pruning grid.
-  static constexpr size_t kGrid = 64;
+  /// Level of the 64×64 grid every node above it splits down to.
+  static constexpr int kGridLog2 = 6;
+  static constexpr size_t kGrid = size_t{1} << kGridLog2;
+  /// Deepest level (the 256×256 grid).
+  static constexpr int kMaxLevel = 8;
+  /// A node at level >= kGridLog2 splits only when it holds more points.
+  static constexpr size_t kSplitAbove = 128;
+  static_assert(kGridLog2 >= kPilotLog2,
+                "every pruning-grid cell must lie inside one pilot cell, so "
+                "fitted λ is constant on moment nodes");
+  /// How RectSum treats a node on reaching it.
+  enum class Cover { kDisjoint, kCovered, kMoments, kDescend };
 
-  /// How a box relates to the rectangle on one axis or both: every point
-  /// factor is exactly 0 (kDisjoint), exactly 1 (kCovered), or neither is
-  /// certified (kStraddling).
-  enum class Cover { kDisjoint, kCovered, kStraddling };
-
-  /// One non-empty cell: its points are order()[begin, end).
-  struct Cell {
-    size_t begin = 0;
-    size_t end = 0;
+  /// One node: the range, box and inverse scales every visit judges, then
+  /// the moments only a moment node reads. (Plain alignment: over-aligned
+  /// node arrays fragmented the heap measurably.)
+  struct Node {
+    uint32_t begin = 0;        // the node's points are order()[begin, end)
+    uint32_t end = 0;
+    uint32_t first_child = 0;  // children: nodes()[first_child, + children)
+    uint16_t children = 0;     // 0: a leaf
+    uint16_t has_moments = 0;  // 1: m holds the moments
     double x_min = 0.0;
     double x_max = 0.0;
     double y_min = 0.0;
     double y_max = 0.0;
-    double x_scale = 0.0;  // fl(hx · max λ) over the cell
-    double y_scale = 0.0;  // fl(hy · max λ) over the cell
+    double x_inv = 0.0;  // fl(1 / fl(hx · max λ)) over the node
+    double y_inv = 0.0;  // fl(1 / fl(hy · max λ)) over the node
+    /// m[4a + b] = Σ zᵃtᵇ over the node's points (m[0] is its count).
+    double m[16] = {};
   };
 
   /// Indexes the parallel columns (xs, ys, λ) without copying them: the
-  /// spans must stay valid for the index's lifetime, which `keepalive`
+  /// spans must stay valid for the tree's lifetime, which `keepalive`
   /// (e.g. the owning arena's storage handle) may guarantee.
-  ProdKde2dCells(std::span<const double> xs, std::span<const double> ys,
-                 std::span<const double> lambdas, double hx, double hy,
-                 double lo0, double hi0, double lo1, double hi1,
-                 std::shared_ptr<const void> keepalive = nullptr);
+  ProdKde2dTree(std::span<const double> xs, std::span<const double> ys,
+                std::span<const double> lambdas, double hx, double hy,
+                double lo0, double hi0, double lo1, double hi1,
+                std::shared_ptr<const void> keepalive = nullptr);
 
   /// Σ_i fx_i · fy_i over [lo0, hi0] × [lo1, hi1] (lo <= hi per axis, no
   /// NaN; ±inf allowed).
-  double RectSum(const kernel::Kernel& k, double lo0, double hi0, double lo1,
-                 double hi1) const;
+  double RectSum(double lo0, double hi0, double lo1, double hi1) const;
 
-  /// How `cell` relates to the rectangle — the verdict RectSum acts on.
-  static Cover Classify(const kernel::Kernel& k, const Cell& cell, double lo0,
-                        double hi0, double lo1, double hi1);
+  /// A conditional query's two sums from one walk.
+  struct ConditionSums {
+    double joint = 0.0;      // RectSum(lo0, hi0, lo1, hi1)
+    double condition = 0.0;  // RectSum(−inf, +inf, lo1, hi1)
+  };
+  /// Both sums bitwise as the two RectSum calls give them: each takes the
+  /// same terms in the same order, but the walk judges every node's y
+  /// interval once and a leaf point's y factor serves both.
+  ConditionSums ConditionalSums(double lo0, double hi0, double lo1,
+                                double hi1) const;
 
-  std::span<const Cell> cells() const { return cells_; }
-  /// The cell-major order: indices into the indexed columns.
+  /// The verdict RectSum acts on when it reaches `node`.
+  static Cover Classify(const Node& node, double lo0, double hi0, double lo1,
+                        double hi1);
+
+  std::span<const Node> nodes() const { return nodes_; }
+  /// The quadrant-major order: indices into the indexed columns.
   std::span<const uint32_t> order() const { return order_; }
 
  private:
-  /// The non-empty cells [cell_begin, cell_end) of one x-column, with the
-  /// union of their x-extents and their largest x_scale.
-  struct Column {
-    size_t cell_begin = 0;
-    size_t cell_end = 0;
-    double x_min = 0.0;
-    double x_max = 0.0;
-    double x_scale = 0.0;
-  };
+  struct Walk;
+  struct Extent;
+
+  /// Nodes under Morton cell `cell` of `level`, itself included, given the
+  /// per-key start offsets of the quadrant-major order.
+  static size_t CountNodes(int level, uint32_t cell,
+                           std::span<const uint32_t> offset);
+  /// Fills node `id` (and its subtree) for that cell; returns its extent.
+  Extent Build(int level, uint32_t cell, uint32_t id,
+               std::span<const uint32_t> offset);
+  /// Sums the moments of a node marked has_moments over its points.
+  void FillMoments(Node& node) const;
 
   std::span<const double> xs_;
   std::span<const double> ys_;
@@ -170,8 +231,7 @@ class ProdKde2dCells {
   double hx_;
   double hy_;
   std::vector<uint32_t> order_;
-  std::vector<Cell> cells_;
-  std::vector<Column> columns_;
+  std::vector<Node> nodes_;
 };
 
 }  // namespace multidim

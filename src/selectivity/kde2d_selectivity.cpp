@@ -18,8 +18,6 @@ constexpr double kInf = std::numeric_limits<double>::infinity();
 /// Below this many observations the exact-fraction fallback answers (the
 /// same threshold as the 1-D KDE's refit guard).
 constexpr size_t kMinFitSample = 4;
-/// Pilot grid resolution for the adaptive factors: 32 × 32.
-constexpr int kPilotLog2 = 5;
 /// Least-squares CV runs on at most this many evenly strided sorted points;
 /// the result rescales to the full sample by (m/n)^{1/5}.
 constexpr size_t kCvSubsampleCap = 512;
@@ -39,11 +37,13 @@ double CvRefinedBandwidth(const kernel::Kernel& kernel,
   return cv * std::pow(static_cast<double>(m) / static_cast<double>(n), 0.2);
 }
 
-/// A bandwidth whose every scale h·λ, λ ∈ [1/4, 4], is positive and finite,
-/// so no CDF argument divides by zero or by infinity.
+/// A bandwidth whose every scale h·λ, λ ∈ [1/4, 4], is positive and finite
+/// with a finite inverse, so every CDF argument fl(fl(e − x)·fl(1/(h·λ)))
+/// is a number (an infinite inverse would make 0·inf).
 bool UsableBandwidth(double h) {
   return std::isfinite(h * multidim::kMaxLambda) &&
-         h * multidim::kMinLambda > 0.0;
+         h * multidim::kMinLambda > 0.0 &&
+         std::isfinite(1.0 / (h * multidim::kMinLambda));
 }
 
 }  // namespace
@@ -157,22 +157,22 @@ std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
   }
   multidim::AdaptiveLambdas(sx, sy, options_.domain_lo0, options_.domain_hi0,
                             options_.domain_lo1, options_.domain_hi1,
-                            options_.alpha, kPilotLog2, lambdas);
+                            options_.alpha, multidim::kPilotLog2, lambdas);
   Fitted fit;
   fit.arena = std::move(arena);
   fit.col0 = 0;
   fit.n = fit_n;
   fit.hx = hx;
   fit.hy = hy;
-  fit.cells = BuildCells(fit);
+  fit.tree = BuildTree(fit);
   return fit;
 }
 
-std::shared_ptr<const multidim::ProdKde2dCells> Kde2dSelectivity::BuildCells(
+std::shared_ptr<const multidim::ProdKde2dTree> Kde2dSelectivity::BuildTree(
     const Fitted& fit) const {
-  // The index borrows the fitted columns; the storage handle keeps them
-  // valid for as long as any copy of the index lives.
-  return std::make_shared<const multidim::ProdKde2dCells>(
+  // The tree borrows the fitted columns; the storage handle keeps them
+  // valid for as long as any copy of the tree lives.
+  return std::make_shared<const multidim::ProdKde2dTree>(
       fit.sx(), fit.sy(), fit.lambdas(), fit.hx, fit.hy, options_.domain_lo0,
       options_.domain_hi0, options_.domain_lo1, options_.domain_hi1,
       fit.arena.storage_keepalive());
@@ -193,8 +193,28 @@ double Kde2dSelectivity::EstimateRectImpl(double lo0, double hi0, double lo1,
     }
     return static_cast<double>(hits) / static_cast<double>(xs_.size());
   }
-  const double sum = fitted_->cells->RectSum(kernel_, lo0, hi0, lo1, hi1);
+  const double sum = fitted_->tree->RectSum(lo0, hi0, lo1, hi1);
   return std::clamp(sum / static_cast<double>(fitted_->n), 0.0, 1.0);
+}
+
+void Kde2dSelectivity::AnswerImpl(std::span<const Query> queries,
+                                  std::span<double> out) const {
+  // The public wrapper guarantees matched spans, a non-empty batch and
+  // normalized queries.
+  RefitIfStale();  // no inserts between queries: staleness is checked once
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const Query& q = queries[i];
+    if (q.kind != QueryKind::kConditional || !fitted_.has_value()) {
+      out[i] = AnswerOne(q);
+      continue;
+    }
+    // AnswerMultiDim's lowering, both rectangle sums from one walk.
+    const auto sums = fitted_->tree->ConditionalSums(q.a, q.b, q.c, q.d);
+    const double n = static_cast<double>(fitted_->n);
+    const double condition = std::clamp(sums.condition / n, 0.0, 1.0);
+    const double joint = std::clamp(sums.joint / n, 0.0, 1.0);
+    out[i] = condition > 0.0 ? std::clamp(joint / condition, 0.0, 1.0) : 0.0;
+  }
 }
 
 double Kde2dSelectivity::EstimateRangeImpl(double a, double b) const {
@@ -267,7 +287,7 @@ Status Kde2dSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
   writer.AddF64(ys_);
   if (has_fit) {
     // The fitted columns plus both bandwidths: restore adopts them verbatim
-    // instead of re-sorting and re-deriving; the cell index is rebuilt.
+    // instead of re-sorting and re-deriving; the tree is rebuilt.
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hx));
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hy));
     writer.AddF64(fitted_->sx());
@@ -343,6 +363,15 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   }
   const std::span<const double> xs = reader.arena().F64(0);
   const std::span<const double> ys = reader.arena().F64(1);
+  // Insert drops non-finite observations and clamps the rest into the
+  // domain, so any other raw coordinate is hostile: a NaN one would reach a
+  // refit's sort and break its strict weak ordering.
+  for (size_t i = 0; i < xs.size(); ++i) {
+    if (!(xs[i] >= options.domain_lo0 && xs[i] <= options.domain_hi0 &&
+          ys[i] >= options.domain_lo1 && ys[i] <= options.domain_hi1)) {
+      return Status::InvalidArgument("corrupt kde2d coordinates");
+    }
+  }
   options.cv_bandwidths = cv != 0;
   options.refit_mode = options_.refit_mode;  // pacing knob, never serialized
   options_ = options;
@@ -360,7 +389,7 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
     fit.n = static_cast<size_t>(fitted_at);
     fit.hx = hx;
     fit.hy = hy;
-    fit.cells = BuildCells(fit);
+    fit.tree = BuildTree(fit);
     fitted_ = std::move(fit);
     fitted_at_count_ = static_cast<size_t>(fitted_at);
   } else {

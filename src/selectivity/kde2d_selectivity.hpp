@@ -20,12 +20,14 @@ namespace selectivity {
 /// point by Abramson-style adaptive factors λ_i from a binned pilot density
 /// (multidim/prod_kde2d.hpp). Every rectangle answers as
 ///   (1/n) Σ_i [axis-0 kernel-CDF difference] · [axis-1 kernel-CDF difference]
-/// through an exact cell-pruned sum (multidim::ProdKde2dCells): cells of a
-/// 64×64 grid whose points' CDF arguments provably saturate add their count
-/// or nothing, and only the points of cells straddling a rectangle edge run
-/// through the SIMD-annotated CdfMany batch kernels. 1-D kinds lower onto
-/// the axis-0 marginal
-/// EstimateRangeImpl(a, b) = EstimateRectImpl(a, b, -inf, +inf).
+/// through one walk of a dyadic quadtree (multidim::ProdKde2dTree): nodes
+/// whose points' CDF arguments provably saturate add their count or
+/// nothing, nodes along an edge whose arguments are provably interior add a
+/// closed-form polynomial in their bivariate moments, and only the
+/// remaining leaves evaluate their points one by one. A conditional's
+/// joint and condition come from one walk. 1-D kinds lower onto the
+/// axis-0 marginal EstimateRangeImpl(a, b) = EstimateRectImpl(a, b, -inf,
+/// +inf).
 ///
 /// Ingest is interleaved (x0, y0, x1, y1, ...): the first coordinate of an
 /// observation is buffered raw, the second completes it — the whole
@@ -50,7 +52,7 @@ namespace selectivity {
 /// snapshot mapping, and are never mutated in place. The adaptive factors
 /// and bandwidths are recomputed O(n) per refit in BOTH modes — they are
 /// global functions of the sorted sample, not mergeable state; the
-/// incremental win is the sort, not the fit. The cell index is rebuilt
+/// incremental win is the sort, not the fit. The tree is rebuilt
 /// O(n) per fit and on restore; it is derived state, never serialized.
 class Kde2dSelectivity : public SelectivityEstimator {
  public:
@@ -107,7 +109,7 @@ class Kde2dSelectivity : public SelectivityEstimator {
   const char* snapshot_type_tag() const override { return "kde2d-prod"; }
 
   /// The copy shares the fitted arena (sorted coordinates, adaptive
-  /// factors) copy-on-write and the immutable cell index; refits never
+  /// factors) copy-on-write and the immutable tree; refits never
   /// mutate shared state.
   std::unique_ptr<SelectivityEstimator> CloneForView() const override {
     return std::make_unique<Kde2dSelectivity>(*this);
@@ -116,16 +118,23 @@ class Kde2dSelectivity : public SelectivityEstimator {
  protected:
   /// The axis-0 marginal: EstimateRectImpl(a, b, -inf, +inf).
   double EstimateRangeImpl(double a, double b) const override;
-  /// clamp((1/n) · cell-pruned product-kernel rectangle sum); exact-fraction
+  /// clamp((1/n) · tree-walked product-kernel rectangle sum); exact-fraction
   /// fallback below the minimum fit sample (or under degenerate bandwidths).
   double EstimateRectImpl(double lo0, double hi0, double lo1,
                           double hi1) const override;
+  /// Batched queries: one staleness check/refit, then each conditional's
+  /// joint and condition sums from one tree walk (ConditionalSums); every
+  /// other kind through the shared lowering. Bit-identical to the scalar
+  /// loop and to AnswerMultiDim's two-rectangle lowering.
+  void AnswerImpl(std::span<const Query> queries,
+                  std::span<double> out) const override;
   /// State persists the raw coordinate buffers plus the fitted columns
   /// (lex-sorted sx/sy, the sorted axis-1 shadow ty, the adaptive λ_i) and
   /// both bandwidths, so restore adopts the fit verbatim — no re-sort, no
   /// CV re-run, zero-copy from an mmapped snapshot — and rebuilds only the
-  /// O(n) cell index. λ outside [1/4, 4], the range AdaptiveLambdas
-  /// produces, is rejected.
+  /// O(n) tree. λ outside [1/4, 4], the range AdaptiveLambdas produces, is
+  /// rejected, and so is a raw coordinate that is non-finite or outside its
+  /// axis domain (Insert never buffers one).
   Status SaveStateImpl(memory::FastStateWriter& writer) const override;
   Status LoadStateImpl(memory::FastStateReader& reader) override;
 
@@ -137,7 +146,7 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// The fitted state: one arena of four parallel F64 columns starting at
   /// `col0` — sx/sy (lex-sorted coordinates), ty (the ascending-sorted
   /// axis-1 shadow the bandwidth rule reads), λ (adaptive factors) — plus
-  /// the bandwidths and the cell index derived from them. Never mutated
+  /// the bandwidths and the tree derived from them. Never mutated
   /// after commit; copies share the arena copy-on-write and the index.
   struct Fitted {
     memory::Arena arena;
@@ -145,9 +154,9 @@ class Kde2dSelectivity : public SelectivityEstimator {
     size_t n = 0;
     double hx = 0.0;
     double hy = 0.0;
-    /// Cell-major order of (sx, sy, λ) with per-cell pruning bounds
-    /// (+4 B/observation), answering every rectangle.
-    std::shared_ptr<const multidim::ProdKde2dCells> cells;
+    /// Quadrant-major order of (sx, sy, λ) with per-node pruning bounds
+    /// and moments, answering every rectangle.
+    std::shared_ptr<const multidim::ProdKde2dTree> tree;
 
     std::span<const double> sx() const { return arena.F64(col0 + 0); }
     std::span<const double> sy() const { return arena.F64(col0 + 1); }
@@ -161,14 +170,14 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// Builds the fitted state over the observation prefix [0, fit_n):
   /// lex-sort (delta-merged off `prev` when given), the sorted axis-1
   /// shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive factors and
-  /// the cell index. Empty on degenerate bandwidths (all-equal coordinates,
+  /// the tree. Empty on degenerate bandwidths (all-equal coordinates,
   /// or an h whose h/4 underflows or 4h overflows) — callers then
   /// keep serving the previous fit or the exact-fraction fallback. A
   /// deterministic function of the observation prefix multiset, so snapshot
   /// restore reproduces the saved fit bit-exactly by re-running it.
   std::optional<Fitted> BuildFit(size_t fit_n, const Fitted* prev) const;
-  /// The cell index over a fit's columns and bandwidths.
-  std::shared_ptr<const multidim::ProdKde2dCells> BuildCells(
+  /// The tree over a fit's columns and bandwidths.
+  std::shared_ptr<const multidim::ProdKde2dTree> BuildTree(
       const Fitted& fit) const;
   /// FailedPrecondition unless `other` is a kde2d peer with the same
   /// domains, α and CV setting (they shape answers, not just pacing).

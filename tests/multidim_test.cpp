@@ -1,18 +1,20 @@
 // Tier-1 tests for the multi-dimensional estimation subsystem: the pure 2-D
 // lattice and product-KDE math in src/multidim (cell indexing, summed-area
 // prefix tables, lex sorting and the incremental tail merge, adaptive
-// bandwidth factors, the cell-pruned product-kernel rectangle sum vs a
-// no-pruning reference and a long double oracle, the exactness of every
-// pruned cell), the correlated synthetic-data generators, and the
-// estimator-level contracts of the two registered 2-D tags: rectangle
-// accuracy against analytic truth, correlation capture on the anti-product
-// distribution (where any product-of-marginals answer is badly wrong),
-// merge-of-disjoint-substreams ≡ sequential bitwise, and the sharded engine
-// over a 2-D prototype.
+// bandwidth factors, the moment-node quadtree's rectangle sum vs a
+// no-pruning reference and a long double oracle within its documented
+// rounding bound, the exactness of every counted or skipped node and the
+// certification of every moment node), the correlated synthetic-data
+// generators, and the estimator-level contracts of the two registered 2-D
+// tags: rectangle accuracy against analytic truth, correlation capture on
+// the anti-product distribution (where any product-of-marginals answer is
+// badly wrong), merge-of-disjoint-substreams ≡ sequential bitwise, and the
+// sharded engine over a 2-D prototype.
 #include <gtest/gtest.h>
 
 #include <algorithm>
 #include <cmath>
+#include <functional>
 #include <limits>
 #include <memory>
 #include <numeric>
@@ -181,45 +183,6 @@ TEST(ProdKde2dMathTest, AdaptiveLambdasSharpenDenseRegions) {
   for (const double l : lambdas) EXPECT_EQ(l, 1.0);
 }
 
-TEST(ProdKde2dMathTest, CellPrunedRectSumMatchesNoPruningReference) {
-  stats::Rng rng(47);
-  const size_t n = 500;
-  std::vector<double> xs(n), ys(n), lambdas(n);
-  for (size_t i = 0; i < n; ++i) {
-    xs[i] = rng.UniformDouble();
-    ys[i] = rng.UniformDouble();
-  }
-  multidim::SortPointsLex(xs, ys);
-  for (double& l : lambdas) l = rng.Uniform(0.25, 4.0);
-  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
-  const double hx = 0.04, hy = 0.07;
-  const multidim::ProdKde2dCells cells(xs, ys, lambdas, hx, hy, 0.0, 1.0, 0.0,
-                                       1.0);
-  for (int rep = 0; rep < 64; ++rep) {
-    double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
-    double lo1 = rng.Uniform(-0.2, 1.2), hi1 = rng.Uniform(-0.2, 1.2);
-    if (hi0 < lo0) std::swap(lo0, hi0);
-    if (hi1 < lo1) std::swap(lo1, hi1);
-    if (rep % 7 == 0) lo0 = -kInf;
-    if (rep % 11 == 0) hi1 = kInf;
-    const double got = cells.RectSum(k, lo0, hi0, lo1, hi1);
-    double want = 0.0;
-    for (size_t i = 0; i < n; ++i) {
-      const double sx = hx * lambdas[i];
-      const double sy = hy * lambdas[i];
-      const double fx = (std::isinf(hi0) ? 1.0 : k.Cdf((hi0 - xs[i]) / sx)) -
-                        (std::isinf(lo0) ? 0.0 : k.Cdf((lo0 - xs[i]) / sx));
-      const double fy = (std::isinf(hi1) ? 1.0 : k.Cdf((hi1 - ys[i]) / sy)) -
-                        (std::isinf(lo1) ? 0.0 : k.Cdf((lo1 - ys[i]) / sy));
-      want += fx * fy;
-    }
-    EXPECT_NEAR(got, want, 1e-11 * static_cast<double>(n)) << "rep " << rep;
-  }
-  // The all-space rectangle is exactly n: the compact-support CDF saturates
-  // to exactly 0/1, so no tolerance is needed.
-  EXPECT_EQ(cells.RectSum(k, -kInf, kInf, -kInf, kInf), static_cast<double>(n));
-}
-
 /// The kernel CDF factor of one point on one axis, in long double straight
 /// from the definition: no pruning, no saturation shortcuts beyond the
 /// kernel's own support.
@@ -236,70 +199,244 @@ long double DirectFactor(double c, double lambda, double h, double lo,
   return cdf(hi) - cdf(lo);
 }
 
-struct PointSet {
-  std::string what;
-  std::vector<double> xs, ys, lambdas;
-};
-
-/// Point sets whose geometry stresses the cell index: points exactly on
-/// cell boundaries and on the domain's upper edges (the closed last cell),
-/// every point in one cell, λ pinned at either end of its range.
-std::vector<PointSet> AdversarialPointSets() {
-  std::vector<PointSet> sets;
-  const double g = static_cast<double>(multidim::ProdKde2dCells::kGrid);
-  stats::Rng rng(59);
-  {
-    PointSet s{"cell boundaries and upper edges", {}, {}, {}};
-    for (int i = 0; i <= 64; i += 3) {
-      for (int j = 0; j <= 64; j += 5) {
-        s.xs.push_back(i / g);
-        s.ys.push_back(j / g);
-      }
-    }
-    for (int r = 0; r < 40; ++r) {
-      s.xs.push_back(1.0);  // clamped onto the upper edge
-      s.ys.push_back(rng.UniformDouble());
-      s.xs.push_back(rng.UniformDouble());
-      s.ys.push_back(1.0);
-    }
-    s.xs.push_back(1.0);
-    s.ys.push_back(1.0);
-    for (size_t i = 0; i < s.xs.size(); ++i) {
-      s.lambdas.push_back(rng.Uniform(0.25, 4.0));
-    }
-    sets.push_back(std::move(s));
-  }
-  {
-    PointSet s{"one cell", {}, {}, {}};
-    for (int i = 0; i < 600; ++i) {  // > one CdfMany chunk
-      s.xs.push_back(0.5 + rng.UniformDouble() / (2.0 * g));
-      s.ys.push_back(0.25 + rng.UniformDouble() / (2.0 * g));
-      s.lambdas.push_back(rng.Uniform(0.25, 4.0));
-    }
-    sets.push_back(std::move(s));
-  }
-  for (const double lambda : {multidim::kMinLambda, multidim::kMaxLambda}) {
-    PointSet s{"lambda " + std::to_string(lambda), {}, {}, {}};
-    for (int i = 0; i < 800; ++i) {
-      s.xs.push_back(rng.UniformDouble());
-      s.ys.push_back(rng.UniformDouble() * rng.UniformDouble());
-      s.lambdas.push_back(lambda);
-    }
-    sets.push_back(std::move(s));
-  }
-  return sets;
-}
-
 struct Rect {
   double lo0, hi0, lo1, hi1;
 };
 
-/// Rectangles whose edges sit at a cell's inflated box: each of the four
-/// saturation thresholds c ± R·scale, nudged by 0 and ±1 ulp, and by
-/// ±1e-6 and ±1e-3 of the scale (the Epanechnikov CDF is flat at its support
-/// edge, so a threshold loosened by less than ~1e-8 cannot change a value);
-/// plus ±inf bounds and lo == hi.
-std::vector<Rect> AdversarialRects(const multidim::ProdKde2dCells& cells,
+struct PointSet {
+  std::string what;
+  std::vector<double> xs, ys, lambdas;
+  double hx = 0.0, hy = 0.0;
+
+  /// Σ_i fx_i·fy_i in long double (the oracle RectSum is held to).
+  double Oracle(const Rect& r) const {
+    long double want = 0.0L;
+    for (size_t i = 0; i < xs.size(); ++i) {
+      want += DirectFactor(xs[i], lambdas[i], hx, r.lo0, r.hi0) *
+              DirectFactor(ys[i], lambdas[i], hy, r.lo1, r.hi1);
+    }
+    return static_cast<double>(want);
+  }
+};
+
+/// Lex-sorts a set's points (as a fit does) and attaches its λ column:
+/// `lambda` < 0 asks for AdaptiveLambdas at α = 0.5, as a live fit makes.
+PointSet Fitted(std::string what, std::vector<double> xs,
+                std::vector<double> ys, double lambda, double hx, double hy) {
+  multidim::SortPointsLex(xs, ys);
+  std::vector<double> lambdas(xs.size(), lambda);
+  if (lambda < 0.0) {
+    multidim::AdaptiveLambdas(xs, ys, 0.0, 1.0, 0.0, 1.0, 0.5,
+                              multidim::kPilotLog2, lambdas);
+  }
+  return PointSet{std::move(what), std::move(xs), std::move(ys),
+                  std::move(lambdas), hx, hy};
+}
+
+multidim::ProdKde2dTree TreeOf(const PointSet& set) {
+  return multidim::ProdKde2dTree(set.xs, set.ys, set.lambdas, set.hx, set.hy,
+                                 0.0, 1.0, 0.0, 1.0);
+}
+
+/// The documented RectSum bound ε·n·(n + 64 + 2^9·(K + 32)), with K the
+/// largest moment node of the tree (at least the largest one a walk uses).
+double RectSumBound(const multidim::ProdKde2dTree& tree) {
+  size_t k_max = 0;
+  for (const multidim::ProdKde2dTree::Node& node : tree.nodes()) {
+    if (node.has_moments != 0) {
+      k_max = std::max<size_t>(k_max, node.end - node.begin);
+    }
+  }
+  const double n = static_cast<double>(tree.order().size());
+  return std::ldexp(n, -53) *
+         (n + 64.0 + 512.0 * (static_cast<double>(k_max) + 32.0));
+}
+
+/// Per-verdict node counts of the walk RectSum makes for `r`: the same
+/// Classify verdicts, descending where it descends.
+struct WalkCounts {
+  size_t covered = 0, disjoint = 0, moments = 0, leaves = 0;
+};
+
+void CountWalk(const multidim::ProdKde2dTree& tree, const Rect& r,
+               uint32_t id, WalkCounts* counts) {
+  using Cover = multidim::ProdKde2dTree::Cover;
+  const multidim::ProdKde2dTree::Node& node = tree.nodes()[id];
+  switch (multidim::ProdKde2dTree::Classify(node, r.lo0, r.hi0, r.lo1,
+                                            r.hi1)) {
+    case Cover::kDisjoint: ++counts->disjoint; return;
+    case Cover::kCovered: ++counts->covered; return;
+    case Cover::kMoments: ++counts->moments; return;
+    case Cover::kDescend: break;
+  }
+  if (node.children == 0) {
+    ++counts->leaves;
+    return;
+  }
+  for (uint32_t c = node.first_child; c < node.first_child + node.children;
+       ++c) {
+    CountWalk(tree, r, c, counts);
+  }
+}
+
+/// Visits every node with its depth (the root is level 0).
+template <typename Fn>
+void ForEachNode(const multidim::ProdKde2dTree& tree, uint32_t id, int level,
+                 const Fn& fn) {
+  const multidim::ProdKde2dTree::Node& node = tree.nodes()[id];
+  fn(node, level);
+  for (uint32_t c = node.first_child; c < node.first_child + node.children;
+       ++c) {
+    ForEachNode(tree, c, level + 1, fn);
+  }
+}
+
+TEST(ProdKde2dMathTest, TreeRectSumMatchesNoPruningReference) {
+  stats::Rng rng(47);
+  const size_t n = 500;
+  std::vector<double> xs(n), ys(n), lambdas(n);
+  for (size_t i = 0; i < n; ++i) {
+    xs[i] = rng.UniformDouble();
+    ys[i] = rng.UniformDouble();
+  }
+  multidim::SortPointsLex(xs, ys);
+  for (double& l : lambdas) l = rng.Uniform(0.25, 4.0);
+  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
+  const double hx = 0.04, hy = 0.07;
+  const multidim::ProdKde2dTree tree(xs, ys, lambdas, hx, hy, 0.0, 1.0, 0.0,
+                                     1.0);
+  for (int rep = 0; rep < 64; ++rep) {
+    double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
+    double lo1 = rng.Uniform(-0.2, 1.2), hi1 = rng.Uniform(-0.2, 1.2);
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    if (rep % 7 == 0) lo0 = -kInf;
+    if (rep % 11 == 0) hi1 = kInf;
+    const double got = tree.RectSum(lo0, hi0, lo1, hi1);
+    double want = 0.0;
+    for (size_t i = 0; i < n; ++i) {
+      const double sx = hx * lambdas[i];
+      const double sy = hy * lambdas[i];
+      const double fx = (std::isinf(hi0) ? 1.0 : k.Cdf((hi0 - xs[i]) / sx)) -
+                        (std::isinf(lo0) ? 0.0 : k.Cdf((lo0 - xs[i]) / sx));
+      const double fy = (std::isinf(hi1) ? 1.0 : k.Cdf((hi1 - ys[i]) / sy)) -
+                        (std::isinf(lo1) ? 0.0 : k.Cdf((lo1 - ys[i]) / sy));
+      want += fx * fy;
+    }
+    EXPECT_NEAR(got, want, 1e-11 * static_cast<double>(n)) << "rep " << rep;
+  }
+  // The all-space rectangle is exactly n: the compact-support CDF saturates
+  // to exactly 0/1, so no tolerance is needed.
+  EXPECT_EQ(tree.RectSum(-kInf, kInf, -kInf, kInf), static_cast<double>(n));
+}
+
+/// Point sets whose geometry stresses the tree: points exactly on cell
+/// boundaries and on the domain's upper edges (the closed last cell), every
+/// point in one cell, λ pinned at either end of its range (λ = 4 makes
+/// sparse moment nodes far narrower than their scale), a dyadic lattice
+/// whose CDF arguments are exact, a level-8 cell dense enough to stay a
+/// large moment leaf, and a live fit's adaptive λ on anti-product data.
+/// Every set but the lattice comes at two bandwidth pairs: (0.004, 0.006),
+/// scales well inside a 1/64 cell, and (0.05, 0.075), where λ = 4 gives
+/// scales ~0.2 and whole groups of cells take the moment path.
+std::vector<PointSet> AdversarialPointSets() {
+  std::vector<PointSet> sets;
+  const double g = static_cast<double>(multidim::ProdKde2dTree::kGrid);
+  stats::Rng rng(59);
+  const auto swept = [&sets](const PointSet& set) {
+    for (const double h : {0.004, 0.05}) {
+      PointSet copy = set;
+      copy.what += " h=" + std::to_string(h);
+      copy.hx = h;
+      copy.hy = 1.5 * h;
+      sets.push_back(std::move(copy));
+    }
+  };
+  {
+    std::vector<double> xs, ys;
+    for (int i = 0; i <= 64; i += 3) {
+      for (int j = 0; j <= 64; j += 5) {
+        xs.push_back(i / g);
+        ys.push_back(j / g);
+      }
+    }
+    for (int r = 0; r < 40; ++r) {
+      xs.push_back(1.0);  // clamped onto the upper edge
+      ys.push_back(rng.UniformDouble());
+      xs.push_back(rng.UniformDouble());
+      ys.push_back(1.0);
+    }
+    xs.push_back(1.0);
+    ys.push_back(1.0);
+    PointSet s = Fitted("cell boundaries and upper edges", xs, ys, 1.0, 0.0,
+                        0.0);
+    for (double& l : s.lambdas) l = rng.Uniform(0.25, 4.0);
+    swept(s);
+  }
+  {
+    std::vector<double> xs, ys;
+    for (int i = 0; i < 600; ++i) {  // > one CdfMany chunk
+      xs.push_back(0.5 + rng.UniformDouble() / (2.0 * g));
+      ys.push_back(0.25 + rng.UniformDouble() / (2.0 * g));
+    }
+    PointSet s = Fitted("one cell, mixed lambda", xs, ys, 1.0, 0.0, 0.0);
+    for (double& l : s.lambdas) l = rng.Uniform(0.25, 4.0);
+    swept(s);
+  }
+  for (const double lambda : {multidim::kMinLambda, multidim::kMaxLambda}) {
+    std::vector<double> xs, ys;
+    for (int i = 0; i < 800; ++i) {
+      xs.push_back(rng.UniformDouble());
+      ys.push_back(rng.UniformDouble() * rng.UniformDouble());
+    }
+    swept(Fitted("lambda " + std::to_string(lambda), xs, ys, lambda, 0.0,
+                 0.0));
+  }
+  {
+    std::vector<double> xs, ys;
+    for (int i = 0; i < 128; i += 3) {
+      for (int j = 0; j < 128; j += 2) {
+        xs.push_back(i / 128.0);
+        ys.push_back(j / 128.0);
+      }
+    }
+    // h and λ powers of two: every argument (e − x)/(h·λ) at a lattice
+    // edge is exact, so u = ±1 occurs exactly.
+    sets.push_back(Fitted("dyadic lattice", xs, ys, 1.0, 1.0 / 64, 1.0 / 32));
+  }
+  {
+    std::vector<double> xs, ys;
+    for (int i = 0; i < 2000; ++i) {
+      xs.push_back(0.5 + rng.UniformDouble() / 256.0);
+      ys.push_back(0.25 + rng.UniformDouble() / 256.0);
+    }
+    for (int i = 0; i < 500; ++i) {
+      xs.push_back(rng.UniformDouble());
+      ys.push_back(rng.UniformDouble());
+    }
+    swept(Fitted("dense level-8 cell", xs, ys, 1.0, 0.0, 0.0));
+  }
+  {
+    std::vector<double> data, xs, ys;
+    multidim::SampleAntiProduct2d(rng, 20000, 0.03, &data);
+    for (size_t i = 0; i < data.size(); i += 2) {
+      xs.push_back(std::clamp(data[i], 0.0, 1.0));
+      ys.push_back(std::clamp(data[i + 1], 0.0, 1.0));
+    }
+    swept(Fitted("fitted anti-product", xs, ys, -1.0, 0.0, 0.0));
+  }
+  return sets;
+}
+
+/// Rectangles whose edges sit where the tree's verdicts flip: for sampled
+/// nodes, each saturation threshold c ± R·scale of the box corners and each
+/// interior threshold (the moment certification's), nudged by 0 and ±1 ulp,
+/// and by ±1e-6 and ±1e-3 of the scale (the Epanechnikov CDF is flat at its
+/// support edge, so a threshold loosened by less than ~1e-8 cannot change a
+/// value); edges exactly at a point ± its scale (|u| = 1); axis-0 and axis-1
+/// marginals; plus ±inf bounds and lo == hi.
+std::vector<Rect> AdversarialRects(const PointSet& set,
+                                   const multidim::ProdKde2dTree& tree,
                                    stats::Rng& rng) {
   std::vector<Rect> rects;
   const auto nudged = [](double v, double scale, int step) {
@@ -313,22 +450,38 @@ std::vector<Rect> AdversarialRects(const multidim::ProdKde2dCells& cells,
       default: return v - 1e-3 * scale;
     }
   };
-  const std::span<const multidim::ProdKde2dCells::Cell> all = cells.cells();
-  for (size_t c = 0; c < all.size(); c += std::max<size_t>(1, all.size() / 12)) {
-    const multidim::ProdKde2dCells::Cell& cell = all[c];
-    const double xs = cell.x_scale, ys = cell.y_scale;  // reach at R = 1
+  const std::span<const multidim::ProdKde2dTree::Node> all = tree.nodes();
+  for (size_t c = 0; c < all.size();
+       c += std::max<size_t>(1, all.size() / 12)) {
+    const multidim::ProdKde2dTree::Node& node = all[c];
+    const double xs = 1.0 / node.x_inv, ys = 1.0 / node.y_inv;  // reach
     for (int step = 0; step < 7; ++step) {
       // Covered thresholds: hi at x_max + reach, lo at x_min − reach.
-      rects.push_back({nudged(cell.x_min - xs, xs, step),
-                       nudged(cell.x_max + xs, xs, step),
-                       nudged(cell.y_min - ys, ys, step),
-                       nudged(cell.y_max + ys, ys, step)});
+      rects.push_back({nudged(node.x_min - xs, xs, step),
+                       nudged(node.x_max + xs, xs, step),
+                       nudged(node.y_min - ys, ys, step),
+                       nudged(node.y_max + ys, ys, step)});
       // Disjoint thresholds: hi at x_min − reach, lo at x_max + reach.
-      rects.push_back({-kInf, nudged(cell.x_min - xs, xs, step),
-                       nudged(cell.y_max + ys, ys, step), kInf});
-      rects.push_back({nudged(cell.x_max + xs, xs, step), kInf, -kInf,
-                       nudged(cell.y_min - ys, ys, step)});
+      rects.push_back({-kInf, nudged(node.x_min - xs, xs, step),
+                       nudged(node.y_max + ys, ys, step), kInf});
+      rects.push_back({nudged(node.x_max + xs, xs, step), kInf, -kInf,
+                       nudged(node.y_min - ys, ys, step)});
+      // Interior thresholds: an edge is interior to every point of the box
+      // while it lies in (x_max − reach, x_min + reach).
+      rects.push_back({nudged(node.x_max - xs, xs, step),
+                       nudged(node.x_min + xs, xs, step),
+                       nudged(node.y_max - ys, ys, step), kInf});
+      rects.push_back({nudged(node.x_min + xs, xs, step), kInf, -kInf,
+                       nudged(node.y_max - ys, ys, step)});
     }
+  }
+  const size_t n = set.xs.size();
+  for (size_t i = 0; i < n; i += std::max<size_t>(1, n / 16)) {
+    const double sx = set.hx * set.lambdas[i];
+    const double sy = set.hy * set.lambdas[i];
+    rects.push_back({set.xs[i] - sx, set.xs[i] + sx, set.ys[i] - sy,
+                     set.ys[i] + sy});
+    rects.push_back({set.xs[i] + sx, kInf, -kInf, set.ys[i] - sy});
   }
   for (int r = 0; r < 24; ++r) {
     double lo0 = rng.Uniform(-0.2, 1.2), hi0 = rng.Uniform(-0.2, 1.2);
@@ -337,6 +490,12 @@ std::vector<Rect> AdversarialRects(const multidim::ProdKde2dCells& cells,
     if (hi1 < lo1) std::swap(lo1, hi1);
     rects.push_back({lo0, hi0, lo1, hi1});
     rects.push_back({lo0, lo0, lo1, hi1});  // lo == hi
+    rects.push_back({lo0, hi0, -kInf, kInf});  // axis-0 marginal
+    rects.push_back({-kInf, kInf, lo1, hi1});  // axis-1 marginal
+  }
+  for (Rect& r : rects) {  // the interior thresholds cross on wide boxes
+    if (r.hi0 < r.lo0) std::swap(r.lo0, r.hi0);
+    if (r.hi1 < r.lo1) std::swap(r.lo1, r.hi1);
   }
   rects.push_back({-kInf, kInf, -kInf, kInf});
   rects.push_back({-kInf, -kInf, -kInf, kInf});
@@ -346,143 +505,340 @@ std::vector<Rect> AdversarialRects(const multidim::ProdKde2dCells& cells,
   return rects;
 }
 
-TEST(ProdKde2dMathTest, CellPrunedRectSumMatchesLongDoubleOracleOnAdversarialGeometry) {
-  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
+TEST(ProdKde2dMathTest, TreeRectSumMatchesLongDoubleOracleOnAdversarialGeometry) {
+  // Every answer — counted, skipped, moment-summed or per point — lies
+  // within the documented bound of the long double oracle, and the walks
+  // take every kind of verdict, so the bound is not vacuous.
   stats::Rng rng(61);
+  WalkCounts total;
   for (const PointSet& set : AdversarialPointSets()) {
     SCOPED_TRACE(set.what);
-    std::vector<double> xs = set.xs, ys = set.ys;
-    multidim::SortPointsLex(xs, ys);
-    const size_t n = xs.size();
-    for (const double h : {0.004, 0.05}) {
-      const multidim::ProdKde2dCells cells(xs, ys, set.lambdas, h, 1.5 * h, 0.0,
-                                           1.0, 0.0, 1.0);
-      for (const Rect& r : AdversarialRects(cells, rng)) {
-        long double want = 0.0L;
-        for (size_t i = 0; i < n; ++i) {
-          want += DirectFactor(xs[i], set.lambdas[i], h, r.lo0, r.hi0) *
-                  DirectFactor(ys[i], set.lambdas[i], 1.5 * h, r.lo1, r.hi1);
-        }
-        const double got = cells.RectSum(k, r.lo0, r.hi0, r.lo1, r.hi1);
-        EXPECT_NEAR(got, static_cast<double>(want),
-                    1e-12 * static_cast<double>(n))
-            << "h=" << h << " rect [" << r.lo0 << "," << r.hi0 << "]x["
-            << r.lo1 << "," << r.hi1 << "]";
-        if (r.lo0 == r.hi0 || r.lo1 == r.hi1) {
-          // F(hi) − F(lo) of one argument: every factor is exactly 0.
-          EXPECT_EQ(got, 0.0);
-        }
+    const multidim::ProdKde2dTree tree = TreeOf(set);
+    const double bound = RectSumBound(tree);
+    const size_t n = set.xs.size();
+    for (const Rect& r : AdversarialRects(set, tree, rng)) {
+      const double got = tree.RectSum(r.lo0, r.hi0, r.lo1, r.hi1);
+      const double want = set.Oracle(r);
+      EXPECT_NEAR(got, want, bound)
+          << "rect [" << r.lo0 << "," << r.hi0 << "]x[" << r.lo1 << ","
+          << r.hi1 << "]";
+      // Far inside the worst case in practice.
+      EXPECT_NEAR(got, want, 1e-12 * static_cast<double>(n));
+      if (r.lo0 == r.hi0 || r.lo1 == r.hi1) {
+        // F(hi) − F(lo) of one argument: every factor is exactly 0, and a
+        // moment node's coefficients cancel exactly too.
+        EXPECT_EQ(got, 0.0);
       }
-      EXPECT_EQ(cells.RectSum(k, -kInf, kInf, -kInf, kInf),
-                static_cast<double>(n));
+      CountWalk(tree, r, 0, &total);
+    }
+    EXPECT_EQ(tree.RectSum(-kInf, kInf, -kInf, kInf),
+              static_cast<double>(n));
+  }
+  EXPECT_GT(total.covered, 0u);
+  EXPECT_GT(total.disjoint, 0u);
+  EXPECT_GT(total.moments, 0u);
+  EXPECT_GT(total.leaves, 0u);
+}
+
+TEST(ProdKde2dMathTest, TreeConditionalHalvesAndSplitsStayWithinTheBound) {
+  // A conditional is joint / condition, two RectSums that ConditionalSums
+  // gives bitwise from one walk; each half must lie within the bound, and
+  // so must the ratio's propagated error. Splitting a
+  // rectangle at any cut preserves its exact mass (per point,
+  // F(b) − F(m) + F(m) − F(a) = F(b) − F(a)), so the pieces' sums must add
+  // up to within three bounds.
+  stats::Rng rng(63);
+  for (const PointSet& set : AdversarialPointSets()) {
+    SCOPED_TRACE(set.what);
+    const multidim::ProdKde2dTree tree = TreeOf(set);
+    const double bound = RectSumBound(tree);
+    for (int rep = 0; rep < 48; ++rep) {
+      double lo0 = rng.Uniform(-0.1, 1.1), hi0 = rng.Uniform(-0.1, 1.1);
+      double lo1 = rng.Uniform(-0.1, 1.1), hi1 = rng.Uniform(-0.1, 1.1);
+      if (hi0 < lo0) std::swap(lo0, hi0);
+      if (hi1 < lo1) std::swap(lo1, hi1);
+      if (rep % 5 == 0) lo0 = -kInf;
+      if (rep % 7 == 0) hi1 = kInf;
+      const Rect joint{lo0, hi0, lo1, hi1};
+      const Rect condition{-kInf, kInf, lo1, hi1};
+      const double a = tree.RectSum(lo0, hi0, lo1, hi1);
+      const double b = tree.RectSum(-kInf, kInf, lo1, hi1);
+      const auto sums = tree.ConditionalSums(lo0, hi0, lo1, hi1);
+      EXPECT_EQ(sums.joint, a) << "rep " << rep;
+      EXPECT_EQ(sums.condition, b) << "rep " << rep;
+      const double want_a = set.Oracle(joint);
+      const double want_b = set.Oracle(condition);
+      EXPECT_NEAR(a, want_a, bound);
+      EXPECT_NEAR(b, want_b, bound);
+      if (b > bound && want_b > 0.0) {
+        EXPECT_NEAR(a / b, want_a / want_b,
+                    (bound + (want_a / want_b) * bound) / (b - bound) +
+                        std::ldexp(1.0, -52))
+            << "rep " << rep;
+      }
+      const double cut0 = rng.Uniform(std::max(lo0, -0.1), hi0);
+      const double cut1 = rng.Uniform(lo1, std::min(hi1, 1.1));
+      EXPECT_NEAR(tree.RectSum(lo0, cut0, lo1, hi1) +
+                      tree.RectSum(cut0, hi0, lo1, hi1),
+                  a, 3.0 * bound)
+          << "rep " << rep;
+      EXPECT_NEAR(tree.RectSum(lo0, hi0, lo1, cut1) +
+                      tree.RectSum(lo0, hi0, cut1, hi1),
+                  a, 3.0 * bound)
+          << "rep " << rep;
     }
   }
 }
 
-TEST(ProdKde2dMathTest, SkippedCellsHaveExactlyUnitOrZeroFactors) {
-  // Every point of a cell the index counts (covered) or skips (disjoint)
-  // must have a per-point factor product of exactly 1 or exactly 0 — the
-  // claim that makes the pruning exact rather than approximate.
-  const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
+TEST(ProdKde2dMathTest, WalkedNodesAreExactOrCertifiedInterior) {
+  // Walking the tree as RectSum does: every point of a node it counts
+  // (covered) or skips (disjoint) must have a per-point factor product of
+  // exactly 1 or exactly 0 — the claim that makes those verdicts exact —
+  // and every point of a moment node must have each axis factor equal to
+  // exactly 1 (a saturated pair) or evaluate every finite endpoint strictly
+  // inside the cubic (|u| < 1), where the moment polynomial is its value.
+  using Cover = multidim::ProdKde2dTree::Cover;
   stats::Rng rng(67);
-  size_t covered = 0, disjoint = 0, straddling = 0;
-  std::vector<PointSet> sets = AdversarialPointSets();
-  {
-    PointSet anti{"anti-product", {}, {}, {}};
-    std::vector<double> data;
-    multidim::SampleAntiProduct2d(rng, 4000, 0.05, &data);
-    for (size_t i = 0; i < data.size(); i += 2) {
-      anti.xs.push_back(std::clamp(data[i], 0.0, 1.0));
-      anti.ys.push_back(std::clamp(data[i + 1], 0.0, 1.0));
-    }
-    multidim::SortPointsLex(anti.xs, anti.ys);
-    anti.lambdas.resize(anti.xs.size());
-    multidim::AdaptiveLambdas(anti.xs, anti.ys, 0.0, 1.0, 0.0, 1.0, 0.5, 5,
-                              anti.lambdas);
-    sets.push_back(std::move(anti));
-  }
-  for (const PointSet& set : sets) {
+  size_t covered = 0, disjoint = 0, moments = 0;
+  const auto interior_or_saturated = [](double c, double q, double lo,
+                                        double hi) {
+    const auto term = [&](double e, bool upper) {
+      const double u = (e - c) * q;
+      return (u > -1.0 && u < 1.0) || (upper ? u >= 1.0 : u <= -1.0);
+    };
+    return term(hi, true) && term(lo, false);
+  };
+  for (const PointSet& set : AdversarialPointSets()) {
     SCOPED_TRACE(set.what);
-    std::vector<double> xs = set.xs, ys = set.ys;
-    multidim::SortPointsLex(xs, ys);
-    const double hx = 0.02, hy = 0.03;
-    const multidim::ProdKde2dCells cells(xs, ys, set.lambdas, hx, hy, 0.0, 1.0,
-                                         0.0, 1.0);
-    for (const Rect& r : AdversarialRects(cells, rng)) {
-      for (const multidim::ProdKde2dCells::Cell& cell : cells.cells()) {
-        const multidim::ProdKde2dCells::Cover cover =
-            cells.Classify(k, cell, r.lo0, r.hi0, r.lo1, r.hi1);
-        if (cover == multidim::ProdKde2dCells::Cover::kStraddling) {
-          ++straddling;
-          continue;
+    const multidim::ProdKde2dTree tree = TreeOf(set);
+    for (const Rect& r : AdversarialRects(set, tree, rng)) {
+      const std::function<void(uint32_t)> walk = [&](uint32_t id) {
+        const multidim::ProdKde2dTree::Node& node = tree.nodes()[id];
+        const Cover cover = multidim::ProdKde2dTree::Classify(
+            node, r.lo0, r.hi0, r.lo1, r.hi1);
+        if (cover == Cover::kDescend) {
+          for (uint32_t c = node.first_child;
+               c < node.first_child + node.children; ++c) {
+            walk(c);
+          }
+          return;
         }
-        const bool is_covered =
-            cover == multidim::ProdKde2dCells::Cover::kCovered;
-        ++(is_covered ? covered : disjoint);
-        for (size_t j = cell.begin; j < cell.end; ++j) {
-          const size_t i = cells.order()[j];
+        ++(cover == Cover::kCovered    ? covered
+           : cover == Cover::kDisjoint ? disjoint
+                                       : moments);
+        for (uint32_t j = node.begin; j < node.end; ++j) {
+          const size_t i = tree.order()[j];
+          const double lambda = set.lambdas[i];
+          if (cover == Cover::kMoments) {
+            ASSERT_EQ(lambda, set.lambdas[tree.order()[node.begin]]);
+            ASSERT_TRUE(interior_or_saturated(set.xs[i],
+                                              1.0 / (set.hx * lambda),
+                                              r.lo0, r.hi0));
+            ASSERT_TRUE(interior_or_saturated(set.ys[i],
+                                              1.0 / (set.hy * lambda),
+                                              r.lo1, r.hi1));
+            continue;
+          }
           const double product =
-              multidim::AxisFactor(k, xs[i], set.lambdas[i], hx, r.lo0,
-                                   r.hi0) *
-              multidim::AxisFactor(k, ys[i], set.lambdas[i], hy, r.lo1, r.hi1);
-          ASSERT_EQ(product, is_covered ? 1.0 : 0.0)
-              << "point " << i << " rect [" << r.lo0 << "," << r.hi0 << "]x["
-              << r.lo1 << "," << r.hi1 << "]";
+              multidim::AxisFactor(set.xs[i], lambda, set.hx, r.lo0, r.hi0) *
+              multidim::AxisFactor(set.ys[i], lambda, set.hy, r.lo1, r.hi1);
+          ASSERT_EQ(product, cover == Cover::kCovered ? 1.0 : 0.0)
+              << "point " << i << " rect [" << r.lo0 << "," << r.hi0
+              << "]x[" << r.lo1 << "," << r.hi1 << "]";
         }
-      }
+      };
+      walk(0);
     }
   }
   // All three verdicts occur, so the check is not vacuous.
   EXPECT_GT(covered, 0u);
   EXPECT_GT(disjoint, 0u);
-  EXPECT_GT(straddling, 0u);
+  EXPECT_GT(moments, 0u);
 }
 
-TEST(ProdKde2dMathTest, CellIndexIsAStableCellMajorPermutation) {
+TEST(ProdKde2dMathTest, TreeIsAStableQuadrantMajorPartition) {
   stats::Rng rng(71);
-  std::vector<double> xs(3000), ys(3000), lambdas(3000);
+  std::vector<double> xs(6000), ys(6000), lambdas(6000);
   for (size_t i = 0; i < xs.size(); ++i) {
     xs[i] = rng.UniformDouble();
     ys[i] = rng.UniformDouble() * rng.UniformDouble();
-    lambdas[i] = rng.Uniform(0.25, 4.0);
+    lambdas[i] = i % 3 == 0 ? 1.0 : 2.0;
   }
   multidim::SortPointsLex(xs, ys);
-  const multidim::ProdKde2dCells cells(xs, ys, lambdas, 0.03, 0.03, 0.0, 1.0,
-                                       0.0, 1.0);
-  const size_t g = multidim::ProdKde2dCells::kGrid;
+  const double hx = 0.03, hy = 0.02;
+  const multidim::ProdKde2dTree tree(xs, ys, lambdas, hx, hy, 0.0, 1.0, 0.0,
+                                     1.0);
+  using Tree = multidim::ProdKde2dTree;
+  const size_t fine = size_t{1} << Tree::kMaxLevel;
   std::vector<bool> seen(xs.size(), false);
-  size_t expected_begin = 0;
-  size_t previous = 0;
-  for (const multidim::ProdKde2dCells::Cell& cell : cells.cells()) {
-    ASSERT_EQ(cell.begin, expected_begin);
-    ASSERT_LT(cell.begin, cell.end);
-    const size_t first = cells.order()[cell.begin];
-    const size_t id = multidim::CellIndex1d(xs[first], 0.0, 1.0, g) * g +
-                      multidim::CellIndex1d(ys[first], 0.0, 1.0, g);
-    if (cell.begin > 0) {
-      ASSERT_GT(id, previous);  // cell-major, ascending
+  for (const uint32_t i : tree.order()) {
+    ASSERT_LT(i, xs.size());
+    ASSERT_FALSE(seen[i]);
+    seen[i] = true;
+  }
+  ASSERT_EQ(tree.order().size(), xs.size());
+  ASSERT_EQ(tree.nodes()[0].begin, 0u);
+  ASSERT_EQ(tree.nodes()[0].end, xs.size());
+  size_t visited = 0;
+  ForEachNode(tree, 0, 0, [&](const Tree::Node& node, int level) {
+    ++visited;
+    ASSERT_LT(node.begin, node.end);
+    const size_t count = node.end - node.begin;
+    // Levels above the grid always split; below it only past kSplitAbove.
+    const bool splits = level < Tree::kGridLog2 ||
+                        (level < Tree::kMaxLevel && count > Tree::kSplitAbove);
+    ASSERT_EQ(node.children != 0, splits) << "level " << level;
+    if (splits) {
+      // Children tile the parent's range in order.
+      uint32_t at = node.begin;
+      for (uint32_t c = node.first_child; c < node.first_child + node.children;
+           ++c) {
+        ASSERT_EQ(tree.nodes()[c].begin, at);
+        at = tree.nodes()[c].end;
+      }
+      ASSERT_EQ(at, node.end);
     }
-    previous = id;
-    for (size_t j = cell.begin; j < cell.end; ++j) {
-      const size_t i = cells.order()[j];
-      ASSERT_FALSE(seen[i]);
-      seen[i] = true;
-      EXPECT_EQ(multidim::CellIndex1d(xs[i], 0.0, 1.0, g) * g +
-                    multidim::CellIndex1d(ys[i], 0.0, 1.0, g),
-                id);
-      EXPECT_GE(xs[i], cell.x_min);
-      EXPECT_LE(xs[i], cell.x_max);
-      EXPECT_GE(ys[i], cell.y_min);
-      EXPECT_LE(ys[i], cell.y_max);
-      EXPECT_LE(0.03 * lambdas[i], cell.x_scale);
-      // Stable: input order survives inside a cell.
-      if (j > cell.begin) {
-        EXPECT_LT(cells.order()[j - 1], i);
+    const size_t cell_shift = static_cast<size_t>(Tree::kMaxLevel - level);
+    const size_t first = tree.order()[node.begin];
+    const size_t cx = multidim::CellIndex1d(xs[first], 0.0, 1.0, fine) >>
+                      cell_shift;
+    const size_t cy = multidim::CellIndex1d(ys[first], 0.0, 1.0, fine) >>
+                      cell_shift;
+    bool one_lambda = true;
+    for (uint32_t j = node.begin; j < node.end; ++j) {
+      const size_t i = tree.order()[j];
+      EXPECT_EQ(multidim::CellIndex1d(xs[i], 0.0, 1.0, fine) >> cell_shift, cx);
+      EXPECT_EQ(multidim::CellIndex1d(ys[i], 0.0, 1.0, fine) >> cell_shift, cy);
+      EXPECT_GE(xs[i], node.x_min);
+      EXPECT_LE(xs[i], node.x_max);
+      EXPECT_GE(ys[i], node.y_min);
+      EXPECT_LE(ys[i], node.y_max);
+      EXPECT_GE(1.0 / (hx * lambdas[i]), node.x_inv);
+      EXPECT_GE(1.0 / (hy * lambdas[i]), node.y_inv);
+      one_lambda = one_lambda && lambdas[i] == lambdas[first];
+      // Stable: input order survives among points of one finest cell.
+      if (j > node.begin && node.children == 0) {
+        const size_t prev = tree.order()[j - 1];
+        if (multidim::CellIndex1d(xs[prev], 0.0, 1.0, fine) ==
+                multidim::CellIndex1d(xs[i], 0.0, 1.0, fine) &&
+            multidim::CellIndex1d(ys[prev], 0.0, 1.0, fine) ==
+                multidim::CellIndex1d(ys[i], 0.0, 1.0, fine)) {
+          EXPECT_LT(prev, i);
+        }
       }
     }
-    expected_begin = cell.end;
+    // Moments exactly where λ is one value and some axis is narrower than
+    // two scales (the only boxes a query can certify interior).
+    const bool narrow = (node.x_max - node.x_min) * node.x_inv < 2.0 ||
+                        (node.y_max - node.y_min) * node.y_inv < 2.0;
+    ASSERT_EQ(node.has_moments != 0, one_lambda && narrow)
+        << "level " << level;
+    if (node.has_moments == 0) return;
+    EXPECT_EQ(node.m[0], static_cast<double>(count));
+    const long double mx = std::midpoint(node.x_min, node.x_max);
+    const long double my = std::midpoint(node.y_min, node.y_max);
+    for (int a = 0; a < 4; ++a) {
+      for (int b = 0; b < 4; ++b) {
+        long double want = 0.0L;
+        for (uint32_t j = node.begin; j < node.end; ++j) {
+          const size_t i = tree.order()[j];
+          want += std::pow((xs[i] - mx) * node.x_inv, a) *
+                  std::pow((ys[i] - my) * node.y_inv, b);
+        }
+        EXPECT_NEAR(node.m[4 * a + b], static_cast<double>(want),
+                    1e-12 * static_cast<double>(count))
+            << "moment " << a << "," << b;
+      }
+    }
+  });
+  EXPECT_EQ(visited, tree.nodes().size());
+}
+
+TEST(ProdKde2dMathTest, FittedGridCellsHaveOneLambdaOnTheBenchDataSets) {
+  // The tree's grid nests the pilot grid, so a live fit's λ is constant on
+  // every node at the grid level and below, and every one of them narrow
+  // enough to be certified carries moments. The data are perf_multidim's
+  // two sets (seeds, components and noise) at its bandwidth scale.
+  const size_t n = 200000;
+  const std::vector<multidim::GaussianComponent2d> components = {
+      {0.45, 0.30, 0.35, 0.08, 0.06, 0.6},
+      {0.35, 0.70, 0.60, 0.07, 0.09, -0.5},
+      {0.20, 0.50, 0.80, 0.12, 0.05, 0.0}};
+  std::vector<double> mixture, anti;
+  stats::Rng mixture_rng(1);
+  multidim::SampleGaussianMixture2d(mixture_rng, components, n, &mixture);
+  stats::Rng anti_rng(2);
+  multidim::SampleAntiProduct2d(anti_rng, n, 0.03, &anti);
+  using Tree = multidim::ProdKde2dTree;
+  for (const auto* data : {&mixture, &anti}) {
+    std::vector<double> xs, ys;
+    for (size_t i = 0; i < data->size(); i += 2) {
+      xs.push_back(std::clamp((*data)[i], 0.0, 1.0));  // as Insert clamps
+      ys.push_back(std::clamp((*data)[i + 1], 0.0, 1.0));
+    }
+    const PointSet set = Fitted("bench", xs, ys, -1.0, 0.03, 0.03);
+    const Tree tree = TreeOf(set);
+    size_t grid_nodes = 0, with_moments = 0;
+    ForEachNode(tree, 0, 0, [&](const Tree::Node& node, int level) {
+      if (level < Tree::kGridLog2) return;
+      grid_nodes += level == Tree::kGridLog2;
+      const double lambda = set.lambdas[tree.order()[node.begin]];
+      for (uint32_t j = node.begin; j < node.end; ++j) {
+        ASSERT_EQ(set.lambdas[tree.order()[j]], lambda) << "level " << level;
+      }
+      const bool narrow = (node.x_max - node.x_min) * node.x_inv < 2.0 ||
+                          (node.y_max - node.y_min) * node.y_inv < 2.0;
+      EXPECT_EQ(node.has_moments != 0, narrow);
+      with_moments += node.has_moments;
+    });
+    EXPECT_GT(grid_nodes, 1000u);
+    EXPECT_GT(with_moments, grid_nodes);
   }
-  EXPECT_EQ(expected_begin, xs.size());
+}
+
+TEST(ProdKde2dMathTest, MixedLambdaInsideACellFallsBackPerPoint) {
+  // A restored λ column may vary inside one grid cell (AdaptiveLambdas
+  // never does that). Such a cell keeps no moments, its points answer per
+  // point, and every answer stays within the bound of the oracle.
+  stats::Rng rng(73);
+  std::vector<double> xs, ys;
+  for (int i = 0; i < 400; ++i) {
+    xs.push_back(0.5 + rng.UniformDouble() / 64.0);
+    ys.push_back(0.5 + rng.UniformDouble() / 64.0);
+  }
+  for (int i = 0; i < 400; ++i) {
+    xs.push_back(rng.UniformDouble());
+    ys.push_back(rng.UniformDouble());
+  }
+  PointSet set = Fitted("mixed cell", xs, ys, 1.0, 0.01, 0.01);
+  const size_t cell = multidim::ProdKde2dTree::kGrid / 2;
+  size_t mixed = 0;
+  for (size_t i = 0; i < set.xs.size(); ++i) {
+    if (multidim::CellIndex1d(set.xs[i], 0.0, 1.0, 64) == cell &&
+        multidim::CellIndex1d(set.ys[i], 0.0, 1.0, 64) == cell) {
+      set.lambdas[i] = mixed++ % 2 == 0 ? 1.0 : 2.0;
+    }
+  }
+  ASSERT_GT(mixed, 100u);
+  const multidim::ProdKde2dTree tree = TreeOf(set);
+  ForEachNode(tree, 0, 0,
+              [&](const multidim::ProdKde2dTree::Node& node, int) {
+                const size_t first = tree.order()[node.begin];
+                if (node.end - node.begin == mixed &&
+                    multidim::CellIndex1d(set.xs[first], 0.0, 1.0, 64) ==
+                        cell) {
+                  EXPECT_EQ(node.has_moments, 0u);
+                }
+              });
+  const double bound = RectSumBound(tree);
+  const double centre = 0.5 + 0.5 / 64.0;
+  for (const Rect& r : {Rect{centre, 1.0, -kInf, kInf},
+                        Rect{-kInf, kInf, 0.0, centre},
+                        Rect{0.4, centre, centre, 0.6},
+                        Rect{centre - 0.003, centre + 0.003, 0.0, 1.0}}) {
+    EXPECT_NEAR(tree.RectSum(r.lo0, r.hi0, r.lo1, r.hi1), set.Oracle(r),
+                bound);
+  }
 }
 
 // --------------------------------------------------------- synthetic data
@@ -733,7 +1089,8 @@ TEST(MultiDimEstimatorTest, Kde2dAnswersAreBoundedAndSplitAdditive) {
   // Metamorphic properties that hold for any data: every mass answer lies
   // in [0, 1]; splitting a rectangle at any cut on either axis preserves
   // its mass (F(b) − F(m) + F(m) − F(a) = F(b) − F(a) per point); every
-  // conditional answer lies in [0, 1].
+  // conditional answer lies in [0, 1] and is bitwise the clamped ratio of
+  // its rectangle and axis-1 marginal answers.
   stats::Rng rng(103);
   std::vector<double> data;
   multidim::SampleAntiProduct2d(rng, 20000, 0.05, &data);
@@ -766,6 +1123,13 @@ TEST(MultiDimEstimatorTest, Kde2dAnswersAreBoundedAndSplitAdditive) {
         selectivity::Query::Conditional(lo0, hi0, lo1, hi1));
     EXPECT_GE(conditional, 0.0);
     EXPECT_LE(conditional, 1.0);
+    // One walk answers the conditional exactly as the documented ratio of
+    // its two rectangles.
+    const double given =
+        est->Answer(selectivity::Query::Marginal(1, lo1, hi1));
+    EXPECT_EQ(conditional,
+              given > 0.0 ? std::clamp(whole / given, 0.0, 1.0) : 0.0)
+        << "rep " << rep;
   }
 }
 

@@ -6,8 +6,9 @@
 // per-reader epoch monotonicity, and answers through a HELD view staying
 // bit-identical no matter how many publishes happen in between (the RCU
 // immutability contract). A sharded kde2d-prod schedule covers the 2-D
-// query kinds and the cell index each published view shares with readers. Every schedule runs over a deterministic seed
-// matrix so failures reproduce.
+// query kinds and the quadtree each published view shares with readers.
+// Every schedule runs over a deterministic seed matrix so failures
+// reproduce.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -38,7 +39,7 @@ selectivity::EstimatorSpec ShardedHistogramSpec() {
 }
 
 /// The 2-D case: every published view refits the merged kde2d-prod view and
-/// rebuilds its shared cell index, which readers then scan concurrently.
+/// rebuilds its shared quadtree, which readers then walk concurrently.
 selectivity::EstimatorSpec ShardedKde2dSpec() {
   selectivity::EstimatorSpec spec;
   spec.tag = "sharded";
@@ -214,10 +215,10 @@ TEST(ServingStressTest, CheckpointAndRestoreRaceTraffic) {
 
 TEST(ServingStressTest, ShardedKde2dWritersVersusMultiDimReaders) {
   // Writers refit and publish sharded kde2d-prod views while readers answer
-  // rect, marginal and conditional queries through the shared cell index.
+  // rect, marginal and conditional queries through the shared quadtree.
   serving::ServiceOptions options;
   options.publish_interval = 1024;
-  options.cache_shards = 0;  // every answer scans the view's cell index
+  options.cache_shards = 0;  // every answer walks the view's quadtree
   for (uint64_t seed : {9u, 10u}) {
     RunSchedule(seed, /*writers=*/2, /*readers=*/3,
                 /*with_checkpointer=*/false, options,

@@ -12,6 +12,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <array>
 #include <cmath>
 #include <cstdio>
 #include <cstring>
@@ -23,6 +24,7 @@
 #include "io/chunk.hpp"
 #include "io/serialize.hpp"
 #include "memory/fast_state.hpp"
+#include "multidim/prod_kde2d.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/grid2d_selectivity.hpp"
 #include "selectivity/histogram.hpp"
@@ -564,37 +566,61 @@ TEST(HostileInputTest, KdeStateRejectsNonFiniteAndOutOfDomainValues) {
   }
 }
 
-/// A "kde2d-prod" snapshot on [0, 1]^2 built by hand around a fitted λ
-/// column, so λ can carry values AdaptiveLambdas never produces.
-std::vector<uint8_t> HandBuiltKde2dSnapshot(const std::vector<double>& lambdas) {
+/// The columns of a hand-built "kde2d-prod" snapshot on [0, 1]^2: the raw
+/// observation buffers (the fitted prefix, then an unfitted tail) and the
+/// fitted columns over the prefix, so any of them can carry values the live
+/// estimator never produces.
+struct Kde2dColumns {
+  std::vector<double> raw_xs, raw_ys;
+  std::vector<double> sx, sy, lambdas;
+  double hx = 0.1, hy = 0.1;
+};
+
+/// Fitted points on the anti-diagonal with the given λ column, plus `tail`
+/// unfitted raw observations on the diagonal.
+Kde2dColumns DiagonalKde2d(const std::vector<double>& lambdas,
+                           size_t tail = 0) {
+  Kde2dColumns c;
   const size_t n = lambdas.size();
-  std::vector<double> xs(n), ys(n);
   for (size_t i = 0; i < n; ++i) {
-    xs[i] = (static_cast<double>(i) + 0.5) / static_cast<double>(n);
-    ys[i] = 1.0 - xs[i];
+    c.sx.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
+    c.sy.push_back(1.0 - c.sx.back());
   }
-  std::vector<double> ty = ys;
+  c.lambdas = lambdas;
+  c.raw_xs = c.sx;
+  c.raw_ys = c.sy;
+  for (size_t i = 0; i < tail; ++i) {
+    c.raw_xs.push_back((static_cast<double>(i) + 0.25) /
+                       static_cast<double>(tail));
+    c.raw_ys.push_back(c.raw_xs.back());
+  }
+  return c;
+}
+
+std::vector<uint8_t> HandBuiltKde2dSnapshot(const Kde2dColumns& c) {
+  const size_t fitted = c.sx.size();
+  std::vector<double> ty = c.sy;
   std::sort(ty.begin(), ty.end());
   memory::FastStateWriter writer;
   for (const double edge : {0.0, 1.0, 0.0, 1.0}) {  // both domains
     WDE_CHECK_OK(io::WriteDouble(writer.head(), edge));
   }
-  WDE_CHECK_OK(io::WriteU64(writer.head(), 1024));    // refit_interval
-  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.5));  // alpha
-  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));        // no CV
-  WDE_CHECK_OK(io::WriteU64(writer.head(), n));       // fitted_at
-  WDE_CHECK_OK(io::WriteU64(writer.head(), n));       // observations
-  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));        // no pending half
+  WDE_CHECK_OK(io::WriteU64(writer.head(), 1024));     // refit_interval
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.5));   // alpha
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));         // no CV
+  WDE_CHECK_OK(io::WriteU64(writer.head(), fitted));   // fitted_at
+  WDE_CHECK_OK(io::WriteU64(writer.head(), c.raw_xs.size()));  // observations
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 0));  // no pending half
   WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.0));
-  WDE_CHECK_OK(io::WriteU8(writer.head(), 1));        // has a fit
-  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.1));  // hx
-  WDE_CHECK_OK(io::WriteDouble(writer.head(), 0.1));  // hy
-  writer.AddF64(xs);
-  writer.AddF64(ys);
-  writer.AddF64(xs);  // lex-sorted: xs ascend
-  writer.AddF64(ys);
+  WDE_CHECK_OK(io::WriteU8(writer.head(), 1));  // has a fit
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), c.hx));
+  WDE_CHECK_OK(io::WriteDouble(writer.head(), c.hy));
+  writer.AddF64(c.raw_xs);
+  writer.AddF64(c.raw_ys);
+  writer.AddF64(c.sx);  // lex-sorted by construction
+  writer.AddF64(c.sy);
   writer.AddF64(ty);
-  writer.AddF64(lambdas);
+  writer.AddF64(c.lambdas);
   io::VectorSink frame;
   WDE_CHECK_OK(writer.Finish(frame, 0));
   io::VectorSink snapshot = EnvelopeHeadFor("kde2d-prod");
@@ -603,6 +629,10 @@ std::vector<uint8_t> HandBuiltKde2dSnapshot(const std::vector<double>& lambdas) 
   WDE_CHECK_OK(io::WriteChunk(snapshot, selectivity::internal::kChunkEstimatorArena,
                               frame.bytes()));
   return snapshot.TakeBytes();
+}
+
+std::vector<uint8_t> HandBuiltKde2dSnapshot(const std::vector<double>& lambdas) {
+  return HandBuiltKde2dSnapshot(DiagonalKde2d(lambdas));
 }
 
 TEST(HostileInputTest, Kde2dStateRejectsLambdasOutsideTheAdaptiveRange) {
@@ -636,6 +666,134 @@ TEST(HostileInputTest, Kde2dStateRejectsLambdasOutsideTheAdaptiveRange) {
       EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
           << loaded.status().ToString();
     }
+  }
+}
+
+TEST(HostileInputTest, Kde2dStateRejectsNonFiniteAndOutOfDomainCoordinates) {
+  // Insert drops non-finite observations and clamps the rest into the
+  // domain, so a raw coordinate that is NaN, ±inf or outside [lo, hi] is
+  // hostile in either column, in the fitted prefix or the unfitted tail: a
+  // NaN one would reach the next refit's sort and break its ordering.
+  const double inf = std::numeric_limits<double>::infinity();
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  const Kde2dColumns clean = DiagonalKde2d({0.5, 1.0, 1.0, 2.0, 4.0, 0.25}, 3);
+  {
+    const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(clean);
+    io::SpanSource source(bytes);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+    EXPECT_EQ((*loaded)->count(), clean.raw_xs.size());
+    // The tail refits on the next answer; the whole-space mass is 1.
+    EXPECT_EQ((*loaded)->Answer(selectivity::Query::Rect(-inf, inf, -inf, inf)),
+              1.0);
+  }
+  const size_t fitted = clean.sx.size();
+  for (const double bad : {nan, inf, -inf, std::nextafter(1.0, inf),
+                           std::nextafter(0.0, -inf)}) {
+    for (const size_t at : {size_t{0}, size_t{3}, fitted, fitted + 2}) {
+      for (const bool x_column : {true, false}) {
+        SCOPED_TRACE(std::string(x_column ? "x" : "y") + " column, " +
+                     std::to_string(bad) + " at " + std::to_string(at) +
+                     (at < fitted ? " (fitted prefix)" : " (tail)"));
+        Kde2dColumns poisoned = clean;
+        (x_column ? poisoned.raw_xs : poisoned.raw_ys)[at] = bad;
+        const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(poisoned);
+        io::SpanSource source(bytes);
+        Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+            selectivity::LoadEstimatorSnapshot(source);
+        ASSERT_FALSE(loaded.ok());
+        EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+            << loaded.status().ToString();
+      }
+    }
+  }
+}
+
+TEST(HostileInputTest, Kde2dStateRejectsBandwidthsWithoutAFiniteInverseScale) {
+  // Arguments are (e − x)·fl(1/(h·λ)): a subnormal h whose inverse scale
+  // overflows would turn e == x into 0·inf = NaN, so restore rejects it
+  // along with h/4 underflowing to 0 and 4h overflowing.
+  const double inf = std::numeric_limits<double>::infinity();
+  for (const double h : {1e-310, 4.9e-324, 0.0, -0.1, 1e308, inf}) {
+    for (const bool x_axis : {true, false}) {
+      SCOPED_TRACE(std::string(x_axis ? "hx " : "hy ") + std::to_string(h));
+      Kde2dColumns c = DiagonalKde2d({1.0, 1.0, 1.0, 1.0, 1.0, 1.0});
+      (x_axis ? c.hx : c.hy) = h;
+      const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(c);
+      io::SpanSource source(bytes);
+      Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+          selectivity::LoadEstimatorSnapshot(source);
+      ASSERT_FALSE(loaded.ok());
+      EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+          << loaded.status().ToString();
+    }
+  }
+}
+
+TEST(HostileInputTest, Kde2dRestoredLambdaMixedInsideACellAnswersWithinBound) {
+  // AdaptiveLambdas gives every pilot cell one λ, and every tree cell lies
+  // in one pilot cell; a restored λ column need not. It is legal (λ stays
+  // in [1/4, 4]), so it loads, and its mixed cell answers point by point:
+  // every answer stays within the documented rounding bound of a long
+  // double oracle over the same columns.
+  const double inf = std::numeric_limits<double>::infinity();
+  Kde2dColumns c;
+  stats::Rng rng(131);
+  for (int i = 0; i < 120; ++i) {  // one 64-grid cell, two λ values
+    c.sx.push_back(0.5 + rng.UniformDouble() / 64.0);
+    c.sy.push_back(0.25 + rng.UniformDouble() / 64.0);
+  }
+  for (int i = 0; i < 80; ++i) {
+    c.sx.push_back(rng.UniformDouble());
+    c.sy.push_back(rng.UniformDouble());
+  }
+  multidim::SortPointsLex(c.sx, c.sy);
+  for (size_t i = 0; i < c.sx.size(); ++i) {
+    c.lambdas.push_back(i % 2 == 0 ? 1.0 : 2.0);
+  }
+  c.raw_xs = c.sx;
+  c.raw_ys = c.sy;
+  c.hx = 0.01;
+  c.hy = 0.015;
+  const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(c);
+  io::SpanSource source(bytes);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+      selectivity::LoadEstimatorSnapshot(source);
+  ASSERT_TRUE(loaded.ok()) << loaded.status().ToString();
+  const auto cdf = [](long double u) -> long double {
+    if (u <= -1.0L) return 0.0L;
+    if (u >= 1.0L) return 1.0L;
+    return 0.5L + 0.75L * u - 0.25L * u * u * u;
+  };
+  const auto factor = [&](double x, long double s, double lo, double hi) {
+    const long double upper = std::isinf(hi) ? (hi > 0 ? 1.0L : 0.0L)
+                                             : cdf((hi - x) / s);
+    const long double lower = std::isinf(lo) ? (lo > 0 ? 1.0L : 0.0L)
+                                             : cdf((lo - x) / s);
+    return upper - lower;
+  };
+  const double n = static_cast<double>(c.sx.size());
+  // ProdKde2dTree's bound with K <= n, normalized by n.
+  const double bound = std::ldexp(1.0, -53) * (n + 64.0 + 512.0 * (n + 32.0));
+  const double centre = 0.5 + 0.5 / 64.0;
+  for (const auto& [lo0, hi0, lo1, hi1] :
+       std::vector<std::array<double, 4>>{{centre, 1.0, -inf, inf},
+                                          {-inf, inf, 0.0, 0.26},
+                                          {0.4, centre, 0.25, 0.6},
+                                          {centre - 0.004, centre + 0.004,
+                                           0.2, 0.3}}) {
+    long double want = 0.0L;
+    for (size_t i = 0; i < c.sx.size(); ++i) {
+      want += factor(c.sx[i], static_cast<long double>(c.hx) * c.lambdas[i],
+                     lo0, hi0) *
+              factor(c.sy[i], static_cast<long double>(c.hy) * c.lambdas[i],
+                     lo1, hi1);
+    }
+    const double got =
+        (*loaded)->Answer(selectivity::Query::Rect(lo0, hi0, lo1, hi1));
+    EXPECT_NEAR(got, static_cast<double>(want / n), bound)
+        << "[" << lo0 << "," << hi0 << "]x[" << lo1 << "," << hi1 << "]";
   }
 }
 
