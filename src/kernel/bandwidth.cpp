@@ -17,7 +17,7 @@ double RuleOfThumbBandwidth(std::span<const double> data) {
   double sigma =
       stats::Iqr(data, stats::QuantileMethod::kMatlab) / (2.0 * 0.6745);
   if (sigma <= 0.0) sigma = stats::StdDev(data);
-  WDE_CHECK_GT(sigma, 0.0, "degenerate sample: zero spread");
+  if (!(sigma > 0.0)) return 0.0;  // zero spread
   return sigma * std::pow(4.0 / (3.0 * n), 0.2);
 }
 
@@ -27,7 +27,7 @@ double RuleOfThumbBandwidthSorted(std::span<const double> sorted) {
   double sigma =
       stats::IqrSorted(sorted, stats::QuantileMethod::kMatlab) / (2.0 * 0.6745);
   if (sigma <= 0.0) sigma = stats::StdDev(sorted);
-  WDE_CHECK_GT(sigma, 0.0, "degenerate sample: zero spread");
+  if (!(sigma > 0.0)) return 0.0;  // zero spread
   return sigma * std::pow(4.0 / (3.0 * n), 0.2);
 }
 

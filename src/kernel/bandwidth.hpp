@@ -11,7 +11,9 @@ namespace kernel {
 /// MATLAB's rule of thumb, as spelled out in the paper (§5.4):
 ///   h = (q3 - q1) / (2 · 0.6745) · (4 / (3n))^{1/5},
 /// with quartiles under MATLAB's quantile convention. Falls back to the
-/// sample standard deviation when the IQR degenerates.
+/// sample standard deviation when the IQR degenerates, and returns 0 when
+/// that is zero too (all samples equal, or a spread that underflows), a
+/// bandwidth every KDE constructor rejects.
 double RuleOfThumbBandwidth(std::span<const double> data);
 
 /// RuleOfThumbBandwidth over an already ascending-sorted sample. The IQR is

@@ -27,12 +27,17 @@ std::vector<double>& ScratchVals() {
 
 constexpr size_t kLeaf = KernelDensityEstimator::kLeafSize;
 
-// Σ K_cdf((x − xs[i])/h) over samples strictly inside the Epanechnikov
-// window, summed left to right.
-double DirectWindowSum(const double* xs, size_t count, double x, double h) {
-  double sum = 0.0;
+using CdfAndDensity = KernelDensityEstimator::CdfAndDensity;
+
+// Σ K_cdf(u_i) and, when kWithDensity, Σ K(u_i), u_i = (x − xs[i])/h, over
+// samples strictly inside the Epanechnikov window, summed left to right.
+template <bool kWithDensity>
+CdfAndDensity DirectWindowSum(const double* xs, size_t count, double x, double h) {
+  CdfAndDensity sum;
   for (size_t i = 0; i < count; ++i) {
-    sum += EpanechnikovCdfInterior((x - xs[i]) / h);
+    const double u = (x - xs[i]) / h;
+    sum.cdf += EpanechnikovCdfInterior(u);
+    if constexpr (kWithDensity) sum.density += 0.75 * (1.0 - u * u);
   }
   return sum;
 }
@@ -114,8 +119,10 @@ struct KernelDensityEstimator::MomentTree {
 
   /// Σ K_cdf(s − e_i) over the full node j of `level` (kLeafSize·2^level
   /// samples), s = (x − m)/h, expanded in powers of s:
-  /// (k/2 − ¾E1 + ¼E3) + s·¾(k − E2) + s²·¾E1 − s³·k/4.
-  double NodeSum(size_t level, size_t j, double x, double h) const {
+  /// (k/2 − ¾E1 + ¼E3) + s·¾(k − E2) + s²·¾E1 − s³·k/4. When kWithDensity,
+  /// also its s-derivative Σ K(s − e_i) = c1 + 2c2·s + 3c3·s².
+  template <bool kWithDensity>
+  CdfAndDensity NodeSum(size_t level, size_t j, double x, double h) const {
     const Node& node = nodes[level_begin[level] + j];
     const double k = static_cast<double>(kLeaf << level);
     const double s = (x - node.centre) / h;
@@ -123,28 +130,41 @@ struct KernelDensityEstimator::MomentTree {
     const double c1 = 0.75 * (k - node.e2);
     const double c2 = 0.75 * node.e1;
     const double c3 = -0.25 * k;
-    return c0 + s * (c1 + s * (c2 + s * c3));
+    CdfAndDensity sum;
+    sum.cdf = c0 + s * (c1 + s * (c2 + s * c3));
+    if constexpr (kWithDensity) sum.density = c1 + s * (2.0 * c2 + s * (3.0 * c3));
+    return sum;
   }
 
-  /// Σ K_cdf((x − x_i)/h) over the window samples [lo, hi), lo < hi: the
-  /// partial leaves at both ends directly, the full leaves between them as
-  /// O(log n) covering nodes (the bottom-up segment-tree walk).
-  double WindowSum(std::span<const double> sorted, double x, double h,
-                   size_t lo, size_t hi) const {
+  /// Σ K_cdf((x − x_i)/h) (and Σ K when kWithDensity) over the window
+  /// samples [lo, hi), lo < hi: the partial leaves at both ends directly,
+  /// the full leaves between them as O(log n) covering nodes (the bottom-up
+  /// segment-tree walk). The CDF sum's terms and order do not depend on
+  /// kWithDensity.
+  template <bool kWithDensity>
+  CdfAndDensity WindowSum(std::span<const double> sorted, double x, double h,
+                          size_t lo, size_t hi) const {
     const size_t first_leaf = lo / kLeaf;
     const size_t last_leaf = (hi - 1) / kLeaf;
     if (first_leaf == last_leaf) {
-      return DirectWindowSum(sorted.data() + lo, hi - lo, x, h);
+      return DirectWindowSum<kWithDensity>(sorted.data() + lo, hi - lo, x, h);
     }
     const size_t head_end = (first_leaf + 1) * kLeaf;
     const size_t tail_begin = last_leaf * kLeaf;
-    double sum = DirectWindowSum(sorted.data() + lo, head_end - lo, x, h) +
-                 DirectWindowSum(sorted.data() + tail_begin, hi - tail_begin, x, h);
+    const CdfAndDensity head =
+        DirectWindowSum<kWithDensity>(sorted.data() + lo, head_end - lo, x, h);
+    const CdfAndDensity tail = DirectWindowSum<kWithDensity>(
+        sorted.data() + tail_begin, hi - tail_begin, x, h);
+    CdfAndDensity sum{head.cdf + tail.cdf, head.density + tail.density};
+    const auto add = [&](const CdfAndDensity& node) {
+      sum.cdf += node.cdf;
+      sum.density += node.density;
+    };
     size_t left = first_leaf + 1;
     size_t right = last_leaf;
     for (size_t level = 0; left < right; ++level, left >>= 1, right >>= 1) {
-      if (left & 1) sum += NodeSum(level, left++, x, h);
-      if (right & 1) sum += NodeSum(level, --right, x, h);
+      if (left & 1) add(NodeSum<kWithDensity>(level, left++, x, h));
+      if (right & 1) add(NodeSum<kWithDensity>(level, --right, x, h));
     }
     return sum;
   }
@@ -267,12 +287,11 @@ double KernelDensityEstimator::IntegrateRange(double a, double b) const {
   return acc / static_cast<double>(sorted_.size());
 }
 
-double KernelDensityEstimator::CdfAt(double x) const {
+std::pair<size_t, size_t> KernelDensityEstimator::SaturationSplit(double x) const {
   // sorted_ ascends, so u = (x - X_i)/h descends along the array: a prefix
   // of samples saturates Kernel::Cdf at exactly 1.0 (u >= R), a suffix at
   // exactly 0.0 (u <= -R), and only the window between them is summed.
-  // Both split points use the very comparison the Cdf branches evaluate, and
-  // the saturated prefix sums to its exact integer count.
+  // Both split points use the very comparison the Cdf branches evaluate.
   const double radius = kernel_.support_radius();
   const auto ones_end = std::partition_point(
       sorted_.begin(), sorted_.end(),
@@ -280,29 +299,52 @@ double KernelDensityEstimator::CdfAt(double x) const {
   const auto zeros_begin = std::partition_point(
       ones_end, sorted_.end(),
       [&](double xi) { return (x - xi) / bandwidth_ > -radius; });
-  double acc = static_cast<double>(ones_end - sorted_.begin());
-  const size_t window = static_cast<size_t>(zeros_begin - ones_end);
-  if (window != 0 && tree_ != nullptr) {
-    acc += tree_->WindowSum(sorted_, x, bandwidth_,
-                            static_cast<size_t>(ones_end - sorted_.begin()),
-                            static_cast<size_t>(zeros_begin - sorted_.begin()));
-  } else if (window != 0) {
-    // Other kernels: the window terms are gathered into contiguous scratch
-    // and evaluated by the SIMD batch CDF (elementwise bit-identical to
-    // Kernel::Cdf), then summed left to right exactly as IntegrateRange's
-    // per-sample loop does.
-    std::vector<double>& us = ScratchArgs();
-    std::vector<double>& ks = ScratchVals();
-    us.resize(window);
-    ks.resize(window);
-    const double* base = sorted_.data() + (ones_end - sorted_.begin());
-    const double bandwidth = bandwidth_;
-    WDE_SIMD_LOOP
-    for (size_t m = 0; m < window; ++m) us[m] = (x - base[m]) / bandwidth;
-    kernel_.CdfMany(us, ks);
-    for (size_t m = 0; m < window; ++m) acc += ks[m];
+  return {static_cast<size_t>(ones_end - sorted_.begin()),
+          static_cast<size_t>(zeros_begin - sorted_.begin())};
+}
+
+template <bool kWithDensity>
+KernelDensityEstimator::CdfAndDensity KernelDensityEstimator::EpanechnikovWalk(
+    double x) const {
+  const auto [ones_end, zeros_begin] = SaturationSplit(x);
+  // The saturated prefix sums to its exact integer count.
+  CdfAndDensity sum{static_cast<double>(ones_end), 0.0};
+  if (zeros_begin != ones_end) {
+    const CdfAndDensity window = tree_->WindowSum<kWithDensity>(
+        sorted_, x, bandwidth_, ones_end, zeros_begin);
+    sum.cdf += window.cdf;
+    sum.density = window.density;
   }
+  const double n = static_cast<double>(sorted_.size());
+  return {sum.cdf / n, sum.density / (n * bandwidth_)};
+}
+
+double KernelDensityEstimator::CdfAt(double x) const {
+  if (tree_ != nullptr) return EpanechnikovWalk<false>(x).cdf;
+  // Other kernels: the window terms are gathered into contiguous scratch
+  // and evaluated by the SIMD batch CDF (elementwise bit-identical to
+  // Kernel::Cdf), then summed left to right exactly as IntegrateRange's
+  // per-sample loop does.
+  const auto [ones_end, zeros_begin] = SaturationSplit(x);
+  double acc = static_cast<double>(ones_end);
+  const size_t window = zeros_begin - ones_end;
+  std::vector<double>& us = ScratchArgs();
+  std::vector<double>& ks = ScratchVals();
+  us.resize(window);
+  ks.resize(window);
+  const double* base = sorted_.data() + ones_end;
+  const double bandwidth = bandwidth_;
+  WDE_SIMD_LOOP
+  for (size_t m = 0; m < window; ++m) us[m] = (x - base[m]) / bandwidth;
+  kernel_.CdfMany(us, ks);
+  for (size_t m = 0; m < window; ++m) acc += ks[m];
   return acc / static_cast<double>(sorted_.size());
+}
+
+KernelDensityEstimator::CdfAndDensity KernelDensityEstimator::CdfAndDensityAt(
+    double x) const {
+  if (tree_ != nullptr) return EpanechnikovWalk<true>(x);
+  return {CdfAt(x), Evaluate(x)};
 }
 
 }  // namespace kernel

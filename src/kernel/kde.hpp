@@ -10,6 +10,7 @@
 
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "kernel/kernels.hpp"
@@ -75,6 +76,20 @@ class KernelDensityEstimator {
   ///     SIMD batch CdfMany — bit-identical to IntegrateRange(-inf, x).
   double CdfAt(double x) const;
 
+  /// F̂(x) and the density f̂(x) = F̂'(x) from one walk.
+  struct CdfAndDensity {
+    double cdf = 0.0;
+    double density = 0.0;
+  };
+
+  /// `cdf` is bitwise CdfAt(x). For the Epanechnikov kernel the density
+  /// comes from the same partition points and the same tree walk: each
+  /// partial-leaf sample adds K(u) = ¾(1 − u²), each covering node the
+  /// derivative of its cubic in s, c1 + 2c2·s + 3c3·s². It is the slope the
+  /// kde-rot quantile solver steps along; it agrees with Evaluate(x) up to
+  /// rounding, not bitwise. Other kernels return Evaluate(x).
+  CdfAndDensity CdfAndDensityAt(double x) const;
+
   /// Samples per leaf of the Epanechnikov moment tree.
   static constexpr size_t kLeafSize = 64;
 
@@ -87,6 +102,15 @@ class KernelDensityEstimator {
   struct MomentTree;
 
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
+
+  /// [ones_end, zeros_begin): the samples whose kernel CDF at x is neither
+  /// saturated at 1 (before) nor at 0 (after).
+  std::pair<size_t, size_t> SaturationSplit(double x) const;
+
+  /// The Epanechnikov CDF walk shared by CdfAt and CdfAndDensityAt; the
+  /// density sum is skipped unless kWithDensity.
+  template <bool kWithDensity>
+  CdfAndDensity EpanechnikovWalk(double x) const;
 
   Kernel kernel_;
   double bandwidth_;

@@ -7,6 +7,7 @@
 
 #include "kernel/bandwidth.hpp"
 #include "memory/fast_state.hpp"
+#include "numerics/optimize.hpp"
 
 namespace wde {
 namespace selectivity {
@@ -67,8 +68,10 @@ void KdeSelectivity::Refit() const {
   }
   // Bandwidth from sorted order statistics: O(1) quartiles off the buffer
   // both modes just built, and bitwise-reproducible from the sorted multiset
-  // alone (insertion order never enters).
-  const double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
+  // alone (insertion order never enters). A sample with no spread has no
+  // rule-of-thumb bandwidth; it is smoothed at the declared resolution.
+  double bandwidth = kernel::RuleOfThumbBandwidthSorted(*buffer);
+  if (!(bandwidth > 0.0)) bandwidth = EqualityWidth();
   Result<kernel::KernelDensityEstimator> kde =
       kernel::KernelDensityEstimator::FromSorted(
           kernel::Kernel::Shared(kernel::KernelType::kEpanechnikov), bandwidth,
@@ -100,6 +103,25 @@ double KdeSelectivity::EstimateRangeImpl(double a, double b) const {
   // documented bound of the exact sum, and the batch path below uses the
   // identical expression.
   return std::clamp(kde_->CdfAt(b) - kde_->CdfAt(a), 0.0, 1.0);
+}
+
+double KdeSelectivity::QuantileByNewton(double p) const {
+  // clamp(F̂(x), 0, 1) < 0 never holds, so the crossing is the lower edge:
+  // the bracket [domain_lo, domain_lo] needs no evaluation.
+  if (p == 0.0) return options_.domain_lo;
+  // F_n(x − h) ≤ F̂(x) ≤ F_n(x + h) for the Epanechnikov kernel, so the
+  // p-quantile lies within h of the order statistic X_(⌈np⌉).
+  const std::span<const double> sorted = kde_->samples();
+  const size_t n = sorted.size();
+  const double rank = std::ceil(p * static_cast<double>(n));
+  const size_t k = std::clamp<size_t>(static_cast<size_t>(rank), 1, n);
+  return numerics::NewtonBisectMonotone(
+      [this](double x) {
+        const kernel::KernelDensityEstimator::CdfAndDensity f =
+            kde_->CdfAndDensityAt(x);
+        return numerics::ValueAndSlope{std::clamp(f.cdf, 0.0, 1.0), f.density};
+      },
+      p, options_.domain_lo, options_.domain_hi, sorted[k - 1]);
 }
 
 std::unique_ptr<SelectivityEstimator> KdeSelectivity::CloneEmpty() const {
@@ -235,7 +257,7 @@ void KdeSelectivity::AnswerImpl(std::span<const Query> queries,
         out[i] = std::clamp(kde_->CdfAt(q.a), 0.0, 1.0);
         break;
       case QueryKind::kQuantile:
-        out[i] = QuantileByBisection(q.a);
+        out[i] = QuantileByNewton(q.a);
         break;
       case QueryKind::kRect:
       case QueryKind::kMarginal:

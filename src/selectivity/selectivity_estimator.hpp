@@ -116,8 +116,11 @@ enum class QueryKind : uint8_t {
 ///                    estimator's resolution; w = 0 means exact match).
 ///   Less(c)        — mass of (-inf, c];  Greater(c) — mass of [c, +inf).
 ///   Cdf(x)         — identical lowering to Less(x).
-///   Quantile(p)    — inverse CDF at p in [0, 1] (out-of-range p clamps),
-///                    bracketed by Domain() and found by bisection.
+///   Quantile(p)    — inverse CDF at p in [0, 1] (out-of-range p clamps):
+///                    the midpoint of a bracket [lo, hi] ⊆ Domain() of
+///                    width <= 1e-12 with F(lo) < p <= F(hi), a domain
+///                    edge counting as met (see QuantileByBisection;
+///                    kde-rot reaches such a bracket by Newton steps).
 ///   Rect(lo0, hi0, lo1, hi1)
 ///                  — mass of the axis-aligned rectangle
 ///                    [lo0, hi0] × [lo1, hi1]; each axis's inverted endpoints
@@ -486,12 +489,16 @@ class SelectivityEstimator {
   /// already); the default is a no-op for estimators with no lazy state.
   virtual void ForceRefitImpl() const {}
 
-  /// The documented quantile algorithm: bisection of the lowered CDF
-  /// x ↦ EstimateRangeImpl(-inf, x) over the Domain() bracket
+  /// The default quantile algorithm: bisection of the lowered CDF
+  /// F̃(x) = EstimateRangeImpl(-inf, x) over the Domain() bracket
   /// (numerics::BisectMonotone, tolerance 1e-12, 200 iterations), so
-  /// quantile answers always land inside the declared domain. An estimator
-  /// with no data answers 0.0. Deterministic; overrides answering kQuantile
-  /// must route through this helper so batch and scalar paths agree
+  /// quantile answers always land inside the declared domain. The answer
+  /// is the midpoint of a bracket [lo, hi] with hi − lo <= 1e-12 where lo
+  /// is Domain().lo or F̃(lo) < p and hi is Domain().hi or F̃(hi) >= p. An
+  /// estimator with no data answers 0.0. Deterministic. An AnswerImpl
+  /// override answers kQuantile through this helper or through an algorithm
+  /// with the same bracket contract that is a pure function of the fitted
+  /// state (kde-rot's Newton–bisection), so batch and scalar paths agree
   /// bitwise.
   double QuantileByBisection(double p) const;
 };

@@ -3,13 +3,18 @@
 #include <algorithm>
 #include <cmath>
 #include <limits>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "kernel/bandwidth.hpp"
 #include "kernel/kde.hpp"
 #include "kernel/kernels.hpp"
 #include "numerics/integration.hpp"
+#include "numerics/optimize.hpp"
 #include "numerics/special_functions.hpp"
+#include "processes/lsv_map.hpp"
+#include "processes/noncausal_ma.hpp"
 #include "selectivity/kde_selectivity.hpp"
 #include "stats/descriptive.hpp"
 #include "stats/rng.hpp"
@@ -316,6 +321,238 @@ TEST(KdeMomentTreeTest, KdeRotQuantileAndCdfRoundTrip) {
   }
 }
 
+/// f̂(x) = (nh)⁻¹ Σ ¾(1 − u²) in long double over every sample.
+double DirectDensity(std::span<const double> xs, double x, double h) {
+  long double acc = 0.0L;
+  for (double xi : xs) {
+    const long double u = (static_cast<long double>(x) - xi) / h;
+    if (u > -1.0L && u < 1.0L) acc += 0.75L * (1.0L - u * u);
+  }
+  return static_cast<double>(acc / (static_cast<long double>(xs.size()) * h));
+}
+
+TEST(KdeMomentTreeTest, CdfAndDensityAtSharesCdfAtAndTracksTheDensity) {
+  // The CDF half is CdfAt bitwise. The density half sums derivative
+  // polynomials whose coefficients are at most 3× the CDF's, so it inherits
+  // CdfAt's bound scaled by 3/h (one more ε-term for the final division).
+  const std::vector<std::pair<std::vector<double>, double>> cases = {
+      {UniformSample(73, 4097, 0.0, 1.0), 0.0},
+      {UniformSample(79, 200000, 0.0, 1.0), 0.0},
+      {UniformSample(83, 50000, 1e6, 1e6 + 1.0), 0.0},
+      {UniformSample(89, 4097, 0.0, 1.0), 1e-5},
+      {UniformSample(97, 4097, 0.0, 1.0), 0.3},
+  };
+  for (const auto& [data, fixed_h] : cases) {
+    const double h = fixed_h > 0.0 ? fixed_h : RuleOfThumbBandwidth(data);
+    const Result<KernelDensityEstimator> kde = KernelDensityEstimator::Create(
+        Kernel::Shared(KernelType::kEpanechnikov), h, data);
+    ASSERT_TRUE(kde.ok());
+    const std::span<const double> sorted = kde->samples();
+    for (double x : ProbesFor(sorted, h)) {
+      const KernelDensityEstimator::CdfAndDensity fused = kde->CdfAndDensityAt(x);
+      EXPECT_EQ(fused.cdf, kde->CdfAt(x)) << "n=" << sorted.size() << " x=" << x;
+      const double bound =
+          3.0 * CdfAtBound(sorted, x, h) / h +
+          std::numeric_limits<double>::epsilon() * std::fabs(fused.density);
+      EXPECT_NEAR(fused.density, DirectDensity(sorted, x, h), bound)
+          << "n=" << sorted.size() << " h=" << h << " x=" << x;
+    }
+  }
+  // Kernels without a moment tree answer CdfAt and Evaluate.
+  const std::vector<double> xs = UniformSample(101, 3000, 0.0, 1.0);
+  const Result<KernelDensityEstimator> gaussian =
+      KernelDensityEstimator::Create(Kernel::Shared(KernelType::kGaussian), 0.05, xs);
+  ASSERT_TRUE(gaussian.ok());
+  for (double x : ProbesFor(gaussian->samples(), 0.05)) {
+    EXPECT_EQ(gaussian->CdfAndDensityAt(x).cdf, gaussian->CdfAt(x)) << "x=" << x;
+    EXPECT_EQ(gaussian->CdfAndDensityAt(x).density, gaussian->Evaluate(x)) << "x=" << x;
+  }
+}
+
+// ------------------------------------------------------ kde-rot quantiles
+
+constexpr double kQuantileTolerance = 1e-12;
+
+/// A fitted kde-rot estimator and the sorted samples and bandwidth it fitted,
+/// rebuilt here for the long double oracle.
+struct FittedKdeRot {
+  FittedKdeRot(const std::vector<double>& values, double domain_lo = 0.0,
+               double domain_hi = 1.0)
+      : est(selectivity::KdeSelectivity::Options{domain_lo, domain_hi}) {
+    est.InsertBatch(values);
+    est.ForceRefit();
+    for (double x : values) sorted.push_back(std::clamp(x, domain_lo, domain_hi));
+    std::sort(sorted.begin(), sorted.end());
+    h = RuleOfThumbBandwidthSorted(sorted);
+    if (h == 0.0) h = est.EqualityWidth();
+  }
+
+  /// F̃(x) = clamp(CdfAt(x), 0, 1), the kde-rot CDF answer.
+  double Cdf(double x) const { return est.Answer(selectivity::Query::Cdf(x)); }
+
+  double Quantile(double p) const {
+    return est.Answer(selectivity::Query::Quantile(p));
+  }
+
+  /// BisectMonotone over the Domain() bracket of the answered CDF: the
+  /// algorithm kde-rot quantiles used before the Newton solver.
+  double BisectedQuantile(double p) const {
+    const selectivity::RangeQuery domain = est.Domain();
+    return numerics::BisectMonotone([&](double x) { return Cdf(x); }, p,
+                                    domain.lo, domain.hi);
+  }
+
+  selectivity::KdeSelectivity est;
+  std::vector<double> sorted;
+  double h = 0.0;
+};
+
+/// Every answer q lies in the domain and carries the bracket certificate
+/// in its exact form: with F̂ the long double oracle and B CdfAt's rounding
+/// bound, F̂(q − tol/2) < p + B and F̂(q + tol/2) >= p − B (an end past the
+/// domain edge counts as met). F̂ is monotone, so this follows from the
+/// solver's bracket [lo, hi] ∋ q, hi − lo <= tol, F̃(lo) < p <= F̃(hi)
+/// whatever the rounding. Where F̃ − p changes sign once (`single_crossing`),
+/// the certificate also holds for F̃ itself and the answer is within the
+/// tolerance of the bisection's.
+void ExpectCertifiedQuantiles(const FittedKdeRot& fit,
+                              const std::vector<double>& levels,
+                              bool single_crossing, const std::string& what) {
+  // The oracle's samples and bandwidth are the estimator's.
+  const Result<KernelDensityEstimator> mirror = KernelDensityEstimator::Create(
+      Kernel::Shared(KernelType::kEpanechnikov), fit.h, fit.sorted);
+  ASSERT_TRUE(mirror.ok()) << what;
+  for (double x : {fit.sorted.front(), fit.sorted[fit.sorted.size() / 2],
+                   fit.sorted.back() - 0.5 * fit.h}) {
+    ASSERT_EQ(fit.Cdf(x), std::clamp(mirror->CdfAt(x), 0.0, 1.0)) << what;
+  }
+  const selectivity::RangeQuery domain = fit.est.Domain();
+  const double half = 0.5 * kQuantileTolerance;
+  const double slack = 4.0 * std::numeric_limits<double>::epsilon();
+  for (double p : levels) {
+    const double q = fit.Quantile(p);
+    EXPECT_GE(q, domain.lo) << what << " p=" << p;
+    EXPECT_LE(q, domain.hi) << what << " p=" << p;
+    if (q - half > domain.lo) {
+      const double x = q - half;
+      EXPECT_LT(DirectCubicCdf(fit.sorted, x, fit.h),
+                p + CdfAtBound(fit.sorted, x, fit.h) + slack)
+          << what << " p=" << p << " q=" << q;
+      if (single_crossing) {
+        EXPECT_LT(fit.Cdf(x), p) << what << " p=" << p << " q=" << q;
+      }
+    }
+    if (q + half < domain.hi) {
+      const double x = q + half;
+      EXPECT_GE(DirectCubicCdf(fit.sorted, x, fit.h),
+                p - CdfAtBound(fit.sorted, x, fit.h) - slack)
+          << what << " p=" << p << " q=" << q;
+      if (single_crossing) {
+        EXPECT_GE(fit.Cdf(x), p) << what << " p=" << p << " q=" << q;
+      }
+    }
+    if (single_crossing) {
+      EXPECT_LE(std::fabs(q - fit.BisectedQuantile(p)), kQuantileTolerance)
+          << what << " p=" << p << " q=" << q;
+    }
+  }
+}
+
+/// Levels on a 1/64 grid, random levels, and levels equal to F̃ at a few
+/// points (a crossing exactly at an attained CDF value).
+std::vector<double> SmoothLevels(const FittedKdeRot& fit, uint64_t seed) {
+  std::vector<double> levels{1e-9, 1.0 - 1e-9};
+  for (int i = 1; i < 64; ++i) levels.push_back(i / 64.0);
+  stats::Rng rng(seed);
+  for (int i = 0; i < 64; ++i) levels.push_back(rng.UniformDouble());
+  for (double x : {0.05, 0.25, 0.5, 0.75, 0.95}) levels.push_back(fit.Cdf(x));
+  return levels;
+}
+
+TEST(KdeRotQuantileTest, CertifiedAndWithinToleranceOfBisection) {
+  stats::Rng rng(103);
+  std::vector<double> bimodal(20000);
+  for (double& x : bimodal) {
+    x = rng.Bernoulli(0.5) ? rng.Gaussian(0.3, 0.05) : rng.Gaussian(0.7, 0.1);
+  }
+  // The paper's dependent streams: Case 3's non-causal MA and the LSV map,
+  // whose mass piles up at 0 and spills past the domain's lower edge.
+  const std::vector<double> noncausal_ma =
+      processes::NoncausalMaProcess(0.02).Path(20000, rng);
+  const std::vector<double> lsv = processes::LsvMapProcess(0.8).Path(20000, rng);
+  const std::vector<std::pair<const char*, const std::vector<double>*>> streams = {
+      {"iid bimodal", &bimodal}, {"noncausal-ma", &noncausal_ma}, {"lsv", &lsv}};
+  for (const auto& [name, values] : streams) {
+    const FittedKdeRot fit(*values);
+    ExpectCertifiedQuantiles(fit, SmoothLevels(fit, 107), true, name);
+  }
+}
+
+TEST(KdeRotQuantileTest, PlateauAtTheLevelFollowsTheBisectionCrossingRule) {
+  // Two clusters more than 2h apart: F̃ is exactly the left cluster's mass
+  // k/n on the gap. At p = k/n the crossing is the first x with F̃(x) >= p,
+  // the gap's left end x_e = X_(k) + h, where F̂ meets p tangentially:
+  // F̂(x_e − δ) = p − ¾(δ/h)²/n. Within δ_band = h·√(2nB/0.75) of x_e that
+  // gap is below twice CdfAt's rounding bound B, so F̃ − p may change sign
+  // more than once there, and Newton and bisection may settle on different
+  // changes. Both must sit in that band, not elsewhere on the plateau.
+  std::vector<double> values = UniformSample(109, 1000, 0.10, 0.20);
+  const std::vector<double> right = UniformSample(113, 1000, 0.80, 0.90);
+  values.insert(values.end(), right.begin(), right.end());
+  const FittedKdeRot fit(values);
+  ASSERT_GT(0.80 - 0.20, 2.0 * fit.h);
+  const double p = 1000.0 / 2000.0;
+  ASSERT_EQ(fit.Cdf(0.5), p);
+  ExpectCertifiedQuantiles(fit, {p}, false, "plateau");
+  const double edge = fit.sorted[999] + fit.h;
+  const double band =
+      fit.h * std::sqrt(2.0 * 2000.0 * CdfAtBound(fit.sorted, edge, fit.h) / 0.75);
+  for (double q : {fit.Quantile(p), fit.BisectedQuantile(p)}) {
+    EXPECT_GE(q, edge - band - kQuantileTolerance) << "q=" << q;
+    EXPECT_LE(q, edge + kQuantileTolerance) << "q=" << q;
+  }
+}
+
+TEST(KdeRotQuantileTest, EdgeCases) {
+  // p = 0 and p = 1 on smooth data whose CDF reaches 1 inside the domain:
+  // 0 answers the lower edge, 1 meets F̂ = 1 tangentially at X_(n) + h.
+  const FittedKdeRot inner(UniformSample(157, 5000, 0.3, 0.6));
+  ExpectCertifiedQuantiles(inner, {0.0, 1.0}, false, "p in {0, 1}");
+  EXPECT_EQ(inner.Quantile(0.0), 0.0);
+  EXPECT_LE(inner.Quantile(1.0), inner.sorted.back() + inner.h + kQuantileTolerance);
+  // n = 4, the smallest sample kde-rot fits (levels off its plateaus).
+  const FittedKdeRot four({0.2, 0.4, 0.45, 0.9});
+  ExpectCertifiedQuantiles(four, {0.1, 0.3, 0.6, 0.7, 0.8, 0.95}, true, "n=4");
+  ExpectCertifiedQuantiles(four, {0.0, 0.25, 0.5, 0.75, 1.0}, false, "n=4 plateaus");
+  // All samples equal: no rule-of-thumb bandwidth exists, and the declared
+  // resolution, domain/1024, smooths the point mass.
+  const FittedKdeRot equal(std::vector<double>(500, 0.375));
+  EXPECT_EQ(equal.h, 1.0 / 1024.0);
+  EXPECT_EQ(equal.Cdf(0.375 - 0.01), 0.0);
+  EXPECT_EQ(equal.Cdf(0.375 + 0.01), 1.0);
+  ExpectCertifiedQuantiles(equal, SmoothLevels(equal, 127), true, "all equal");
+  // Mass spilling past both domain edges: F̃(lo) > 0 and F̃(hi) < 1, so low
+  // and high levels cross at the edges themselves. The clusters' masses
+  // differ so the plateau between them sits at 0.4, checked on its own.
+  std::vector<double> spill = UniformSample(131, 4000, 0.0, 0.05);
+  const std::vector<double> top = UniformSample(137, 6000, 0.95, 1.0);
+  spill.insert(spill.end(), top.begin(), top.end());
+  const FittedKdeRot edges(spill);
+  const double below = edges.Cdf(0.0);
+  const double above = edges.Cdf(1.0);
+  ASSERT_GT(below, 0.01);
+  ASSERT_LT(above, 0.99);
+  std::vector<double> levels{0.5 * below, below, 0.5 * (1.0 + above), above};
+  for (int i = 1; i < 64; ++i) levels.push_back(i / 64.0);
+  ExpectCertifiedQuantiles(edges, levels, true, "spill");
+  ExpectCertifiedQuantiles(edges, {0.0, 0.4, 1.0}, false, "spill plateau");
+  EXPECT_EQ(edges.Quantile(0.5 * below), 0.0);
+  EXPECT_EQ(edges.Quantile(0.5 * (1.0 + above)), 1.0);
+  // A shifted domain keeps the bracket's absolute tolerance meaningful.
+  const FittedKdeRot shifted(UniformSample(149, 5000, -3.0, 5.0), -3.0, 5.0);
+  ExpectCertifiedQuantiles(shifted, SmoothLevels(shifted, 163), true, "shifted");
+}
+
 TEST(KdeTest, IntegratesToOne) {
   stats::Rng rng(3);
   std::vector<double> xs(500);
@@ -386,6 +623,19 @@ TEST(BandwidthTest, RuleOfThumbFormula) {
   const double expected =
       (q3 - q1) / (2.0 * 0.6745) * std::pow(4.0 / (3.0 * 100.0), 0.2);
   EXPECT_NEAR(RuleOfThumbBandwidth(xs), expected, 1e-12);
+}
+
+TEST(BandwidthTest, RuleOfThumbIsZeroWithoutSpread) {
+  // Zero spread answers 0, which every KDE constructor rejects, instead of
+  // aborting; a spread that underflows counts as zero.
+  const std::vector<double> equal(40, 0.25);
+  EXPECT_EQ(RuleOfThumbBandwidth(equal), 0.0);
+  EXPECT_EQ(RuleOfThumbBandwidthSorted(equal), 0.0);
+  const std::vector<double> underflow{0.0, 0.0, 0.0, 5e-324};
+  EXPECT_EQ(RuleOfThumbBandwidthSorted(underflow), 0.0);
+  EXPECT_FALSE(KernelDensityEstimator::Create(Kernel(KernelType::kEpanechnikov),
+                                              RuleOfThumbBandwidth(equal), equal)
+                   .ok());
 }
 
 TEST(BandwidthTest, RuleOfThumbShrinksWithN) {

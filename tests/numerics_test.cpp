@@ -3,6 +3,10 @@
 #include <cmath>
 #include <complex>
 #include <cstdint>
+#include <functional>
+#include <string>
+#include <utility>
+#include <vector>
 
 #include "numerics/integration.hpp"
 #include "numerics/interpolation.hpp"
@@ -320,6 +324,163 @@ TEST(OptimizeTest, GridThenGoldenHandlesMultimodal) {
 TEST(OptimizeTest, BisectMonotoneInvertsCdfLikeFunction) {
   const double x = BisectMonotone([](double t) { return t * t; }, 0.25, 0.0, 1.0);
   EXPECT_NEAR(x, 0.5, 1e-10);
+}
+
+// One NewtonBisectMonotone case: a monotone f with its slope on [a, b].
+struct NewtonCase {
+  const char* name;
+  std::function<double(double)> f;
+  std::function<double(double)> slope;
+  double target;
+  double a;
+  double b;
+};
+
+std::vector<NewtonCase> SmoothMonotoneCases() {
+  return {
+      {"square", [](double t) { return t * t; }, [](double t) { return 2.0 * t; },
+       0.25, 0.0, 1.0},
+      {"exponential cdf", [](double t) { return 1.0 - std::exp(-5.0 * t); },
+       [](double t) { return 5.0 * std::exp(-5.0 * t); }, 0.9, 0.0, 3.0},
+      {"steep logistic",
+       [](double t) { return 1.0 / (1.0 + std::exp(-40.0 * (t - 0.3))); },
+       [](double t) {
+         const double e = std::exp(-40.0 * (t - 0.3));
+         return 40.0 * e / ((1.0 + e) * (1.0 + e));
+       },
+       0.7, 0.0, 1.0},
+      {"normal cdf", [](double t) { return NormalCdf(t); },
+       [](double t) { return std::exp(-0.5 * t * t) / std::sqrt(2.0 * M_PI); },
+       0.975, -8.0, 8.0},
+      {"cubic", [](double t) { return t * t * t + t; },
+       [](double t) { return 3.0 * t * t + 1.0; }, 10.0, -5.0, 5.0},
+  };
+}
+
+/// BisectMonotone's answer and its evaluation count.
+std::pair<double, int> CountedBisection(const NewtonCase& c) {
+  int evaluations = 0;
+  const double x = BisectMonotone(
+      [&](double t) {
+        ++evaluations;
+        return c.f(t);
+      },
+      c.target, c.a, c.b);
+  return {x, evaluations};
+}
+
+/// NewtonBisectMonotone's answer and its evaluation count, with the slope
+/// replaced by `slope` when given.
+std::pair<double, int> CountedNewton(const NewtonCase& c, double start,
+                                     std::function<double(double)> slope = {}) {
+  if (!slope) slope = c.slope;
+  int evaluations = 0;
+  const double x = NewtonBisectMonotone(
+      [&](double t) {
+        ++evaluations;
+        return ValueAndSlope{c.f(t), slope(t)};
+      },
+      c.target, c.a, c.b, start);
+  return {x, evaluations};
+}
+
+/// The bracket certificate of an answer q at tolerance 1e-12: f(lo) < target
+/// and f(hi) >= target for the bracket ends within 1e-12/2 of q, unless an
+/// end is the domain edge.
+void ExpectCertificate(const NewtonCase& c, double q, const std::string& what) {
+  const double half = 0.5e-12;
+  EXPECT_GE(q, c.a) << what;
+  EXPECT_LE(q, c.b) << what;
+  if (q - half > c.a) {
+    EXPECT_LT(c.f(q - half), c.target) << what << " q=" << q;
+  }
+  if (q + half < c.b) {
+    EXPECT_GE(c.f(q + half), c.target) << what << " q=" << q;
+  }
+}
+
+TEST(OptimizeTest, NewtonBisectConvergesWithFewerEvaluationsThanBisection) {
+  for (const NewtonCase& c : SmoothMonotoneCases()) {
+    const auto [bisected, bisections] = CountedBisection(c);
+    // Starts at both edges, the midpoint, near the root and off to a side.
+    for (double start : {c.a, c.b, 0.5 * (c.a + c.b), bisected + 0.01,
+                         c.a + 0.9 * (c.b - c.a)}) {
+      const std::string what = std::string(c.name) + " start=" + std::to_string(start);
+      const auto [q, evaluations] = CountedNewton(c, start);
+      ExpectCertificate(c, q, what);
+      EXPECT_LE(std::fabs(q - bisected), 1e-12) << what;
+      EXPECT_LE(evaluations, bisections) << what;
+    }
+    // From a start near the root Newton needs a handful of evaluations.
+    EXPECT_LE(CountedNewton(c, bisected + 1e-3).second, 8) << c.name;
+  }
+}
+
+TEST(OptimizeTest, NewtonBisectFallsBackOnUnusableSlopes) {
+  const std::vector<std::pair<const char*, std::function<double(double)>>> slopes = {
+      {"zero", [](double) { return 0.0; }},
+      {"nan", [](double) { return std::nan(""); }},
+      {"wrong sign", [](double) { return -1.0; }},
+  };
+  for (const NewtonCase& c : SmoothMonotoneCases()) {
+    const auto [bisected, bisections] = CountedBisection(c);
+    for (const auto& [slope_name, slope] : slopes) {
+      const std::string what = std::string(c.name) + " slope=" + slope_name;
+      // From the midpoint, no usable slope leaves exactly BisectMonotone.
+      const auto [q, evaluations] = CountedNewton(c, 0.5 * (c.a + c.b), slope);
+      EXPECT_EQ(q, bisected) << what;
+      EXPECT_EQ(evaluations, bisections) << what;
+      // Elsewhere the start may cost one evaluation more than bisection.
+      for (double start : {c.a, c.b, c.a + 0.9 * (c.b - c.a)}) {
+        const auto [moved, count] = CountedNewton(c, start, slope);
+        ExpectCertificate(c, moved, what + " start=" + std::to_string(start));
+        EXPECT_LE(std::fabs(moved - bisected), 1e-12) << what;
+        EXPECT_LE(count, bisections + 1) << what;
+      }
+    }
+  }
+}
+
+TEST(OptimizeTest, NewtonBisectSurvivesMisscaledSlopes) {
+  // A slope off by orders of magnitude makes Newton overshoot or crawl; the
+  // step-halving rule and the bracket keep the answer and the budget.
+  for (const NewtonCase& c : SmoothMonotoneCases()) {
+    const auto [bisected, bisections] = CountedBisection(c);
+    for (double scale : {1e-6, 1e-2, 1e2, 1e6}) {
+      const std::string what = std::string(c.name) + " scale=" + std::to_string(scale);
+      const auto [q, evaluations] = CountedNewton(
+          c, c.a + 0.3 * (c.b - c.a), [&](double t) { return scale * c.slope(t); });
+      ExpectCertificate(c, q, what);
+      EXPECT_LE(std::fabs(q - bisected), 1e-12) << what;
+      EXPECT_LE(evaluations, 3 * bisections) << what;
+    }
+  }
+}
+
+TEST(OptimizeTest, NewtonBisectKeepsTheBisectionCrossingRule) {
+  // A plateau at exactly the target: the crossing is the first x with
+  // f(x) >= target, the plateau's left end, whichever side the start is on.
+  const NewtonCase plateau{
+      "plateau",
+      [](double t) { return t < 0.3 ? t : (t < 0.6 ? 0.3 : t - 0.3); },
+      [](double t) { return t < 0.3 || t >= 0.6 ? 1.0 : 0.0; }, 0.3, 0.0, 1.0};
+  // Crossings at the domain edges: f(a) >= target and f(b) < target.
+  const NewtonCase below_edge{"below edge", [](double t) { return 0.5 + t; },
+                              [](double) { return 1.0; }, 0.2, 0.0, 1.0};
+  const NewtonCase above_edge{"above edge", [](double t) { return t * t; },
+                              [](double t) { return 2.0 * t; }, 2.0, 0.0, 1.0};
+  for (const NewtonCase& c : {plateau, below_edge, above_edge}) {
+    const auto [bisected, bisections] = CountedBisection(c);
+    for (double start : {c.a, 0.1, 0.45, 0.9, c.b}) {
+      const std::string what = std::string(c.name) + " start=" + std::to_string(start);
+      const auto [q, evaluations] = CountedNewton(c, start);
+      ExpectCertificate(c, q, what);
+      EXPECT_LE(std::fabs(q - bisected), 1e-12) << what;
+      // Newton steps that end on the plateau cost a few evaluations before
+      // the zero slope there hands over to bisection.
+      EXPECT_LE(evaluations, 2 * bisections) << what;
+    }
+  }
 }
 
 }  // namespace

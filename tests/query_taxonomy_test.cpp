@@ -12,6 +12,7 @@
 #include <memory>
 #include <vector>
 
+#include "numerics/optimize.hpp"
 #include "selectivity/estimator_registry.hpp"
 #include "selectivity/estimator_spec.hpp"
 #include "selectivity/query_workload.hpp"
@@ -347,6 +348,69 @@ TEST(QueryTaxonomyTest, CdfQuantileRoundTrip) {
       const double round_trip = est->Answer(Query::Cdf(quantile));
       EXPECT_NEAR(round_trip, p, 0.05) << est->name() << " p=" << p;
     }
+  }
+}
+
+TEST(QueryTaxonomyTest, KdeRotQuantilesAreCertifiedThroughEveryEntryPoint) {
+  // kde-rot answers quantiles with a Newton–bisection bracket instead of
+  // QuantileByBisection. Through the plain, sharded and served estimator the
+  // answer is one pure function of the sorted samples (bitwise equal, batch
+  // ≡ scalar), carries the bracket certificate F̃(q − tol/2) < p <=
+  // F̃(q + tol/2) (or the domain edge), and lies within the tolerance of
+  // the bisection over the same answered CDF.
+  stats::Rng rng(2301);
+  std::vector<double> values(30000);
+  for (double& v : values) {
+    v = rng.Bernoulli(0.4) ? rng.Gaussian(0.25, 0.04) : rng.Gaussian(0.65, 0.12);
+  }
+  EstimatorSpec spec;
+  spec.tag = "kde-rot";
+  spec.refit_interval = 512;
+  EstimatorSpec sharded_spec = spec;
+  sharded_spec.tag = "sharded";
+  sharded_spec.sharded_inner_tag = "kde-rot";
+  sharded_spec.shards = 3;
+  sharded_spec.block_size = 64;
+  Result<std::unique_ptr<SelectivityEstimator>> plain = MakeEstimator(spec);
+  Result<std::unique_ptr<SelectivityEstimator>> sharded = MakeEstimator(sharded_spec);
+  serving::ServiceOptions service_options;
+  service_options.publish_interval = 0;
+  Result<std::unique_ptr<serving::EstimatorService>> service =
+      serving::EstimatorService::Create(spec, service_options);
+  ASSERT_TRUE(plain.ok() && sharded.ok() && service.ok());
+  (*plain)->InsertBatch(values);
+  (*sharded)->InsertBatch(values);
+  (*service)->InsertBatch(values);
+  (*service)->Publish();
+
+  std::vector<Query> queries;
+  for (double p : {0.0, 1.0, 1e-12, 0.5}) queries.push_back(Query::Quantile(p));
+  for (int i = 0; i < 200; ++i) queries.push_back(Query::Quantile(rng.UniformDouble()));
+  std::vector<double> batch(queries.size()), sharded_batch(queries.size()),
+      served(queries.size());
+  (*plain)->Answer(queries, batch);
+  (*sharded)->Answer(queries, sharded_batch);
+  (*service)->Answer(queries, served);
+
+  const SelectivityEstimator& est = **plain;
+  const RangeQuery domain = est.Domain();
+  const auto cdf = [&](double x) { return est.Answer(Query::Cdf(x)); };
+  const double tol = 1e-12;
+  for (size_t i = 0; i < queries.size(); ++i) {
+    const double p = queries[i].a;
+    const double q = batch[i];
+    EXPECT_EQ(est.Answer(queries[i]), q) << "p=" << p;
+    EXPECT_EQ(sharded_batch[i], q) << "p=" << p;
+    EXPECT_EQ(served[i], q) << "p=" << p;
+    if (q - tol / 2 > domain.lo) {
+      EXPECT_LT(cdf(q - tol / 2), p) << "p=" << p;
+    }
+    if (q + tol / 2 < domain.hi) {
+      EXPECT_GE(cdf(q + tol / 2), p) << "p=" << p;
+    }
+    EXPECT_LE(std::fabs(q - numerics::BisectMonotone(cdf, p, domain.lo, domain.hi)),
+              tol)
+        << "p=" << p;
   }
 }
 
