@@ -20,6 +20,13 @@
 // (marginal0 × marginal1) is scored as a baseline row: the gap between the
 // joint and the product rows is exactly what native 2-D estimation buys.
 //
+// Section 3 (refit and memory): the kde2d-prod incremental refit that folds
+// 4096 new observations into a fit over n — the copy, tail sort and merge
+// of the fitted columns, bandwidths, adaptive factors and the tree rebuild
+// — as the p50 (and min/max) of 7 refits from one fitted state, and the
+// heap bytes per observation a fit holds once its refit's transients are
+// freed (glibc mallinfo2; 0 where it is unavailable).
+//
 // No google-benchmark dependency: plain steady_clock timing, like the other
 // chrono drivers. Single-threaded.
 //
@@ -28,13 +35,12 @@
 //
 // --check turns the contracts into gates: exit 1 if any batched answer
 // differs bitwise from the scalar loop, if grid2d does not out-run
-// kde2d-prod on rect throughput, if kde2d-prod answers fewer than 6.5e3
-// rect or marginal or 4e3 conditional queries per second (CI runs at
-// n = 2e5; each floor is half the slowest rate measured at the moment
-// quadtree's introduction, headroom for shared runners, and the rect floor
-// still sits above the 4.1e3 rects of the exact cell pruning the quadtree
-// replaced), if either
-// estimator's joint answers fail to beat its own product-of-marginals
+// kde2d-prod on rect throughput, if kde2d-prod answers fewer than 7.9e3
+// rect, 8.3e3 marginal or 4.8e3 conditional queries per second (CI runs at
+// n = 2e5; each floor is half the slowest of five 4-vCPU runs once the
+// fitted columns were stored in the quadtree's order — 1.59e4 rect, 1.66e4
+// axis-1 marginal, 9.7e3 conditional — headroom for shared runners), if
+// either estimator's joint answers fail to beat its own product-of-marginals
 // baseline on the anti-product workload, or if either mean absolute error
 // exceeds 0.05. CI runs with --check on the release build; debug binaries
 // refuse --check outright (bench_common.hpp).
@@ -43,8 +49,13 @@
 #include <cmath>
 #include <cstdio>
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
+
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include "bench_common.hpp"
 #include "io/serialize.hpp"
@@ -61,9 +72,9 @@ namespace {
 using namespace wde;
 
 /// kde2d-prod throughput floors per kind at n = 2e5 (see the file comment).
-constexpr double kKde2dMinRectQps = 6.5e3;
-constexpr double kKde2dMinMarginalQps = 6.5e3;
-constexpr double kKde2dMinConditionalQps = 4e3;
+constexpr double kKde2dMinRectQps = 7.9e3;
+constexpr double kKde2dMinMarginalQps = 8.3e3;
+constexpr double kKde2dMinConditionalQps = 4.8e3;
 
 std::unique_ptr<selectivity::SelectivityEstimator> Make2d(
     const std::string& tag) {
@@ -190,6 +201,63 @@ struct ThroughputRow {
   bool batch_equals_scalar = true;
 };
 
+/// Bytes the allocator has handed out and not yet taken back: the small-
+/// block arenas plus mmapped large blocks (the fitted columns).
+size_t HeapInUse() {
+#if defined(__GLIBC__)
+  const struct mallinfo2 info = mallinfo2();
+  return info.uordblks + info.hblkhd;
+#else
+  return 0;
+#endif
+}
+
+struct RefitRow {
+  size_t n = 0;
+  size_t delta = 0;
+  size_t repeats = 0;
+  double p50_ms = 0.0;
+  double min_ms = 0.0;
+  double max_ms = 0.0;
+  double fitted_bytes_per_obs = 0.0;
+};
+
+/// kde2d-prod fitted at n observations of `data` (interleaved), then
+/// `repeats` incremental refits, each folding the following delta
+/// observations into its own view of that fit.
+RefitRow MeasureRefit(const std::vector<double>& data, size_t n, size_t delta,
+                      size_t repeats) {
+  const std::span<const double> all(data);
+  std::unique_ptr<selectivity::SelectivityEstimator> fitted =
+      Make2d("kde2d-prod");
+  fitted->InsertBatch(all.first(2 * n));
+  const size_t buffered = HeapInUse();
+  fitted->ForceRefit();
+  RefitRow row;
+  row.n = n;
+  row.delta = delta;
+  row.repeats = repeats;
+  row.fitted_bytes_per_obs =
+      (static_cast<double>(HeapInUse()) - static_cast<double>(buffered)) /
+      static_cast<double>(n);
+  std::vector<double> ms;
+  for (size_t r = 0; r < repeats; ++r) {
+    // A view shares the fit copy-on-write; its refit builds new columns
+    // and leaves the shared fit intact for the next repeat.
+    std::unique_ptr<selectivity::SelectivityEstimator> view =
+        fitted->CloneForView();
+    view->InsertBatch(all.subspan(2 * n, 2 * delta));
+    const auto start = std::chrono::steady_clock::now();
+    view->ForceRefit();
+    ms.push_back(1e3 * bench::perf::SecondsSince(start));
+  }
+  std::sort(ms.begin(), ms.end());
+  row.p50_ms = ms[ms.size() / 2];
+  row.min_ms = ms.front();
+  row.max_ms = ms.back();
+  return row;
+}
+
 struct AccuracyRow {
   std::string estimator;
   std::string workload;
@@ -312,6 +380,22 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -------------------------------------------------------------------------
+  // Section 3: kde2d-prod incremental refit and fitted bytes per observation
+  // (anti-product data, its own seed: n observations fitted, 4096 folded in).
+  // -------------------------------------------------------------------------
+  constexpr size_t kRefitDelta = 4096;
+  constexpr size_t kRefitRepeats = 7;
+  stats::Rng refit_rng(3);
+  std::vector<double> refit_data;
+  multidim::SampleAntiProduct2d(refit_rng, n + kRefitDelta, 0.03, &refit_data);
+  const RefitRow refit = MeasureRefit(refit_data, n, kRefitDelta, kRefitRepeats);
+  std::printf(
+      "kde2d-prod refit n=%zu +%zu: p50 %.2f ms (min %.2f, max %.2f, %zu "
+      "refits) | fitted %.1f bytes/obs\n",
+      refit.n, refit.delta, refit.p50_ms, refit.min_ms, refit.max_ms,
+      refit.repeats, refit.fitted_bytes_per_obs);
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   WDE_CHECK(out != nullptr, "cannot open --out path for writing");
   std::fprintf(out, "{\n  \"bench\": \"perf_multidim\",\n");
@@ -333,7 +417,14 @@ int main(int argc, char** argv) {
                  row.batch_equals_scalar ? "true" : "false",
                  i + 1 < throughput_rows.size() ? "," : "");
   }
-  std::fprintf(out, "  ],\n  \"accuracy\": [\n");
+  std::fprintf(out,
+               "  ],\n  \"refit\": {\"estimator\": \"kde2d-prod\", "
+               "\"mode\": \"incremental\", \"n\": %zu, \"delta\": %zu, "
+               "\"refits\": %zu, \"p50_ms\": %.3f, \"min_ms\": %.3f, "
+               "\"max_ms\": %.3f, \"fitted_bytes_per_obs\": %.1f},\n",
+               refit.n, refit.delta, refit.repeats, refit.p50_ms, refit.min_ms,
+               refit.max_ms, refit.fitted_bytes_per_obs);
+  std::fprintf(out, "  \"accuracy\": [\n");
   for (size_t i = 0; i < accuracy_rows.size(); ++i) {
     const AccuracyRow& row = accuracy_rows[i];
     std::fprintf(

@@ -10,11 +10,15 @@
 // speedup, plus the correctness evidence — mixed batch ≡ scalar loop
 // bitwise and the CDF/quantile round-trip error max_p |F(F^{-1}(p)) - p|.
 //
-// No google-benchmark dependency: plain steady_clock timing, best of
-// --repeats runs, so the binary builds everywhere and CI can always produce
-// the artifact.
+// No google-benchmark dependency: plain steady_clock timing, so the binary
+// builds everywhere and CI can always produce the artifact. Every timed row
+// runs its batch (or scalar loop) back to back for a window of at least
+// 200 ms per repeat, over --repeats (>= 5) repeats; the JSON
+// records the median rate and the min/max across repeats, and the gates
+// read the median. (A single 1024-query batch lasts ~2 ms on the fast tags,
+// too short a window to separate a regression from scheduler noise.)
 //
-// Usage: perf_queries [--n=200000] [--queries=1024] [--repeats=3]
+// Usage: perf_queries [--n=200000] [--queries=1024] [--repeats=5]
 //                     [--out=BENCH_query_taxonomy.json] [--check]
 //
 // --check turns the two correctness fields and two throughput floors into a
@@ -30,6 +34,7 @@
 // headroom rather than separating the two). CI runs with --check
 // so the taxonomy contract is enforced at production scale, not just at
 // test sizes; like every chrono-timed bench, --check refuses a debug binary.
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -52,33 +57,51 @@ using namespace wde;
 constexpr size_t kIngestChunk = 65536;
 constexpr double kKdeRotMinRangeQps = 1e5;
 constexpr double kKdeRotMinMixedQps = 1.9e5;
+/// Minimum length of one timed repeat of a row.
+constexpr double kWindowSeconds = 0.2;
+
+/// Queries per second over repeated windows: the median and the extremes.
+struct Rate {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Runs `pass` (one pass over `queries` queries) back to back until at
+/// least `window_s` has elapsed, `repeats` times; one rate per repeat.
+template <typename Fn>
+Rate WindowedRate(size_t repeats, double window_s, size_t queries,
+                  const Fn& pass) {
+  std::vector<double> rates;
+  for (size_t r = 0; r < repeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    size_t passes = 0;
+    double elapsed = 0.0;
+    do {
+      pass();
+      ++passes;
+      elapsed = bench::perf::SecondsSince(start);
+    } while (elapsed < window_s);
+    rates.push_back(static_cast<double>(queries * passes) / elapsed);
+  }
+  std::sort(rates.begin(), rates.end());
+  const size_t mid = rates.size() / 2;
+  const double median = rates.size() % 2 == 1
+                            ? rates[mid]
+                            : 0.5 * (rates[mid - 1] + rates[mid]);
+  return {median, rates.front(), rates.back()};
+}
 
 struct Row {
   std::string tag;
   std::string name;
-  double seconds_range_batch = 0.0;
-  double seconds_mixed_batch = 0.0;
-  double seconds_mixed_scalar = 0.0;
-  double range_batch_qps = 0.0;
-  double mixed_batch_qps = 0.0;
+  Rate range_batch;
+  Rate mixed_batch;
+  Rate mixed_scalar;
   double batch_speedup_vs_scalar = 0.0;
   bool mixed_batch_bit_identical_to_scalar = true;
   double cdf_quantile_roundtrip_max_error = 0.0;
 };
-
-/// Best-of-repeats timing of one Answer() batch.
-double TimeAnswer(const selectivity::SelectivityEstimator& est,
-                  std::span<const selectivity::Query> queries,
-                  std::span<double> out, size_t repeats) {
-  double best = 0.0;
-  for (size_t r = 0; r < repeats; ++r) {
-    const auto start = std::chrono::steady_clock::now();
-    est.Answer(queries, out);
-    const double elapsed = bench::perf::SecondsSince(start);
-    if (r == 0 || elapsed < best) best = elapsed;
-  }
-  return best;
-}
 
 }  // namespace
 
@@ -90,7 +113,7 @@ int main(int argc, char** argv) {
   }
   const size_t n = ArgSize(argc, argv, "n", 200000);
   const size_t query_count = ArgSize(argc, argv, "queries", 1024);
-  const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 3));
+  const size_t repeats = std::max<size_t>(5, ArgSize(argc, argv, "repeats", 5));
   const std::string out_path =
       ArgString(argc, argv, "out", "BENCH_query_taxonomy.json");
 
@@ -138,33 +161,24 @@ int main(int argc, char** argv) {
     row.name = est.name();
 
     std::vector<double> range_answers(range_workload.size());
-    row.seconds_range_batch =
-        TimeAnswer(est, ranges_as_queries, range_answers, repeats);
-    row.range_batch_qps =
-        static_cast<double>(query_count) / row.seconds_range_batch;
+    row.range_batch = WindowedRate(repeats, kWindowSeconds, query_count, [&] {
+      est.Answer(ranges_as_queries, range_answers);
+    });
 
     std::vector<double> mixed_answers(mixed_workload.size());
-    row.seconds_mixed_batch =
-        TimeAnswer(est, mixed_workload, mixed_answers, repeats);
-    row.mixed_batch_qps =
-        static_cast<double>(query_count) / row.seconds_mixed_batch;
+    row.mixed_batch = WindowedRate(repeats, kWindowSeconds, query_count, [&] {
+      est.Answer(mixed_workload, mixed_answers);
+    });
 
     // Scalar loop over the same mixed batch, and the bitwise contract.
     std::vector<double> scalar_answers(mixed_workload.size());
-    {
-      double best = 0.0;
-      for (size_t r = 0; r < repeats; ++r) {
-        const auto start = std::chrono::steady_clock::now();
-        for (size_t i = 0; i < mixed_workload.size(); ++i) {
-          scalar_answers[i] = est.Answer(mixed_workload[i]);
-        }
-        const double elapsed = bench::perf::SecondsSince(start);
-        if (r == 0 || elapsed < best) best = elapsed;
+    row.mixed_scalar = WindowedRate(repeats, kWindowSeconds, query_count, [&] {
+      for (size_t i = 0; i < mixed_workload.size(); ++i) {
+        scalar_answers[i] = est.Answer(mixed_workload[i]);
       }
-      row.seconds_mixed_scalar = best;
-    }
+    });
     row.batch_speedup_vs_scalar =
-        row.seconds_mixed_scalar / row.seconds_mixed_batch;
+        row.mixed_batch.median / row.mixed_scalar.median;
     for (size_t i = 0; i < mixed_workload.size(); ++i) {
       if (mixed_answers[i] != scalar_answers[i]) {
         row.mixed_batch_bit_identical_to_scalar = false;
@@ -181,11 +195,11 @@ int main(int argc, char** argv) {
     }
 
     std::printf(
-        "%-14s range %.4fs (%.3g q/s)  mixed %.4fs (%.3g q/s)  scalar %.4fs  "
-        "speedup %.2fx  bitwise %s  roundtrip %.3g\n",
-        tag.c_str(), row.seconds_range_batch, row.range_batch_qps,
-        row.seconds_mixed_batch,
-        row.mixed_batch_qps, row.seconds_mixed_scalar,
+        "%-14s range %.3g q/s [%.3g, %.3g]  mixed %.3g q/s [%.3g, %.3g]  "
+        "scalar %.3g q/s  speedup %.2fx  bitwise %s  roundtrip %.3g\n",
+        tag.c_str(), row.range_batch.median, row.range_batch.min,
+        row.range_batch.max, row.mixed_batch.median, row.mixed_batch.min,
+        row.mixed_batch.max, row.mixed_scalar.median,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "yes" : "NO",
         row.cdf_quantile_roundtrip_max_error);
@@ -198,9 +212,10 @@ int main(int argc, char** argv) {
   std::fprintf(out,
                "  \"workload\": {\"n\": %zu, \"queries\": %zu, "
                "\"ingest_chunk\": %zu, \"repeats\": %zu, "
+               "\"window_ms\": %.0f, "
                "\"mix\": \"40%% range / 12%% each point,less,greater,cdf,"
                "quantile\"},\n",
-               n, query_count, kIngestChunk, repeats);
+               n, query_count, kIngestChunk, repeats, 1e3 * kWindowSeconds);
   wde::bench::perf::WriteHostJson(out);
   std::fprintf(out, "  \"results\": [\n");
   for (size_t i = 0; i < rows.size(); ++i) {
@@ -208,15 +223,19 @@ int main(int argc, char** argv) {
     std::fprintf(
         out,
         "    {\"tag\": \"%s\", \"estimator\": \"%s\", "
-        "\"seconds_range_batch\": %.6f, \"seconds_mixed_batch\": %.6f, "
-        "\"seconds_mixed_scalar\": %.6f, \"range_batch_qps\": %.1f, "
-        "\"mixed_batch_qps\": %.1f, "
+        "\"range_batch_qps\": %.1f, \"range_batch_qps_min\": %.1f, "
+        "\"range_batch_qps_max\": %.1f, "
+        "\"mixed_batch_qps\": %.1f, \"mixed_batch_qps_min\": %.1f, "
+        "\"mixed_batch_qps_max\": %.1f, "
+        "\"mixed_scalar_qps\": %.1f, \"mixed_scalar_qps_min\": %.1f, "
+        "\"mixed_scalar_qps_max\": %.1f, "
         "\"batch_speedup_vs_scalar\": %.4f, "
         "\"mixed_batch_bit_identical_to_scalar\": %s, "
         "\"cdf_quantile_roundtrip_max_error\": %.3e}%s\n",
-        row.tag.c_str(), row.name.c_str(), row.seconds_range_batch,
-        row.seconds_mixed_batch, row.seconds_mixed_scalar, row.range_batch_qps,
-        row.mixed_batch_qps,
+        row.tag.c_str(), row.name.c_str(), row.range_batch.median,
+        row.range_batch.min, row.range_batch.max, row.mixed_batch.median,
+        row.mixed_batch.min, row.mixed_batch.max, row.mixed_scalar.median,
+        row.mixed_scalar.min, row.mixed_scalar.max,
         row.batch_speedup_vs_scalar,
         row.mixed_batch_bit_identical_to_scalar ? "true" : "false",
         row.cdf_quantile_roundtrip_max_error,
@@ -242,16 +261,20 @@ int main(int argc, char** argv) {
                      row.tag.c_str(), row.cdf_quantile_roundtrip_max_error);
         ++violations;
       }
-      if (row.tag == "kde-rot" && row.range_batch_qps < kKdeRotMinRangeQps) {
+      if (row.tag == "kde-rot" &&
+          row.range_batch.median < kKdeRotMinRangeQps) {
         std::fprintf(stderr,
-                     "CHECK FAILED: kde-rot range throughput %.3g q/s < %.3g\n",
-                     row.range_batch_qps, kKdeRotMinRangeQps);
+                     "CHECK FAILED: kde-rot median range throughput %.3g q/s "
+                     "< %.3g\n",
+                     row.range_batch.median, kKdeRotMinRangeQps);
         ++violations;
       }
-      if (row.tag == "kde-rot" && row.mixed_batch_qps < kKdeRotMinMixedQps) {
+      if (row.tag == "kde-rot" &&
+          row.mixed_batch.median < kKdeRotMinMixedQps) {
         std::fprintf(stderr,
-                     "CHECK FAILED: kde-rot mixed throughput %.3g q/s < %.3g\n",
-                     row.mixed_batch_qps, kKdeRotMinMixedQps);
+                     "CHECK FAILED: kde-rot median mixed throughput %.3g q/s "
+                     "< %.3g\n",
+                     row.mixed_batch.median, kKdeRotMinMixedQps);
         ++violations;
       }
     }

@@ -42,10 +42,12 @@ uint32_t Crc32(std::span<const uint8_t> bytes);
 /// between the TYPE chunk and the state chunk; v5 — one state encoding:
 /// every estimator's state is one ARNA frame (memory/fast_state.hpp) and
 /// the STAT chunk is gone; v6 — the kde-rot state head lost its
-/// eval-tolerance field (the kd-tree evaluation path is gone). No v1–v5
-/// artifact was ever committed as a fixture, so v6 readers reject them by
-/// name rather than keep untested decoders.
-inline constexpr uint32_t kSnapshotFormatVersion = 6;
+/// eval-tolerance field (the kd-tree evaluation path is gone); v7 — the
+/// kde2d-prod fitted columns are quadrant-major (px, py, λ), not lex-sorted
+/// (sx, sy) plus a sorted shadow ty, and its fitted_at counts failed fit
+/// attempts too. No v1–v6 artifact was ever committed as a fixture, so v7
+/// readers reject them by name rather than keep untested decoders.
+inline constexpr uint32_t kSnapshotFormatVersion = 7;
 
 /// Writes the 12-byte snapshot header (magic + format version).
 Status WriteSnapshotHeader(Sink& sink);

@@ -12,13 +12,8 @@ namespace wde {
 namespace kernel {
 
 double RuleOfThumbBandwidth(std::span<const double> data) {
-  WDE_CHECK_GE(data.size(), 2u);
-  const double n = static_cast<double>(data.size());
-  double sigma =
-      stats::Iqr(data, stats::QuantileMethod::kMatlab) / (2.0 * 0.6745);
-  if (sigma <= 0.0) sigma = stats::StdDev(data);
-  if (!(sigma > 0.0)) return 0.0;  // zero spread
-  return sigma * std::pow(4.0 / (3.0 * n), 0.2);
+  std::vector<double> copy(data.begin(), data.end());
+  return RuleOfThumbBandwidthSelect(copy);
 }
 
 double RuleOfThumbBandwidthSorted(std::span<const double> sorted) {
@@ -29,6 +24,31 @@ double RuleOfThumbBandwidthSorted(std::span<const double> sorted) {
   if (sigma <= 0.0) sigma = stats::StdDev(sorted);
   if (!(sigma > 0.0)) return 0.0;  // zero spread
   return sigma * std::pow(4.0 / (3.0 * n), 0.2);
+}
+
+double RuleOfThumbBandwidthSelect(std::span<double> data) {
+  WDE_CHECK_GE(data.size(), 2u);
+  // IqrSorted(kMatlab) reads sorted[⌊h⌋ − 1] and its successor for
+  // h = clamp(p·n + 0.5, 1, n), p = 1/4, 3/4. Selected in ascending order,
+  // each right of the last, each lands on its global order statistic.
+  const size_t n = data.size();
+  const double nd = static_cast<double>(n);
+  double* const d = data.data();
+  size_t first = 0;
+  for (const double p : {0.25, 0.75}) {
+    const auto lo = static_cast<size_t>(std::clamp(p * nd + 0.5, 1.0, nd)) - 1;
+    for (size_t k = std::max(lo, first); k < std::min(lo + 2, n); ++k) {
+      std::nth_element(d + first, d + k, d + n);
+      first = k + 1;
+    }
+  }
+  // The same σ test RuleOfThumbBandwidthSorted makes before its fallback.
+  if (!(stats::IqrSorted(data, stats::QuantileMethod::kMatlab) /
+            (2.0 * 0.6745) >
+        0.0)) {
+    std::sort(data.begin(), data.end());
+  }
+  return RuleOfThumbBandwidthSorted(data);
 }
 
 double SilvermanBandwidth(std::span<const double> data) {

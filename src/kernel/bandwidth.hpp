@@ -13,17 +13,24 @@ namespace kernel {
 /// with quartiles under MATLAB's quantile convention. Falls back to the
 /// sample standard deviation when the IQR degenerates, and returns 0 when
 /// that is zero too (all samples equal, or a spread that underflows), a
-/// bandwidth every KDE constructor rejects.
+/// bandwidth every KDE constructor rejects. RuleOfThumbBandwidthSelect on a
+/// copy of `data`.
 double RuleOfThumbBandwidth(std::span<const double> data);
 
 /// RuleOfThumbBandwidth over an already ascending-sorted sample. The IQR is
-/// read from order statistics in O(1) instead of two copy+sort passes, and
-/// the StdDev fallback sums in sorted order — so two calls on the same sorted
-/// span are bitwise-identical regardless of the insertion order that produced
-/// it. Callers that maintain the sorted buffer incrementally (KDE refit) use
-/// this on both the fit and restore paths to keep the fitted bandwidth
-/// bit-exact across save/load.
+/// read from order statistics in O(1), and the StdDev fallback sums in
+/// sorted order — so two calls on the same sorted span are bitwise-identical
+/// regardless of the insertion order that produced it. Callers that maintain
+/// the sorted buffer incrementally (KDE refit) use this on both the fit and
+/// restore paths to keep the fitted bandwidth bit-exact across save/load.
 double RuleOfThumbBandwidthSorted(std::span<const double> sorted);
+
+/// RuleOfThumbBandwidthSorted of `data` sorted, bitwise, in O(n) expected:
+/// only the four order statistics the IQR reads are selected in place
+/// (std::nth_element), and `data` is fully sorted only when the IQR
+/// degenerates and the StdDev fallback must sum in sorted order. Permutes
+/// `data`.
+double RuleOfThumbBandwidthSelect(std::span<double> data);
 
 /// Silverman's rule 0.9 · min(sd, IQR/1.34) · n^{-1/5} (provided for
 /// completeness; not used in the reproduction benches).

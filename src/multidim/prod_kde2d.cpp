@@ -5,6 +5,7 @@
 #include <cstdint>
 #include <limits>
 #include <numeric>
+#include <tuple>
 #include <utility>
 
 #include "kernel/kernels.hpp"
@@ -15,22 +16,15 @@ namespace wde {
 namespace multidim {
 namespace {
 
-/// Zip/unzip through a pair buffer: pair-keyed sorts and merges then reduce
-/// to the standard library algorithms, and equal pairs are identical values,
-/// so the resulting coordinate arrays are a function of the multiset alone.
-std::vector<std::pair<double, double>> ZipPoints(std::span<const double> xs,
-                                                 std::span<const double> ys) {
-  std::vector<std::pair<double, double>> pairs(xs.size());
-  for (size_t i = 0; i < xs.size(); ++i) pairs[i] = {xs[i], ys[i]};
-  return pairs;
-}
+/// A point with its quadrant-major key, ordered by (key, x, y): sorts and
+/// merges reduce to the standard library algorithms, and equal tuples are
+/// identical values (the key is a function of (x, y)), so the resulting
+/// coordinate arrays are a function of the multiset alone.
+using KeyedPoint = std::tuple<uint32_t, double, double>;
 
-void UnzipPoints(std::span<const std::pair<double, double>> pairs,
-                 std::span<double> xs, std::span<double> ys) {
-  for (size_t i = 0; i < pairs.size(); ++i) {
-    xs[i] = pairs[i].first;
-    ys[i] = pairs[i].second;
-  }
+KeyedPoint Keyed(double x, double y, double lo0, double hi0, double lo1,
+                 double hi1) {
+  return {QuadrantKey(x, y, lo0, hi0, lo1, hi1), x, y};
 }
 
 /// The bits of an 8-bit cell index moved to the even positions of 16, so
@@ -113,31 +107,40 @@ double Factor(const AxisVerdict& v, double c, double q, double lo,
 
 }  // namespace
 
-void SortPointsLex(std::span<double> xs, std::span<double> ys) {
-  WDE_CHECK_EQ(xs.size(), ys.size());
-  auto pairs = ZipPoints(xs, ys);
-  std::sort(pairs.begin(), pairs.end());
-  UnzipPoints(pairs, xs, ys);
+uint32_t QuadrantKey(double x, double y, double lo0, double hi0, double lo1,
+                     double hi1) {
+  constexpr size_t g = size_t{1} << ProdKde2dTree::kMaxLevel;
+  return static_cast<uint32_t>(Spread(CellIndex1d(x, lo0, hi0, g)) << 1 |
+                               Spread(CellIndex1d(y, lo1, hi1, g)));
 }
 
-void MergeSortedTailLex(std::span<double> xs, std::span<double> ys,
-                        size_t split) {
+void SortPointsQuadrantMajor(std::span<double> xs, std::span<double> ys,
+                             double lo0, double hi0, double lo1, double hi1,
+                             size_t sorted_prefix) {
   WDE_CHECK_EQ(xs.size(), ys.size());
-  WDE_CHECK_LE(split, xs.size());
-  auto pairs = ZipPoints(xs, ys);
-  const auto mid = pairs.begin() + static_cast<ptrdiff_t>(split);
-  std::sort(mid, pairs.end());
-  std::inplace_merge(pairs.begin(), mid, pairs.end());
-  UnzipPoints(pairs, xs, ys);
+  WDE_CHECK_LE(sorted_prefix, xs.size());
+  std::vector<KeyedPoint> points(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    points[i] = Keyed(xs[i], ys[i], lo0, hi0, lo1, hi1);
+  }
+  const auto mid = points.begin() + static_cast<ptrdiff_t>(sorted_prefix);
+  std::sort(mid, points.end());
+  std::inplace_merge(points.begin(), mid, points.end());
+  for (size_t i = 0; i < xs.size(); ++i) {
+    xs[i] = std::get<1>(points[i]);
+    ys[i] = std::get<2>(points[i]);
+  }
 }
 
-bool IsLexSorted(std::span<const double> xs, std::span<const double> ys) {
+bool IsQuadrantMajor(std::span<const double> xs, std::span<const double> ys,
+                     double lo0, double hi0, double lo1, double hi1) {
   if (xs.size() != ys.size()) return false;
+  KeyedPoint prev;
   for (size_t i = 0; i < xs.size(); ++i) {
     if (!std::isfinite(xs[i]) || !std::isfinite(ys[i])) return false;
-    if (i == 0) continue;
-    if (xs[i] < xs[i - 1]) return false;
-    if (xs[i] == xs[i - 1] && ys[i] < ys[i - 1]) return false;
+    const KeyedPoint point = Keyed(xs[i], ys[i], lo0, hi0, lo1, hi1);
+    if (i > 0 && point < prev) return false;
+    prev = point;
   }
   return true;
 }
@@ -162,15 +165,17 @@ void AdaptiveLambdas(std::span<const double> xs, std::span<const double> ys,
     cell_of[i] = cell;
     cells[cell] += 1.0;
   }
-  // Geometric mean of the per-point pilot masses, accumulated in index
-  // order (one sequential chain — deterministic in the point sequence).
+  // Geometric mean of the per-point pilot masses, Σ_i log pilot_i grouped
+  // by cell: a function of the cell counts alone, whatever the point
+  // order. λ is a function of the cell: one pow per cell, then a gather.
   double log_sum = 0.0;
-  for (size_t i = 0; i < n; ++i) log_sum += std::log(cells[cell_of[i]]);
+  for (const double c : cells) log_sum += c > 0.0 ? c * std::log(c) : 0.0;
   const double geo_mean = std::exp(log_sum / static_cast<double>(n));
-  for (size_t i = 0; i < n; ++i) {
-    lambdas[i] = std::clamp(std::pow(cells[cell_of[i]] / geo_mean, -alpha),
-                            kMinLambda, kMaxLambda);
+  for (double& cell : cells) {
+    cell = std::clamp(std::pow(cell / geo_mean, -alpha), kMinLambda,
+                      kMaxLambda);
   }
+  for (size_t i = 0; i < n; ++i) lambdas[i] = cells[cell_of[i]];
 }
 
 double AxisFactor(double c, double lambda, double h, double lo, double hi) {
@@ -212,28 +217,18 @@ ProdKde2dTree::ProdKde2dTree(std::span<const double> xs,
   WDE_CHECK_EQ(xs.size(), lambdas.size());
   const size_t n = xs.size();
   WDE_CHECK_LT(n, size_t{UINT32_MAX});
-  // Stable counting sort by Morton key on the finest grid: per-key counts,
-  // offsets, one scatter in input order. Every node at every level is then
-  // a contiguous key range, hence a contiguous order range.
-  constexpr size_t g = size_t{1} << kMaxLevel;
-  constexpr size_t keys = g * g;
-  std::vector<uint16_t> key_of(n);
+  // The columns are sorted by Morton key, so every node is a contiguous key
+  // range, hence index range: count the points per key, prefix-sum.
+  constexpr size_t keys = size_t{1} << (2 * kMaxLevel);
   std::vector<uint32_t> offset(keys + 1, 0);
+  uint32_t prev = 0;
   for (size_t i = 0; i < n; ++i) {
-    const size_t key = Spread(CellIndex1d(xs[i], lo0, hi0, g)) << 1 |
-                       Spread(CellIndex1d(ys[i], lo1, hi1, g));
-    key_of[i] = static_cast<uint16_t>(key);
+    const uint32_t key = QuadrantKey(xs[i], ys[i], lo0, hi0, lo1, hi1);
+    WDE_CHECK_GE(key, prev, "the columns must be in quadrant-major order");
+    prev = key;
     ++offset[key + 1];
   }
   for (size_t c = 0; c < keys; ++c) offset[c + 1] += offset[c];
-  order_.resize(n);
-  // The scatter advances offset[key] to the start of key + 1; shifting by
-  // one restores the starts.
-  for (size_t i = 0; i < n; ++i) {
-    order_[offset[key_of[i]]++] = static_cast<uint32_t>(i);
-  }
-  std::copy_backward(offset.begin(), offset.end() - 1, offset.end());
-  offset[0] = 0;
   // Sized exactly: the nodes live as long as the fit.
   nodes_.reserve(CountNodes(0, 0, offset));
   nodes_.emplace_back();
@@ -246,7 +241,7 @@ ProdKde2dTree::ProdKde2dTree(std::span<const double> xs,
 
 namespace {
 
-/// The order range of the node covering Morton cell `cell` of `level`.
+/// The index range of the node covering Morton cell `cell` of `level`.
 std::pair<uint32_t, uint32_t> CellRange(int level, uint32_t cell,
                                         std::span<const uint32_t> offset) {
   const int shift = 2 * (ProdKde2dTree::kMaxLevel - level);
@@ -297,8 +292,7 @@ ProdKde2dTree::Extent ProdKde2dTree::Build(int level, uint32_t cell,
                        first + static_cast<uint32_t>(c), offset));
     }
   } else {
-    for (uint32_t j = begin; j < end; ++j) {
-      const uint32_t i = order_[j];
+    for (uint32_t i = begin; i < end; ++i) {
       extent.Add({xs_[i], xs_[i], ys_[i], ys_[i], lambdas_[i], lambdas_[i]});
     }
   }
@@ -328,8 +322,7 @@ void ProdKde2dTree::FillMoments(Node& node) const {
   const double cy = std::midpoint(node.y_min, node.y_max);
   // Sixteen independent sequential chains, in local accumulators.
   double m[16] = {};
-  for (uint32_t j = node.begin; j < node.end; ++j) {
-    const uint32_t i = order_[j];
+  for (uint32_t i = node.begin; i < node.end; ++i) {
     const double z = (xs_[i] - cx) * node.x_inv;
     const double t = (ys_[i] - cy) * node.y_inv;
     const double zp[4] = {1.0, z, z * z, z * z * z};
@@ -482,12 +475,10 @@ struct ProdKde2dTree::Walk {
   /// measured ~40% slower on perf_multidim.)
   void Leaf(const Node& node, const AxisVerdict& x, const AxisVerdict& y,
             bool want_joint, bool want_condition) {
-    const uint32_t* at = tree.order_.data();
     const double* xs = tree.xs_.data();
     const double* ys = tree.ys_.data();
     if (node.has_moments == 0) {
-      for (uint32_t j = node.begin; j < node.end; ++j) {
-        const uint32_t i = at[j];
+      for (uint32_t i = node.begin; i < node.end; ++i) {
         const double lambda = tree.lambdas_[i];
         const double fy = Factor(y, ys[i], 1.0 / (tree.hy_ * lambda), lo1, hi1);
         if (want_condition) condition += fy;
@@ -500,18 +491,17 @@ struct ProdKde2dTree::Walk {
     const double qx = node.x_inv;
     const double qy = node.y_inv;
     if (!want_joint || x.covered()) {
-      for (uint32_t j = node.begin; j < node.end; ++j) {
-        const double fy = Factor(y, ys[at[j]], qy, lo1, hi1);
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        const double fy = Factor(y, ys[i], qy, lo1, hi1);
         if (want_condition) condition += fy;
         if (want_joint) joint += fy;
       }
     } else if (y.covered()) {  // then the condition is settled already
-      for (uint32_t j = node.begin; j < node.end; ++j) {
-        joint += Factor(x, xs[at[j]], qx, lo0, hi0);
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        joint += Factor(x, xs[i], qx, lo0, hi0);
       }
     } else {
-      for (uint32_t j = node.begin; j < node.end; ++j) {
-        const uint32_t i = at[j];
+      for (uint32_t i = node.begin; i < node.end; ++i) {
         const double fy = Factor(y, ys[i], qy, lo1, hi1);
         if (want_condition) condition += fy;
         joint += Factor(x, xs[i], qx, lo0, hi0) * fy;
@@ -529,7 +519,7 @@ ProdKde2dTree::Cover ProdKde2dTree::Classify(const Node& node, double lo0,
 
 double ProdKde2dTree::RectSum(double lo0, double hi0, double lo1,
                               double hi1) const {
-  if (order_.empty()) return 0.0;
+  if (xs_.empty()) return 0.0;
   Walk walk{*this, lo0, hi0, lo1, hi1};
   walk.Visit(0, true, false);
   return walk.joint;
@@ -537,7 +527,7 @@ double ProdKde2dTree::RectSum(double lo0, double hi0, double lo1,
 
 ProdKde2dTree::ConditionSums ProdKde2dTree::ConditionalSums(
     double lo0, double hi0, double lo1, double hi1) const {
-  if (order_.empty()) return {};
+  if (xs_.empty()) return {};
   Walk walk{*this, lo0, hi0, lo1, hi1};
   walk.Visit(0, true, true);
   return {walk.joint, walk.condition};

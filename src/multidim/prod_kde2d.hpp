@@ -32,21 +32,27 @@
 namespace wde {
 namespace multidim {
 
-/// Sorts the parallel coordinate arrays lexicographically by (x, y).
-/// Equal (x, y) pairs are indistinguishable, so the sorted sequence — and
-/// everything derived from it — is a function of the point multiset alone.
-void SortPointsLex(std::span<double> xs, std::span<double> ys);
+/// A point's 256×256-grid cell (CellIndex1d per axis) as a Morton key, x
+/// bit above y bit: every ProdKde2dTree node is one range of keys.
+uint32_t QuadrantKey(double x, double y, double lo0, double hi0, double lo1,
+                     double hi1);
 
-/// Restores lex order after appending a tail at `split` to arrays whose
-/// prefix [0, split) is already lex-sorted: sort the tail, one stable merge.
-/// O(Δ log Δ + n) against a full sort's O(n log n), identical sequence —
-/// the incremental-refit counterpart of SortPointsLex (refit_equivalence).
-void MergeSortedTailLex(std::span<double> xs, std::span<double> ys,
-                        size_t split);
+/// Sorts the parallel coordinate arrays into quadrant-major order: by
+/// (QuadrantKey, x, y) — the stable counting sort by key of the
+/// lexicographic (x, y) order. Equal (x, y) pairs are indistinguishable,
+/// so the sorted sequence — and everything derived from it — is a function
+/// of the point multiset alone. Every coordinate must be finite. A prefix
+/// [0, sorted_prefix) already in that order is kept: only the tail is
+/// sorted, then one stable merge — O(Δ log Δ + n), the same sequence as a
+/// full sort (the incremental refit's path, refit_equivalence).
+void SortPointsQuadrantMajor(std::span<double> xs, std::span<double> ys,
+                             double lo0, double hi0, double lo1, double hi1,
+                             size_t sorted_prefix = 0);
 
-/// True when (xs, ys) is lex-sorted by (x, y) with every coordinate finite —
-/// the validation fast-snapshot loads run before adopting fitted columns.
-bool IsLexSorted(std::span<const double> xs, std::span<const double> ys);
+/// True when (xs, ys) is finite and in quadrant-major order — the check
+/// snapshot loads run before adopting fitted columns.
+bool IsQuadrantMajor(std::span<const double> xs, std::span<const double> ys,
+                     double lo0, double hi0, double lo1, double hi1);
 
 /// Per-point adaptive bandwidth factors from a binned pilot density: the
 /// points are binned on a 2^pilot_log2 × 2^pilot_log2 grid over the domain,
@@ -55,8 +61,8 @@ bool IsLexSorted(std::span<const double> xs, std::span<const double> ys);
 ///   λ_i = clamp((pilot_i / ḡ)^(−α), 1/4, 4)
 /// (Abramson-style with exponent scaled by α ∈ [0, 1]; α = 0 short-circuits
 /// to λ ≡ 1). Normalizing constants cancel inside the ratio, so raw cell
-/// counts stand in for the pilot density. Deterministic in the point
-/// sequence.
+/// counts stand in for the pilot density. ḡ's log-sum is taken per cell
+/// (Σ_c count_c · log count_c), so λ is the same whatever the point order.
 void AdaptiveLambdas(std::span<const double> xs, std::span<const double> ys,
                      double lo0, double hi0, double lo1, double hi1,
                      double alpha, int pilot_log2, std::span<double> lambdas);
@@ -93,12 +99,10 @@ inline constexpr int kPilotLog2 = 5;
 /// node at level L ∈ [kGridLog2, kMaxLevel) splits again only when it holds
 /// more than kSplitAbove points. A node's non-empty children are
 /// contiguous in nodes(), in quadrant order (x-half major, y-half minor).
-/// One stable counting sort by the points' 2^kMaxLevel-grid Morton key
-/// (CellIndex1d cells, x bit above y bit at every level) yields the
-/// quadrant-major order as a 4-byte permutation of the input columns, which
-/// the tree borrows rather than copies: every node owns a contiguous range
-/// of it. Every node
-/// keeps its points' tight bounding box and, per axis, the inverse scale
+/// The tree borrows quadrant-major columns (SortPointsQuadrantMajor): every
+/// node owns a contiguous index range of them, found by one scan of the
+/// points' keys, and reads its points in place. Every node keeps its
+/// points' tight bounding box and, per axis, the inverse scale
 /// q = fl(1/fl(h·λ_max)) of its largest λ. A node whose points share one λ
 /// and whose box is narrower than two scales on some axis (only such an
 /// axis can ever be certified interior) also keeps the 16 moments Σ zᵃtᵇ
@@ -143,8 +147,9 @@ inline constexpr int kPilotLog2 = 5;
 /// Requires bandwidths with h·kMinLambda > 0 and both 1/(h·kMinLambda) and
 /// h·kMaxLambda finite, λ_i ∈ [kMinLambda, kMaxLambda], finite coordinates
 /// (points outside the domain still answer correctly, but land in an edge
-/// cell and weaken its pruning) and fewer than 2^32 points. Immutable after
-/// construction, so concurrent queries over one instance are safe.
+/// cell and weaken its pruning), quadrant-major columns (checked) and fewer
+/// than 2^32 points. Immutable after construction, so concurrent queries
+/// over one instance are safe.
 class ProdKde2dTree {
  public:
   /// Level of the 64×64 grid every node above it splits down to.
@@ -164,7 +169,7 @@ class ProdKde2dTree {
   /// the moments only a moment node reads. (Plain alignment: over-aligned
   /// node arrays fragmented the heap measurably.)
   struct Node {
-    uint32_t begin = 0;        // the node's points are order()[begin, end)
+    uint32_t begin = 0;        // the node's points are [begin, end)
     uint32_t end = 0;
     uint32_t first_child = 0;  // children: nodes()[first_child, + children)
     uint16_t children = 0;     // 0: a leaf
@@ -179,8 +184,8 @@ class ProdKde2dTree {
     double m[16] = {};
   };
 
-  /// Indexes the parallel columns (xs, ys, λ) without copying them: the
-  /// spans must stay valid for the tree's lifetime, which `keepalive`
+  /// Indexes the quadrant-major columns (xs, ys, λ) without copying them:
+  /// the spans must stay valid for the tree's lifetime, which `keepalive`
   /// (e.g. the owning arena's storage handle) may guarantee.
   ProdKde2dTree(std::span<const double> xs, std::span<const double> ys,
                 std::span<const double> lambdas, double hx, double hy,
@@ -207,15 +212,13 @@ class ProdKde2dTree {
                         double hi1);
 
   std::span<const Node> nodes() const { return nodes_; }
-  /// The quadrant-major order: indices into the indexed columns.
-  std::span<const uint32_t> order() const { return order_; }
 
  private:
   struct Walk;
   struct Extent;
 
   /// Nodes under Morton cell `cell` of `level`, itself included, given the
-  /// per-key start offsets of the quadrant-major order.
+  /// per-key start offsets into the columns.
   static size_t CountNodes(int level, uint32_t cell,
                            std::span<const uint32_t> offset);
   /// Fills node `id` (and its subtree) for that cell; returns its extent.
@@ -230,7 +233,6 @@ class ProdKde2dTree {
   std::shared_ptr<const void> keepalive_;
   double hx_;
   double hy_;
-  std::vector<uint32_t> order_;
   std::vector<Node> nodes_;
 };
 

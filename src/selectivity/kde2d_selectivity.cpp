@@ -73,7 +73,7 @@ void Kde2dSelectivity::Insert(double x) {
 
 void Kde2dSelectivity::RefitIfStale() const {
   if (xs_.size() < kMinFitSample) return;
-  if (fitted_.has_value() &&
+  if (fitted_at_count_ != 0 &&
       xs_.size() - fitted_at_count_ < options_.refit_interval) {
     return;
   }
@@ -82,82 +82,67 @@ void Kde2dSelectivity::RefitIfStale() const {
 
 void Kde2dSelectivity::ForceRefitImpl() const {
   if (xs_.size() < kMinFitSample) return;
-  if (fitted_.has_value() && fitted_at_count_ == xs_.size()) return;
+  if (fitted_at_count_ == xs_.size()) return;
   Refit();
 }
 
 void Kde2dSelectivity::Refit() const {
-  const bool incremental = options_.refit_mode == RefitMode::kIncremental &&
-                           fitted_.has_value() &&
-                           fitted_->n == fitted_at_count_ &&
-                           fitted_at_count_ <= xs_.size();
-  std::optional<Fitted> fit =
-      BuildFit(xs_.size(), incremental ? &*fitted_ : nullptr);
-  if (fit.has_value()) {
-    fitted_ = std::move(fit);
-    fitted_at_count_ = xs_.size();
-  }
+  const bool incremental =
+      options_.refit_mode == RefitMode::kIncremental && fitted_.has_value();
+  // A failed fit (a degenerate sample) counts as an attempt too: the
+  // exact-fraction fallback serves until refit_interval more observations
+  // arrive, instead of every query re-sorting the sample to fail again.
+  fitted_ = BuildFit(xs_.size(), incremental ? &*fitted_ : nullptr);
+  fitted_at_count_ = xs_.size();
 }
 
 std::optional<Kde2dSelectivity::Fitted> Kde2dSelectivity::BuildFit(
     size_t fit_n, const Fitted* prev) const {
+  const double lo0 = options_.domain_lo0, hi0 = options_.domain_hi0;
+  const double lo1 = options_.domain_lo1, hi1 = options_.domain_hi1;
   // Every fit builds a NEW arena: the previous fitted columns may be shared
   // with CloneForView copies or borrowed zero-copy from a snapshot arena.
   const memory::ColumnSpec specs[] = {{memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n},
-                                      {memory::ColumnKind::kF64, fit_n},
                                       {memory::ColumnKind::kF64, fit_n}};
   memory::Arena arena = memory::Arena::Create(specs);
-  const std::span<double> sx = arena.MutableF64(0);
-  const std::span<double> sy = arena.MutableF64(1);
-  const std::span<double> ty = arena.MutableF64(2);
-  const std::span<double> lambdas = arena.MutableF64(3);
-  if (prev != nullptr && prev->n <= fit_n) {
-    // The previous fitted arrays are the sorted permutations of the
-    // observation prefix [0, prev->n) (the buffers only ever append): copy
-    // them, append the unfitted tail, sort only the tail, one stable merge.
-    std::copy(prev->sx().begin(), prev->sx().end(), sx.begin());
-    std::copy(prev->sy().begin(), prev->sy().end(), sy.begin());
-    std::copy(xs_.begin() + static_cast<ptrdiff_t>(prev->n),
-              xs_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sx.begin() + static_cast<ptrdiff_t>(prev->n));
-    std::copy(ys_.begin() + static_cast<ptrdiff_t>(prev->n),
-              ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sy.begin() + static_cast<ptrdiff_t>(prev->n));
-    multidim::MergeSortedTailLex(sx, sy, prev->n);
-    std::copy(prev->ty().begin(), prev->ty().end(), ty.begin());
-    std::copy(ys_.begin() + static_cast<ptrdiff_t>(prev->n),
-              ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              ty.begin() + static_cast<ptrdiff_t>(prev->n));
-    const auto mid = ty.begin() + static_cast<ptrdiff_t>(prev->n);
-    std::sort(mid, ty.end());
-    std::inplace_merge(ty.begin(), mid, ty.end());
-  } else {
-    std::copy(xs_.begin(), xs_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sx.begin());
-    std::copy(ys_.begin(), ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              sy.begin());
-    multidim::SortPointsLex(sx, sy);
-    std::copy(ys_.begin(), ys_.begin() + static_cast<ptrdiff_t>(fit_n),
-              ty.begin());
-    std::sort(ty.begin(), ty.end());
+  const std::span<double> px = arena.MutableF64(0);
+  const std::span<double> py = arena.MutableF64(1);
+  const std::span<double> lambdas = arena.MutableF64(2);
+  // The previous fitted columns are the quadrant-major permutation of the
+  // observation prefix [0, prev->n) (the buffers only ever append): copy
+  // them, append the unfitted tail, sort only the tail, one stable merge.
+  const size_t kept = prev != nullptr && prev->n <= fit_n ? prev->n : 0;
+  if (kept > 0) {
+    std::copy(prev->px().begin(), prev->px().end(), px.begin());
+    std::copy(prev->py().begin(), prev->py().end(), py.begin());
   }
-  // Bandwidths from sorted order statistics (sx is ascending in x by lex
-  // order; ty is the sorted axis-1 shadow): bitwise-reproducible from the
-  // sorted multiset alone, so both refit modes — and the snapshot-restore
-  // re-fit — derive identical values.
-  double hx = kernel::RuleOfThumbBandwidthSorted(sx);
-  double hy = kernel::RuleOfThumbBandwidthSorted(ty);
-  if (options_.cv_bandwidths && fit_n >= 16) {
-    hx = CvRefinedBandwidth(kernel_, sx, hx);
-    hy = CvRefinedBandwidth(kernel_, ty, hy);
-  }
+  std::copy(xs_.begin() + static_cast<ptrdiff_t>(kept),
+            xs_.begin() + static_cast<ptrdiff_t>(fit_n),
+            px.begin() + static_cast<ptrdiff_t>(kept));
+  std::copy(ys_.begin() + static_cast<ptrdiff_t>(kept),
+            ys_.begin() + static_cast<ptrdiff_t>(fit_n),
+            py.begin() + static_cast<ptrdiff_t>(kept));
+  multidim::SortPointsQuadrantMajor(px, py, lo0, hi0, lo1, hi1, kept);
+  // Bandwidths from order statistics of each axis, selected in one reused
+  // copy: the same values a sorted column holds, so both refit modes — and
+  // the snapshot-restore re-fit — derive identical values. Only CV needs
+  // the copy fully sorted.
+  std::vector<double> axis(fit_n);
+  const auto bandwidth = [&](std::span<const double> column) {
+    std::copy(column.begin(), column.end(), axis.begin());
+    const double rot = kernel::RuleOfThumbBandwidthSelect(axis);
+    if (!options_.cv_bandwidths || fit_n < 16) return rot;
+    std::sort(axis.begin(), axis.end());
+    return CvRefinedBandwidth(kernel_, axis, rot);
+  };
+  const double hx = bandwidth(px);
+  const double hy = bandwidth(py);
   if (!UsableBandwidth(hx) || !UsableBandwidth(hy)) {
-    return std::nullopt;  // degenerate sample; keep the previous fit/fallback
+    return std::nullopt;  // degenerate sample: the exact-fraction fallback
   }
-  multidim::AdaptiveLambdas(sx, sy, options_.domain_lo0, options_.domain_hi0,
-                            options_.domain_lo1, options_.domain_hi1,
-                            options_.alpha, multidim::kPilotLog2, lambdas);
+  multidim::AdaptiveLambdas(px, py, lo0, hi0, lo1, hi1, options_.alpha,
+                            multidim::kPilotLog2, lambdas);
   Fitted fit;
   fit.arena = std::move(arena);
   fit.col0 = 0;
@@ -173,7 +158,7 @@ std::shared_ptr<const multidim::ProdKde2dTree> Kde2dSelectivity::BuildTree(
   // The tree borrows the fitted columns; the storage handle keeps them
   // valid for as long as any copy of the tree lives.
   return std::make_shared<const multidim::ProdKde2dTree>(
-      fit.sx(), fit.sy(), fit.lambdas(), fit.hx, fit.hy, options_.domain_lo0,
+      fit.px(), fit.py(), fit.lambdas(), fit.hx, fit.hy, options_.domain_lo0,
       options_.domain_hi0, options_.domain_lo1, options_.domain_hi1,
       fit.arena.storage_keepalive());
 }
@@ -182,7 +167,7 @@ double Kde2dSelectivity::EstimateRectImpl(double lo0, double hi0, double lo1,
                                           double hi1) const {
   RefitIfStale();
   if (!fitted_.has_value()) {
-    // Tiny-sample (or degenerate-bandwidth) fallback: exact fraction of the
+    // Tiny-sample (or degenerate-sample) fallback: exact fraction of the
     // buffered observations inside the rectangle.
     if (xs_.empty()) return 0.0;
     size_t hits = 0;
@@ -290,9 +275,8 @@ Status Kde2dSelectivity::SaveStateImpl(memory::FastStateWriter& writer) const {
     // instead of re-sorting and re-deriving; the tree is rebuilt.
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hx));
     WDE_RETURN_IF_ERROR(io::WriteDouble(writer.head(), fitted_->hy));
-    writer.AddF64(fitted_->sx());
-    writer.AddF64(fitted_->sy());
-    writer.AddF64(fitted_->ty());
+    writer.AddF64(fitted_->px());
+    writer.AddF64(fitted_->py());
     writer.AddF64(fitted_->lambdas());
   }
   return Status::OK();
@@ -322,7 +306,7 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
       {memory::ColumnKind::kF64, static_cast<size_t>(n_values)},
       {memory::ColumnKind::kF64, static_cast<size_t>(n_values)}};
   if (has_fit == 1) {
-    for (int c = 0; c < 4; ++c) {
+    for (int c = 0; c < 3; ++c) {
       expected.push_back(
           {memory::ColumnKind::kF64, static_cast<size_t>(fitted_at)});
     }
@@ -334,31 +318,26 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
       options.refit_interval == 0 || !std::isfinite(options.alpha) ||
       options.alpha < 0.0 || options.alpha > 1.0 || cv > 1 ||
       have_pending > 1 || has_fit > 1 || fitted_at > n_values ||
-      (has_fit == 1 && fitted_at < kMinFitSample) ||
+      ((has_fit == 1 || fitted_at != 0) && fitted_at < kMinFitSample) ||
       (has_fit == 1 && !(UsableBandwidth(hx) && UsableBandwidth(hy))) ||
       reader.head().remaining() != 0 ||
       !memory::ColumnsMatch(reader.arena(), expected)) {
     return Status::InvalidArgument("corrupt kde2d state");
   }
   if (has_fit == 1) {
-    // The fitted columns are consumed by the delta merge (sx/sy), the
-    // bandwidth rule (ty) and per-point scaling (λ): hostile orderings,
-    // non-finite entries or λ outside [1/4, 4] — which would stretch a
-    // cell's reach past the domain or to ±inf — must be rejected, not
-    // served.
-    const std::span<const double> sx = reader.arena().F64(2);
-    const std::span<const double> sy = reader.arena().F64(3);
-    const std::span<const double> ty = reader.arena().F64(4);
-    const std::span<const double> lambdas = reader.arena().F64(5);
-    if (!multidim::IsLexSorted(sx, sy)) {
+    // The tree and the delta merge need px/py finite and in order, and λ
+    // outside [1/4, 4] would stretch a cell's reach past the domain or to
+    // ±inf: hostile columns are rejected, not served.
+    const std::span<const double> px = reader.arena().F64(2);
+    const std::span<const double> py = reader.arena().F64(3);
+    const std::span<const double> lambdas = reader.arena().F64(4);
+    if (!multidim::IsQuadrantMajor(px, py, options.domain_lo0,
+                                   options.domain_hi0, options.domain_lo1,
+                                   options.domain_hi1) ||
+        !std::all_of(lambdas.begin(), lambdas.end(), [](double l) {
+          return l >= multidim::kMinLambda && l <= multidim::kMaxLambda;
+        })) {
       return Status::InvalidArgument("corrupt kde2d fitted columns");
-    }
-    for (size_t i = 0; i < ty.size(); ++i) {
-      if (!std::isfinite(ty[i]) || (i > 0 && ty[i] < ty[i - 1]) ||
-          !(lambdas[i] >= multidim::kMinLambda &&
-            lambdas[i] <= multidim::kMaxLambda)) {
-        return Status::InvalidArgument("corrupt kde2d fitted columns");
-      }
     }
   }
   const std::span<const double> xs = reader.arena().F64(0);
@@ -379,8 +358,9 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
   ys_.assign(ys.begin(), ys.end());
   have_pending_ = have_pending != 0;
   pending_ = pending;
+  fitted_.reset();
   if (has_fit == 1) {
-    // Adopt the fitted columns in place (columns 2..5 of the parsed arena) —
+    // Adopt the fitted columns in place (columns 2..4 of the parsed arena) —
     // borrowed zero-copy from an mmapped image; refits build new arenas, so
     // the mapping is never written through.
     Fitted fit;
@@ -391,11 +371,8 @@ Status Kde2dSelectivity::LoadStateImpl(memory::FastStateReader& reader) {
     fit.hy = hy;
     fit.tree = BuildTree(fit);
     fitted_ = std::move(fit);
-    fitted_at_count_ = static_cast<size_t>(fitted_at);
-  } else {
-    fitted_.reset();
-    fitted_at_count_ = 0;
   }
+  fitted_at_count_ = static_cast<size_t>(fitted_at);
   return Status::OK();
 }
 

@@ -38,14 +38,14 @@ namespace selectivity {
 ///
 /// Mergeable: the coordinate buffers concatenate and the KDE refits from
 /// the merged buffers. Answers depend only on the *multiset* of
-/// observations — the fitted state is a function of the lex-sorted
-/// coordinate arrays — so merges in any order answer bit-identically to
+/// observations — the fitted state is a function of the sorted coordinate
+/// arrays — so merges in any order answer bit-identically to
 /// sequential ingest of the same multiset. A peer's pending half-observation
 /// is not data and does not travel.
 ///
 /// Refits honor Options::refit_mode: kScratch re-sorts everything per
 /// refit; kIncremental (the default) reuses the previous fitted arrays as a
-/// lex-sorted prefix, sorts only the appended tail and merges —
+/// quadrant-major prefix, sorts only the appended tail and merges —
 /// O(Δ log Δ + n) instead of O(n log n), bitwise-identical answers
 /// (refit_equivalence_test). Every refit builds a fresh arena: fitted
 /// columns may be shared with CloneForView copies or borrowed from a
@@ -54,6 +54,8 @@ namespace selectivity {
 /// global functions of the sorted sample, not mergeable state; the
 /// incremental win is the sort, not the fit. The tree is rebuilt
 /// O(n) per fit and on restore; it is derived state, never serialized.
+/// A sample the fit rejects (a zero-spread axis) gets the exact-fraction
+/// fallback until refit_interval more observations arrive.
 class Kde2dSelectivity : public SelectivityEstimator {
  public:
   struct Options {
@@ -70,7 +72,7 @@ class Kde2dSelectivity : public SelectivityEstimator {
     /// evenly strided out of the sorted sample, result rescaled by
     /// (m/n)^{1/5}).
     bool cv_bandwidths = false;
-    /// How refits rebuild the lex-sorted sample (see the class comment). A
+    /// How refits rebuild the sorted sample (see the class comment). A
     /// pacing knob like refit_interval: not serialized, not part of the
     /// merge-compatibility key; snapshot restore preserves the live mode.
     RefitMode refit_mode = RefitMode::kIncremental;
@@ -119,7 +121,7 @@ class Kde2dSelectivity : public SelectivityEstimator {
   /// The axis-0 marginal: EstimateRectImpl(a, b, -inf, +inf).
   double EstimateRangeImpl(double a, double b) const override;
   /// clamp((1/n) · tree-walked product-kernel rectangle sum); exact-fraction
-  /// fallback below the minimum fit sample (or under degenerate bandwidths).
+  /// fallback below the minimum fit sample (or on a degenerate sample).
   double EstimateRectImpl(double lo0, double hi0, double lo1,
                           double hi1) const override;
   /// Batched queries: one staleness check/refit, then each conditional's
@@ -129,12 +131,13 @@ class Kde2dSelectivity : public SelectivityEstimator {
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
   /// State persists the raw coordinate buffers plus the fitted columns
-  /// (lex-sorted sx/sy, the sorted axis-1 shadow ty, the adaptive λ_i) and
-  /// both bandwidths, so restore adopts the fit verbatim — no re-sort, no
-  /// CV re-run, zero-copy from an mmapped snapshot — and rebuilds only the
-  /// O(n) tree. λ outside [1/4, 4], the range AdaptiveLambdas produces, is
-  /// rejected, and so is a raw coordinate that is non-finite or outside its
-  /// axis domain (Insert never buffers one).
+  /// (quadrant-major px/py, the adaptive λ_i) and both bandwidths, so
+  /// restore adopts the fit verbatim — no re-sort, no CV re-run, zero-copy
+  /// from an mmapped snapshot — and rebuilds only the O(n) tree. Fitted
+  /// columns that are non-finite or out of order, λ outside [1/4, 4] (the
+  /// range AdaptiveLambdas produces) and a raw coordinate that is
+  /// non-finite or outside its axis domain (Insert never buffers one) are
+  /// rejected.
   Status SaveStateImpl(memory::FastStateWriter& writer) const override;
   Status LoadStateImpl(memory::FastStateReader& reader) override;
 
@@ -143,38 +146,36 @@ class Kde2dSelectivity : public SelectivityEstimator {
   void ForceRefitImpl() const override;
 
  private:
-  /// The fitted state: one arena of four parallel F64 columns starting at
-  /// `col0` — sx/sy (lex-sorted coordinates), ty (the ascending-sorted
-  /// axis-1 shadow the bandwidth rule reads), λ (adaptive factors) — plus
-  /// the bandwidths and the tree derived from them. Never mutated
-  /// after commit; copies share the arena copy-on-write and the index.
+  /// The fitted state: one arena of three parallel F64 columns starting at
+  /// `col0` — px/py (the coordinates in the tree's quadrant-major order)
+  /// and λ (adaptive factors) — plus the bandwidths and the tree that
+  /// indexes them in place. Never mutated after commit; copies share the
+  /// arena copy-on-write and the index.
   struct Fitted {
     memory::Arena arena;
     size_t col0 = 0;
     size_t n = 0;
     double hx = 0.0;
     double hy = 0.0;
-    /// Quadrant-major order of (sx, sy, λ) with per-node pruning bounds
-    /// and moments, answering every rectangle.
+    /// Per-node ranges of (px, py, λ) with pruning bounds and moments,
+    /// answering every rectangle.
     std::shared_ptr<const multidim::ProdKde2dTree> tree;
 
-    std::span<const double> sx() const { return arena.F64(col0 + 0); }
-    std::span<const double> sy() const { return arena.F64(col0 + 1); }
-    std::span<const double> ty() const { return arena.F64(col0 + 2); }
-    std::span<const double> lambdas() const { return arena.F64(col0 + 3); }
+    std::span<const double> px() const { return arena.F64(col0 + 0); }
+    std::span<const double> py() const { return arena.F64(col0 + 1); }
+    std::span<const double> lambdas() const { return arena.F64(col0 + 2); }
   };
 
   void RefitIfStale() const;
-  /// Unconditional refit at the current count, honoring refit_mode.
+  /// Unconditional fit attempt at the current count, honoring refit_mode.
   void Refit() const;
   /// Builds the fitted state over the observation prefix [0, fit_n):
-  /// lex-sort (delta-merged off `prev` when given), the sorted axis-1
-  /// shadow, rule-of-thumb (+ optional CV) bandwidths, adaptive factors and
-  /// the tree. Empty on degenerate bandwidths (all-equal coordinates,
-  /// or an h whose h/4 underflows or 4h overflows) — callers then
-  /// keep serving the previous fit or the exact-fraction fallback. A
-  /// deterministic function of the observation prefix multiset, so snapshot
-  /// restore reproduces the saved fit bit-exactly by re-running it.
+  /// quadrant-major sort (delta-merged off `prev` when given), rule-of-thumb
+  /// (+ optional CV) bandwidths, adaptive factors and the tree. Empty on
+  /// degenerate bandwidths (all-equal coordinates, or an h whose h/4
+  /// underflows or 4h overflows). A deterministic function of the
+  /// observation prefix multiset, so snapshot restore reproduces the saved
+  /// fit bit-exactly by re-running it.
   std::optional<Fitted> BuildFit(size_t fit_n, const Fitted* prev) const;
   /// The tree over a fit's columns and bandwidths.
   std::shared_ptr<const multidim::ProdKde2dTree> BuildTree(
@@ -191,6 +192,7 @@ class Kde2dSelectivity : public SelectivityEstimator {
   bool have_pending_ = false;
   double pending_ = 0.0;  // raw first coordinate of a half-received observation
   mutable std::optional<Fitted> fitted_;
+  /// The count at the last fit attempt, failed or not (0: none yet).
   mutable size_t fitted_at_count_ = 0;
 };
 

@@ -638,6 +638,28 @@ TEST(BandwidthTest, RuleOfThumbIsZeroWithoutSpread) {
                    .ok());
 }
 
+TEST(BandwidthTest, SelectedRuleOfThumbEqualsTheSortedOneBitwise) {
+  // Selecting the four order statistics the IQR reads gives the bandwidth a
+  // full sort gives, bitwise, at every small n (where the quartile indices
+  // collide or hit the ends), with heavy ties, and through the zero-IQR
+  // StdDev fallback, whose sum runs in sorted order.
+  stats::Rng rng(13);
+  for (size_t n = 2; n < 70; ++n) {
+    for (const int levels : {2, 5, 1000000}) {
+      std::vector<double> xs(n);
+      for (double& x : xs) x = static_cast<double>(rng.UniformInt(levels));
+      if (levels == 2) xs[0] = 0.5;  // mostly ties: the IQR is often zero
+      std::vector<double> sorted = xs;
+      std::sort(sorted.begin(), sorted.end());
+      const double want = RuleOfThumbBandwidthSorted(sorted);
+      std::vector<double> selected = xs;
+      EXPECT_EQ(RuleOfThumbBandwidthSelect(selected), want)
+          << "n=" << n << " levels=" << levels;
+      EXPECT_EQ(RuleOfThumbBandwidth(xs), want);
+    }
+  }
+}
+
 TEST(BandwidthTest, RuleOfThumbShrinksWithN) {
   stats::Rng rng(11);
   std::vector<double> small(100), large(10000);

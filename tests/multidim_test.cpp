@@ -1,6 +1,7 @@
 // Tier-1 tests for the multi-dimensional estimation subsystem: the pure 2-D
 // lattice and product-KDE math in src/multidim (cell indexing, summed-area
-// prefix tables, lex sorting and the incremental tail merge, adaptive
+// prefix tables, quadrant-major sorting and the incremental tail merge,
+// adaptive
 // bandwidth factors, the moment-node quadtree's rectangle sum vs a
 // no-pruning reference and a long double oracle within its documented
 // rounding bound, the exactness of every counted or skipped node and the
@@ -117,44 +118,173 @@ TEST(Grid2dMathTest, RectCountIsExactOnCellAlignedRectanglesAndClamps) {
             0.0);
 }
 
-// -------------------------------------------------------- lex sort / merge
+// ------------------------------------------- quadrant-major sort / merge
+
+/// The reference order: a lexicographic (x, y) sort, then a stable
+/// counting sort by the Morton key of the 256×256 CellIndex1d cells (x bit
+/// above y bit), keyed independently of multidim::QuadrantKey.
+void ReferenceQuadrantMajor(std::vector<double>& xs, std::vector<double>& ys,
+                            double lo0, double hi0, double lo1, double hi1) {
+  std::vector<std::pair<double, double>> lex(xs.size());
+  for (size_t i = 0; i < xs.size(); ++i) lex[i] = {xs[i], ys[i]};
+  std::sort(lex.begin(), lex.end());
+  const auto key = [&](const std::pair<double, double>& p) {
+    const size_t cx = multidim::CellIndex1d(p.first, lo0, hi0, 256);
+    const size_t cy = multidim::CellIndex1d(p.second, lo1, hi1, 256);
+    size_t k = 0;
+    for (int bit = 7; bit >= 0; --bit) {
+      k = k << 2 | ((cx >> bit) & 1) << 1 | ((cy >> bit) & 1);
+    }
+    return k;
+  };
+  std::vector<size_t> start(256 * 256 + 1, 0);
+  for (const auto& p : lex) ++start[key(p) + 1];
+  for (size_t k = 0; k < 256 * 256; ++k) start[k + 1] += start[k];
+  for (const auto& p : lex) {
+    const size_t at = start[key(p)]++;
+    xs[at] = p.first;
+    ys[at] = p.second;
+  }
+}
+
+/// Coordinate sets that stress the order: 256-grid cell boundaries (exact
+/// multiples of 1/256), coarse values with many duplicate points, points
+/// clamped onto both edges of a non-unit domain, and both perf_multidim
+/// data sets (seeds, components and noise) as Insert clamps them.
+struct OrderCase {
+  std::string what;
+  std::vector<double> xs, ys;
+  double lo0 = 0.0, hi0 = 1.0, lo1 = 0.0, hi1 = 1.0;
+};
+
+std::vector<OrderCase> OrderCases() {
+  std::vector<OrderCase> cases;
+  stats::Rng rng(41);
+  {
+    OrderCase c;
+    c.what = "cell boundaries";
+    for (int i = 0; i < 3000; ++i) {
+      const double x = static_cast<double>(rng.UniformInt(257)) / 256.0;
+      const double y = static_cast<double>(rng.UniformInt(257)) / 256.0;
+      c.xs.push_back(i % 3 == 0 ? std::nextafter(x, 0.0) : x);
+      c.ys.push_back(i % 5 == 0 ? std::nextafter(y, 2.0) : y);
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    OrderCase c;
+    c.what = "duplicates";
+    for (int i = 0; i < 2000; ++i) {
+      c.xs.push_back(static_cast<double>(rng.UniformInt(16)) / 16.0);
+      c.ys.push_back(static_cast<double>(rng.UniformInt(16)) / 16.0);
+    }
+    cases.push_back(std::move(c));
+  }
+  {
+    OrderCase c;
+    c.what = "clamped domain edges";
+    c.lo0 = -3.0, c.hi0 = 5.0, c.lo1 = 10.0, c.hi1 = 10.5;
+    for (int i = 0; i < 2000; ++i) {
+      const double x = rng.Uniform(-4.0, 6.0);
+      const double y = rng.Uniform(9.9, 10.6);
+      c.xs.push_back(std::clamp(x, c.lo0, c.hi0));
+      c.ys.push_back(std::clamp(y, c.lo1, c.hi1));
+    }
+    cases.push_back(std::move(c));
+  }
+  const std::vector<multidim::GaussianComponent2d> components = {
+      {0.45, 0.30, 0.35, 0.08, 0.06, 0.6},
+      {0.35, 0.70, 0.60, 0.07, 0.09, -0.5},
+      {0.20, 0.50, 0.80, 0.12, 0.05, 0.0}};
+  std::vector<double> mixture, anti;
+  stats::Rng mixture_rng(1);
+  multidim::SampleGaussianMixture2d(mixture_rng, components, 200000, &mixture);
+  stats::Rng anti_rng(2);
+  multidim::SampleAntiProduct2d(anti_rng, 200000, 0.03, &anti);
+  for (const auto& [what, data] :
+       {std::pair{"mixture", &mixture}, std::pair{"anti-product", &anti}}) {
+    OrderCase c;
+    c.what = what;
+    for (size_t i = 0; i < data->size(); i += 2) {
+      c.xs.push_back(std::clamp((*data)[i], 0.0, 1.0));
+      c.ys.push_back(std::clamp((*data)[i + 1], 0.0, 1.0));
+    }
+    cases.push_back(std::move(c));
+  }
+  return cases;
+}
+
+TEST(ProdKde2dMathTest, QuadrantMajorOrderEqualsLexThenStableCountingSort) {
+  for (OrderCase& c : OrderCases()) {
+    SCOPED_TRACE(c.what);
+    std::vector<double> want_x = c.xs, want_y = c.ys;
+    ReferenceQuadrantMajor(want_x, want_y, c.lo0, c.hi0, c.lo1, c.hi1);
+    multidim::SortPointsQuadrantMajor(c.xs, c.ys, c.lo0, c.hi0, c.lo1, c.hi1);
+    // Bitwise: EXPECT_EQ on vectors of doubles compares with ==, and no
+    // coordinate is NaN or a signed zero.
+    EXPECT_EQ(c.xs, want_x);
+    EXPECT_EQ(c.ys, want_y);
+    EXPECT_TRUE(multidim::IsQuadrantMajor(c.xs, c.ys, c.lo0, c.hi0, c.lo1,
+                                          c.hi1));
+  }
+}
 
 TEST(ProdKde2dMathTest, MergeSortedTailMatchesFullSortBitwise) {
-  stats::Rng rng(41);
-  for (const size_t n : {size_t{5}, size_t{64}, size_t{513}}) {
-    for (const size_t split : {size_t{0}, size_t{1}, n / 2, n - 1, n}) {
-      std::vector<double> xs(n), ys(n);
-      // Coarse values force ties in x (and some full (x, y) ties), the cases
-      // where lex order and multiset-determinism actually bite.
-      for (double& x : xs) x = static_cast<double>(rng.UniformInt(16)) / 16.0;
-      for (double& y : ys) y = static_cast<double>(rng.UniformInt(16)) / 16.0;
-      std::vector<double> fx = xs, fy = ys;
-      multidim::SortPointsLex(fx, fy);
-      ASSERT_TRUE(multidim::IsLexSorted(fx, fy));
-
-      std::vector<double> mx = xs, my = ys;
-      multidim::SortPointsLex(std::span<double>(mx).first(split),
-                              std::span<double>(my).first(split));
-      multidim::MergeSortedTailLex(mx, my, split);
-      EXPECT_EQ(mx, fx) << "n=" << n << " split=" << split;
-      EXPECT_EQ(my, fy) << "n=" << n << " split=" << split;
+  for (OrderCase& c : OrderCases()) {
+    SCOPED_TRACE(c.what);
+    const size_t n = std::min<size_t>(c.xs.size(), 20000);
+    c.xs.resize(n);
+    c.ys.resize(n);
+    std::vector<double> fx = c.xs, fy = c.ys;
+    multidim::SortPointsQuadrantMajor(fx, fy, c.lo0, c.hi0, c.lo1, c.hi1);
+    // Refit-sized tails (the default interval and a bench's 4096) and the
+    // extremes.
+    for (const size_t split : {size_t{0}, size_t{1}, size_t{2}, n / 7, n / 2,
+                               n - std::min<size_t>(n, 4096), n - 1024,
+                               n - 2, n - 1, n}) {
+      std::vector<double> mx = c.xs, my = c.ys;
+      multidim::SortPointsQuadrantMajor(std::span<double>(mx).first(split),
+                                        std::span<double>(my).first(split),
+                                        c.lo0, c.hi0, c.lo1, c.hi1);
+      multidim::SortPointsQuadrantMajor(mx, my, c.lo0, c.hi0, c.lo1, c.hi1,
+                                        split);
+      EXPECT_EQ(mx, fx) << "split=" << split;
+      EXPECT_EQ(my, fy) << "split=" << split;
     }
   }
 }
 
-TEST(ProdKde2dMathTest, IsLexSortedRejectsDisorderAndNonFinite) {
-  std::vector<double> xs = {0.1, 0.2, 0.2, 0.5};
-  std::vector<double> ys = {0.9, 0.1, 0.4, 0.2};
-  EXPECT_TRUE(multidim::IsLexSorted(xs, ys));
-  std::swap(ys[1], ys[2]);  // tie in x, y out of order
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  std::swap(ys[1], ys[2]);
-  xs[3] = 0.0;  // x out of order
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  xs[3] = std::numeric_limits<double>::quiet_NaN();
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
-  xs[3] = kInf;
-  EXPECT_FALSE(multidim::IsLexSorted(xs, ys));
+TEST(ProdKde2dMathTest, IsQuadrantMajorRejectsDisorderAndNonFinite) {
+  // Quadrants (x half, y half) 00, 01, 11, 11, 11 on the unit square; the
+  // third and fourth points share a 256-grid cell and are in (x, y) order.
+  const std::vector<double> xs = {0.1, 0.1, 0.5, 0.5001, 0.9};
+  const std::vector<double> ys = {0.1, 0.6, 0.5, 0.5, 0.9};
+  const auto ordered = [](std::vector<double> x, std::vector<double> y) {
+    return multidim::IsQuadrantMajor(x, y, 0.0, 1.0, 0.0, 1.0);
+  };
+  EXPECT_TRUE(ordered(xs, ys));
+  // Lex order is not quadrant-major: quadrant 11 before quadrant 10.
+  EXPECT_FALSE(ordered({0.6, 0.9}, {0.9, 0.1}));
+  std::vector<double> x = xs, y = ys;
+  std::swap(x[2], x[3]);  // one cell's points out of (x, y) order
+  EXPECT_FALSE(ordered(x, y));
+  x = xs;
+  std::swap(y[0], y[1]);  // a key out of order
+  EXPECT_FALSE(ordered(x, y));
+  for (const double bad : {std::numeric_limits<double>::quiet_NaN(), kInf}) {
+    x = xs;
+    x[4] = bad;
+    EXPECT_FALSE(ordered(x, ys));
+  }
+}
+
+TEST(ProdKde2dMathDeathTest, TreeRejectsColumnsOutOfQuadrantMajorOrder) {
+  // Lex order, not quadrant-major: (0.6, 0.9) lies in a later quadrant than
+  // (0.9, 0.1). The tree's ranges would be wrong, so it refuses to build.
+  const std::vector<double> xs = {0.6, 0.9}, ys = {0.9, 0.1}, lambdas = {1, 1};
+  EXPECT_DEATH(multidim::ProdKde2dTree(xs, ys, lambdas, 0.1, 0.1, 0.0, 1.0,
+                                       0.0, 1.0),
+               "quadrant-major");
 }
 
 TEST(ProdKde2dMathTest, AdaptiveLambdasSharpenDenseRegions) {
@@ -219,11 +349,12 @@ struct PointSet {
   }
 };
 
-/// Lex-sorts a set's points (as a fit does) and attaches its λ column:
-/// `lambda` < 0 asks for AdaptiveLambdas at α = 0.5, as a live fit makes.
+/// Sorts a set's points into quadrant-major order (as a fit does) and
+/// attaches its λ column: `lambda` < 0 asks for AdaptiveLambdas at α = 0.5,
+/// as a live fit makes.
 PointSet Fitted(std::string what, std::vector<double> xs,
                 std::vector<double> ys, double lambda, double hx, double hy) {
-  multidim::SortPointsLex(xs, ys);
+  multidim::SortPointsQuadrantMajor(xs, ys, 0.0, 1.0, 0.0, 1.0);
   std::vector<double> lambdas(xs.size(), lambda);
   if (lambda < 0.0) {
     multidim::AdaptiveLambdas(xs, ys, 0.0, 1.0, 0.0, 1.0, 0.5,
@@ -247,7 +378,7 @@ double RectSumBound(const multidim::ProdKde2dTree& tree) {
       k_max = std::max<size_t>(k_max, node.end - node.begin);
     }
   }
-  const double n = static_cast<double>(tree.order().size());
+  const double n = static_cast<double>(tree.nodes()[0].end);
   return std::ldexp(n, -53) *
          (n + 64.0 + 512.0 * (static_cast<double>(k_max) + 32.0));
 }
@@ -299,7 +430,7 @@ TEST(ProdKde2dMathTest, TreeRectSumMatchesNoPruningReference) {
     xs[i] = rng.UniformDouble();
     ys[i] = rng.UniformDouble();
   }
-  multidim::SortPointsLex(xs, ys);
+  multidim::SortPointsQuadrantMajor(xs, ys, 0.0, 1.0, 0.0, 1.0);
   for (double& l : lambdas) l = rng.Uniform(0.25, 4.0);
   const kernel::Kernel k(kernel::KernelType::kEpanechnikov);
   const double hx = 0.04, hy = 0.07;
@@ -626,11 +757,10 @@ TEST(ProdKde2dMathTest, WalkedNodesAreExactOrCertifiedInterior) {
         ++(cover == Cover::kCovered    ? covered
            : cover == Cover::kDisjoint ? disjoint
                                        : moments);
-        for (uint32_t j = node.begin; j < node.end; ++j) {
-          const size_t i = tree.order()[j];
+        for (uint32_t i = node.begin; i < node.end; ++i) {
           const double lambda = set.lambdas[i];
           if (cover == Cover::kMoments) {
-            ASSERT_EQ(lambda, set.lambdas[tree.order()[node.begin]]);
+            ASSERT_EQ(lambda, set.lambdas[node.begin]);
             ASSERT_TRUE(interior_or_saturated(set.xs[i],
                                               1.0 / (set.hx * lambda),
                                               r.lo0, r.hi0));
@@ -664,19 +794,12 @@ TEST(ProdKde2dMathTest, TreeIsAStableQuadrantMajorPartition) {
     ys[i] = rng.UniformDouble() * rng.UniformDouble();
     lambdas[i] = i % 3 == 0 ? 1.0 : 2.0;
   }
-  multidim::SortPointsLex(xs, ys);
+  multidim::SortPointsQuadrantMajor(xs, ys, 0.0, 1.0, 0.0, 1.0);
   const double hx = 0.03, hy = 0.02;
   const multidim::ProdKde2dTree tree(xs, ys, lambdas, hx, hy, 0.0, 1.0, 0.0,
                                      1.0);
   using Tree = multidim::ProdKde2dTree;
   const size_t fine = size_t{1} << Tree::kMaxLevel;
-  std::vector<bool> seen(xs.size(), false);
-  for (const uint32_t i : tree.order()) {
-    ASSERT_LT(i, xs.size());
-    ASSERT_FALSE(seen[i]);
-    seen[i] = true;
-  }
-  ASSERT_EQ(tree.order().size(), xs.size());
   ASSERT_EQ(tree.nodes()[0].begin, 0u);
   ASSERT_EQ(tree.nodes()[0].end, xs.size());
   size_t visited = 0;
@@ -699,14 +822,13 @@ TEST(ProdKde2dMathTest, TreeIsAStableQuadrantMajorPartition) {
       ASSERT_EQ(at, node.end);
     }
     const size_t cell_shift = static_cast<size_t>(Tree::kMaxLevel - level);
-    const size_t first = tree.order()[node.begin];
+    const size_t first = node.begin;
     const size_t cx = multidim::CellIndex1d(xs[first], 0.0, 1.0, fine) >>
                       cell_shift;
     const size_t cy = multidim::CellIndex1d(ys[first], 0.0, 1.0, fine) >>
                       cell_shift;
     bool one_lambda = true;
-    for (uint32_t j = node.begin; j < node.end; ++j) {
-      const size_t i = tree.order()[j];
+    for (uint32_t i = node.begin; i < node.end; ++i) {
       EXPECT_EQ(multidim::CellIndex1d(xs[i], 0.0, 1.0, fine) >> cell_shift, cx);
       EXPECT_EQ(multidim::CellIndex1d(ys[i], 0.0, 1.0, fine) >> cell_shift, cy);
       EXPECT_GE(xs[i], node.x_min);
@@ -716,15 +838,13 @@ TEST(ProdKde2dMathTest, TreeIsAStableQuadrantMajorPartition) {
       EXPECT_GE(1.0 / (hx * lambdas[i]), node.x_inv);
       EXPECT_GE(1.0 / (hy * lambdas[i]), node.y_inv);
       one_lambda = one_lambda && lambdas[i] == lambdas[first];
-      // Stable: input order survives among points of one finest cell.
-      if (j > node.begin && node.children == 0) {
-        const size_t prev = tree.order()[j - 1];
-        if (multidim::CellIndex1d(xs[prev], 0.0, 1.0, fine) ==
-                multidim::CellIndex1d(xs[i], 0.0, 1.0, fine) &&
-            multidim::CellIndex1d(ys[prev], 0.0, 1.0, fine) ==
-                multidim::CellIndex1d(ys[i], 0.0, 1.0, fine)) {
-          EXPECT_LT(prev, i);
-        }
+      // Points of one finest cell keep their (x, y) order.
+      if (i > node.begin && node.children == 0 &&
+          multidim::CellIndex1d(xs[i - 1], 0.0, 1.0, fine) ==
+              multidim::CellIndex1d(xs[i], 0.0, 1.0, fine) &&
+          multidim::CellIndex1d(ys[i - 1], 0.0, 1.0, fine) ==
+              multidim::CellIndex1d(ys[i], 0.0, 1.0, fine)) {
+        EXPECT_LE(std::pair(xs[i - 1], ys[i - 1]), std::pair(xs[i], ys[i]));
       }
     }
     // Moments exactly where λ is one value and some axis is narrower than
@@ -740,8 +860,7 @@ TEST(ProdKde2dMathTest, TreeIsAStableQuadrantMajorPartition) {
     for (int a = 0; a < 4; ++a) {
       for (int b = 0; b < 4; ++b) {
         long double want = 0.0L;
-        for (uint32_t j = node.begin; j < node.end; ++j) {
-          const size_t i = tree.order()[j];
+        for (uint32_t i = node.begin; i < node.end; ++i) {
           want += std::pow((xs[i] - mx) * node.x_inv, a) *
                   std::pow((ys[i] - my) * node.y_inv, b);
         }
@@ -782,9 +901,9 @@ TEST(ProdKde2dMathTest, FittedGridCellsHaveOneLambdaOnTheBenchDataSets) {
     ForEachNode(tree, 0, 0, [&](const Tree::Node& node, int level) {
       if (level < Tree::kGridLog2) return;
       grid_nodes += level == Tree::kGridLog2;
-      const double lambda = set.lambdas[tree.order()[node.begin]];
-      for (uint32_t j = node.begin; j < node.end; ++j) {
-        ASSERT_EQ(set.lambdas[tree.order()[j]], lambda) << "level " << level;
+      const double lambda = set.lambdas[node.begin];
+      for (uint32_t i = node.begin; i < node.end; ++i) {
+        ASSERT_EQ(set.lambdas[i], lambda) << "level " << level;
       }
       const bool narrow = (node.x_max - node.x_min) * node.x_inv < 2.0 ||
                           (node.y_max - node.y_min) * node.y_inv < 2.0;
@@ -823,7 +942,7 @@ TEST(ProdKde2dMathTest, MixedLambdaInsideACellFallsBackPerPoint) {
   const multidim::ProdKde2dTree tree = TreeOf(set);
   ForEachNode(tree, 0, 0,
               [&](const multidim::ProdKde2dTree::Node& node, int) {
-                const size_t first = tree.order()[node.begin];
+                const size_t first = node.begin;
                 if (node.end - node.begin == mixed &&
                     multidim::CellIndex1d(set.xs[first], 0.0, 1.0, 64) ==
                         cell) {

@@ -8,6 +8,7 @@
 #include <gtest/gtest.h>
 
 #include <memory>
+#include <utility>
 #include <string>
 #include <vector>
 
@@ -30,9 +31,40 @@ std::vector<double> UnitStream(uint64_t seed, size_t n) {
   return xs;
 }
 
-std::vector<selectivity::Query> Workload(uint64_t seed, size_t count) {
+/// The mixed 1-D kinds, plus — for a 2-D tag — rectangles, both axis
+/// marginals and conditionals, so a 2-D estimator is held to the contract
+/// on its own kinds and not only through their axis-0 lowering.
+std::vector<selectivity::Query> Workload(uint64_t seed, size_t count,
+                                         int dims = 1) {
   stats::Rng rng(seed);
-  return selectivity::MixedQueryWorkload(rng, count, 0.0, 1.0);
+  std::vector<selectivity::Query> queries =
+      selectivity::MixedQueryWorkload(rng, count, 0.0, 1.0);
+  if (dims < 2) return queries;
+  for (size_t i = 0; i < count; ++i) {
+    double lo0 = rng.UniformDouble(), hi0 = rng.UniformDouble();
+    double lo1 = rng.UniformDouble(), hi1 = rng.UniformDouble();
+    if (hi0 < lo0) std::swap(lo0, hi0);
+    if (hi1 < lo1) std::swap(lo1, hi1);
+    switch (i % 4) {
+      case 0:
+        queries.push_back(selectivity::Query::Rect(lo0, hi0, lo1, hi1));
+        break;
+      case 1:
+        queries.push_back(selectivity::Query::Marginal(0, lo0, hi0));
+        break;
+      case 2:
+        queries.push_back(selectivity::Query::Marginal(1, lo1, hi1));
+        break;
+      default:
+        queries.push_back(
+            selectivity::Query::Conditional(lo0, hi0, lo1, hi1));
+    }
+  }
+  return queries;
+}
+
+int DimsOf(const std::string& tag) {
+  return selectivity::EstimatorRegistry::Global().NativeDims(tag);
 }
 
 std::vector<double> Answers(const selectivity::SelectivityEstimator& estimator,
@@ -91,10 +123,11 @@ constexpr size_t kChunks[] = {1, 3, 130, 256, 511, 64, 1024, 7, 389, 500};
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, EveryTagAnswersBitIdenticallyInBothModes) {
-  const std::vector<selectivity::Query> queries = Workload(7, 96);
   for (const std::string& tag :
        selectivity::EstimatorRegistry::Global().Tags()) {
     SCOPED_TRACE(tag);
+    const std::vector<selectivity::Query> queries =
+        Workload(7, 96, DimsOf(tag));
     std::unique_ptr<selectivity::SelectivityEstimator> incremental =
         Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
     std::unique_ptr<selectivity::SelectivityEstimator> scratch =
@@ -144,10 +177,11 @@ TEST(RefitEquivalenceTest, EveryTagAnswersBitIdenticallyInBothModes) {
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, ForceRefitIsIdempotentAndAnswerPreserving) {
-  const std::vector<selectivity::Query> queries = Workload(17, 64);
   for (const std::string& tag :
        selectivity::EstimatorRegistry::Global().Tags()) {
     SCOPED_TRACE(tag);
+    const std::vector<selectivity::Query> queries =
+        Workload(17, 64, DimsOf(tag));
     std::unique_ptr<selectivity::SelectivityEstimator> quiesced =
         Make(SpecFor(tag, selectivity::RefitMode::kIncremental));
     // 1000 is NOT a multiple of refit_interval: the forced refit below runs
@@ -167,12 +201,13 @@ TEST(RefitEquivalenceTest, ForceRefitIsIdempotentAndAnswerPreserving) {
 // ---------------------------------------------------------------------------
 
 TEST(RefitEquivalenceTest, MidIntervalSnapshotRestoreContinuesBitIdentically) {
-  const std::vector<selectivity::Query> queries = Workload(27, 96);
   const std::vector<double> head = UnitStream(28, 1000);  // mid-interval count
   const std::vector<double> tail = UnitStream(29, 700);
-  for (const char* tag :
-       {"kde-rot", "equi-depth", "wavelet-cv", "haar-synopsis", "sharded"}) {
+  for (const char* tag : {"kde-rot", "equi-depth", "wavelet-cv",
+                          "haar-synopsis", "sharded", "kde2d-prod"}) {
     SCOPED_TRACE(tag);
+    const std::vector<selectivity::Query> queries =
+        Workload(27, 96, DimsOf(tag));
     for (const selectivity::RefitMode mode :
          {selectivity::RefitMode::kIncremental,
           selectivity::RefitMode::kScratch}) {

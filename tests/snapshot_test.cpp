@@ -339,7 +339,7 @@ TEST(HostileInputTest, WrongMagicAndOtherVersionsAreRejected) {
 
   // The version u32 follows the 8-byte magic, little-endian. Every version
   // but the current one — older writers included — is rejected by name.
-  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 7u, 255u}) {
+  for (const uint32_t version : {0u, 1u, 2u, 3u, 4u, 5u, 6u, 8u, 255u}) {
     std::vector<uint8_t> other(bytes);
     for (int i = 0; i < 4; ++i) {
       other[8 + static_cast<size_t>(i)] = static_cast<uint8_t>(version >> (8 * i));
@@ -572,7 +572,7 @@ TEST(HostileInputTest, KdeStateRejectsNonFiniteAndOutOfDomainValues) {
 /// estimator never produces.
 struct Kde2dColumns {
   std::vector<double> raw_xs, raw_ys;
-  std::vector<double> sx, sy, lambdas;
+  std::vector<double> px, py, lambdas;  // px/py in quadrant-major order
   double hx = 0.1, hy = 0.1;
 };
 
@@ -583,12 +583,13 @@ Kde2dColumns DiagonalKde2d(const std::vector<double>& lambdas,
   Kde2dColumns c;
   const size_t n = lambdas.size();
   for (size_t i = 0; i < n; ++i) {
-    c.sx.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
-    c.sy.push_back(1.0 - c.sx.back());
+    c.px.push_back((static_cast<double>(i) + 0.5) / static_cast<double>(n));
+    c.py.push_back(1.0 - c.px.back());
   }
+  multidim::SortPointsQuadrantMajor(c.px, c.py, 0.0, 1.0, 0.0, 1.0);
   c.lambdas = lambdas;
-  c.raw_xs = c.sx;
-  c.raw_ys = c.sy;
+  c.raw_xs = c.px;
+  c.raw_ys = c.py;
   for (size_t i = 0; i < tail; ++i) {
     c.raw_xs.push_back((static_cast<double>(i) + 0.25) /
                        static_cast<double>(tail));
@@ -598,9 +599,7 @@ Kde2dColumns DiagonalKde2d(const std::vector<double>& lambdas,
 }
 
 std::vector<uint8_t> HandBuiltKde2dSnapshot(const Kde2dColumns& c) {
-  const size_t fitted = c.sx.size();
-  std::vector<double> ty = c.sy;
-  std::sort(ty.begin(), ty.end());
+  const size_t fitted = c.px.size();
   memory::FastStateWriter writer;
   for (const double edge : {0.0, 1.0, 0.0, 1.0}) {  // both domains
     WDE_CHECK_OK(io::WriteDouble(writer.head(), edge));
@@ -617,9 +616,8 @@ std::vector<uint8_t> HandBuiltKde2dSnapshot(const Kde2dColumns& c) {
   WDE_CHECK_OK(io::WriteDouble(writer.head(), c.hy));
   writer.AddF64(c.raw_xs);
   writer.AddF64(c.raw_ys);
-  writer.AddF64(c.sx);  // lex-sorted by construction
-  writer.AddF64(c.sy);
-  writer.AddF64(ty);
+  writer.AddF64(c.px);
+  writer.AddF64(c.py);
   writer.AddF64(c.lambdas);
   io::VectorSink frame;
   WDE_CHECK_OK(writer.Finish(frame, 0));
@@ -688,7 +686,7 @@ TEST(HostileInputTest, Kde2dStateRejectsNonFiniteAndOutOfDomainCoordinates) {
     EXPECT_EQ((*loaded)->Answer(selectivity::Query::Rect(-inf, inf, -inf, inf)),
               1.0);
   }
-  const size_t fitted = clean.sx.size();
+  const size_t fitted = clean.px.size();
   for (const double bad : {nan, inf, -inf, std::nextafter(1.0, inf),
                            std::nextafter(0.0, -inf)}) {
     for (const size_t at : {size_t{0}, size_t{3}, fitted, fitted + 2}) {
@@ -731,6 +729,64 @@ TEST(HostileInputTest, Kde2dStateRejectsBandwidthsWithoutAFiniteInverseScale) {
   }
 }
 
+TEST(HostileInputTest, Kde2dStateRejectsFittedColumnsOutOfQuadrantMajorOrder) {
+  // The tree indexes the fitted columns in place and the next refit merges
+  // into them, so restore accepts them only in (key, x, y) order and
+  // finite: two adjacent points of one cell swapped, a key out of order or
+  // a NaN in either column is rejected.
+  Kde2dColumns clean;
+  for (int i = 0; i < 4; ++i) {  // one 256-grid cell, ascending x
+    clean.px.push_back(0.5 + 1e-4 * i);
+    clean.py.push_back(0.25);
+  }
+  clean.px.push_back(0.9);  // a later quadrant
+  clean.py.push_back(0.9);
+  clean.lambdas.assign(clean.px.size(), 1.0);
+  clean.raw_xs = clean.px;
+  clean.raw_ys = clean.py;
+  const auto load = [](const Kde2dColumns& c) {
+    const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(c);
+    io::SpanSource source(bytes);
+    return selectivity::LoadEstimatorSnapshot(source);
+  };
+  ASSERT_TRUE(load(clean).ok()) << load(clean).status().ToString();
+  std::vector<Kde2dColumns> poisoned(4, clean);
+  std::swap(poisoned[0].px[1], poisoned[0].px[2]);  // adjacent, one cell
+  std::swap(poisoned[1].px[3], poisoned[1].px[4]);  // keys out of order
+  std::swap(poisoned[1].py[3], poisoned[1].py[4]);
+  poisoned[2].px[2] = std::numeric_limits<double>::quiet_NaN();
+  poisoned[3].py[4] = std::numeric_limits<double>::quiet_NaN();
+  for (size_t k = 0; k < poisoned.size(); ++k) {
+    SCOPED_TRACE("case " + std::to_string(k));
+    const Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        load(poisoned[k]);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
+TEST(HostileInputTest, Kde2dStateRejectsAFitOverTooFewObservations) {
+  // A fit exists only over at least 4 observations; a failed attempt leaves
+  // fitted_at set with no fit. A state claiming a fit over 0 fitted points
+  // would answer 0/0 = NaN, so restore rejects it whatever the raw count.
+  for (size_t raw = 0; raw <= 5; ++raw) {
+    SCOPED_TRACE(std::to_string(raw) + " raw observations");
+    Kde2dColumns c;  // has_fit = 1, fitted_at = 0, usable hx and hy
+    for (size_t i = 0; i < raw; ++i) {
+      c.raw_xs.push_back((static_cast<double>(i) + 0.5) / 6.0);
+      c.raw_ys.push_back(0.25);
+    }
+    const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(c);
+    io::SpanSource source(bytes);
+    Result<std::unique_ptr<selectivity::SelectivityEstimator>> loaded =
+        selectivity::LoadEstimatorSnapshot(source);
+    ASSERT_FALSE(loaded.ok());
+    EXPECT_EQ(loaded.status().code(), StatusCode::kInvalidArgument)
+        << loaded.status().ToString();
+  }
+}
+
 TEST(HostileInputTest, Kde2dRestoredLambdaMixedInsideACellAnswersWithinBound) {
   // AdaptiveLambdas gives every pilot cell one λ, and every tree cell lies
   // in one pilot cell; a restored λ column need not. It is legal (λ stays
@@ -741,19 +797,19 @@ TEST(HostileInputTest, Kde2dRestoredLambdaMixedInsideACellAnswersWithinBound) {
   Kde2dColumns c;
   stats::Rng rng(131);
   for (int i = 0; i < 120; ++i) {  // one 64-grid cell, two λ values
-    c.sx.push_back(0.5 + rng.UniformDouble() / 64.0);
-    c.sy.push_back(0.25 + rng.UniformDouble() / 64.0);
+    c.px.push_back(0.5 + rng.UniformDouble() / 64.0);
+    c.py.push_back(0.25 + rng.UniformDouble() / 64.0);
   }
   for (int i = 0; i < 80; ++i) {
-    c.sx.push_back(rng.UniformDouble());
-    c.sy.push_back(rng.UniformDouble());
+    c.px.push_back(rng.UniformDouble());
+    c.py.push_back(rng.UniformDouble());
   }
-  multidim::SortPointsLex(c.sx, c.sy);
-  for (size_t i = 0; i < c.sx.size(); ++i) {
+  multidim::SortPointsQuadrantMajor(c.px, c.py, 0.0, 1.0, 0.0, 1.0);
+  for (size_t i = 0; i < c.px.size(); ++i) {
     c.lambdas.push_back(i % 2 == 0 ? 1.0 : 2.0);
   }
-  c.raw_xs = c.sx;
-  c.raw_ys = c.sy;
+  c.raw_xs = c.px;
+  c.raw_ys = c.py;
   c.hx = 0.01;
   c.hy = 0.015;
   const std::vector<uint8_t> bytes = HandBuiltKde2dSnapshot(c);
@@ -773,7 +829,7 @@ TEST(HostileInputTest, Kde2dRestoredLambdaMixedInsideACellAnswersWithinBound) {
                                              : cdf((lo - x) / s);
     return upper - lower;
   };
-  const double n = static_cast<double>(c.sx.size());
+  const double n = static_cast<double>(c.px.size());
   // ProdKde2dTree's bound with K <= n, normalized by n.
   const double bound = std::ldexp(1.0, -53) * (n + 64.0 + 512.0 * (n + 32.0));
   const double centre = 0.5 + 0.5 / 64.0;
@@ -784,10 +840,10 @@ TEST(HostileInputTest, Kde2dRestoredLambdaMixedInsideACellAnswersWithinBound) {
                                           {centre - 0.004, centre + 0.004,
                                            0.2, 0.3}}) {
     long double want = 0.0L;
-    for (size_t i = 0; i < c.sx.size(); ++i) {
-      want += factor(c.sx[i], static_cast<long double>(c.hx) * c.lambdas[i],
+    for (size_t i = 0; i < c.px.size(); ++i) {
+      want += factor(c.px[i], static_cast<long double>(c.hx) * c.lambdas[i],
                      lo0, hi0) *
-              factor(c.sy[i], static_cast<long double>(c.hy) * c.lambdas[i],
+              factor(c.py[i], static_cast<long double>(c.hy) * c.lambdas[i],
                      lo1, hi1);
     }
     const double got =
@@ -830,6 +886,59 @@ SplitEnvelope SplitSnapshot(const std::vector<uint8_t>& bytes) {
       std::vector<uint8_t>(bytes.begin(),
                            bytes.begin() + static_cast<ptrdiff_t>(head_end)),
       std::move(chunk->payload)};
+}
+
+/// The fitted_at field of a saved "kde2d-prod" state: the observation
+/// count at its last fit attempt (the head's ninth field).
+uint64_t Kde2dFittedAt(const selectivity::SelectivityEstimator& est) {
+  const SplitEnvelope split = SplitSnapshot(SnapshotBytesOf(est));
+  Result<memory::FastStateReader> reader =
+      memory::FastStateReader::Parse(split.payload, nullptr);
+  WDE_CHECK(reader.ok());
+  io::SpanSource head = reader->head();
+  for (int field = 0; field < 4; ++field) {  // domains
+    WDE_CHECK(io::ReadDouble(head).ok());
+  }
+  WDE_CHECK(io::ReadU64(head).ok());     // refit_interval
+  WDE_CHECK(io::ReadDouble(head).ok());  // alpha
+  WDE_CHECK(io::ReadU8(head).ok());      // cv
+  return *io::ReadU64(head);
+}
+
+TEST(Kde2dPacingTest, DegenerateSampleAttemptsOneFitPerRefitInterval) {
+  // Every x equal: the axis-0 bandwidth is zero, so no fit exists and the
+  // exact fraction answers. 1000 queries, each after one more observation
+  // (fewer than refit_interval in all), make one fit attempt, at the first
+  // query's count; refit_interval observations later comes the next.
+  const selectivity::Kde2dSelectivity::Options options;  // interval 1024
+  selectivity::Kde2dSelectivity est(options);
+  stats::Rng rng(151);
+  const auto insert = [&] {
+    est.Insert(0.5);
+    est.Insert(rng.UniformDouble());
+  };
+  for (int i = 0; i < 4000; ++i) insert();
+  const size_t first = est.count();
+  const selectivity::Query rect = selectivity::Query::Rect(0.4, 0.6, 0.0, 0.5);
+  for (int q = 0; q < 1000; ++q) {
+    const double answer = est.Answer(rect);
+    EXPECT_GT(answer, 0.4);  // the exact fraction, ~0.5
+    EXPECT_LT(answer, 0.6);
+    insert();
+  }
+  EXPECT_EQ(Kde2dFittedAt(est), first);
+  while (est.count() < first + 1024) insert();
+  (void)est.Answer(rect);
+  EXPECT_EQ(Kde2dFittedAt(est), first + 1024);
+  // The attempt count survives a snapshot round trip.
+  io::VectorSink sink;
+  ASSERT_TRUE(selectivity::SaveEstimatorSnapshot(est, sink).ok());
+  io::SpanSource source(sink.bytes());
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> restored =
+      selectivity::LoadEstimatorSnapshot(source);
+  ASSERT_TRUE(restored.ok()) << restored.status().ToString();
+  EXPECT_EQ(Kde2dFittedAt(**restored), first + 1024);
+  EXPECT_EQ((*restored)->Answer(rect), est.Answer(rect));
 }
 
 std::vector<selectivity::Query> SweepQueries(int dims) {
