@@ -118,6 +118,41 @@ double BestOfSeconds(size_t repeats, Fn&& fn) {
   return best;
 }
 
+/// Minimum length of one timed repeat of a row.
+constexpr double kWindowSeconds = 0.2;
+
+/// Queries per second over repeated windows: the median and the extremes.
+struct Rate {
+  double median = 0.0;
+  double min = 0.0;
+  double max = 0.0;
+};
+
+/// Runs `pass` (one pass over `queries` queries) back to back until at
+/// least `window_s` has elapsed, `repeats` times; one rate per repeat.
+template <typename Fn>
+Rate WindowedRate(size_t repeats, double window_s, size_t queries,
+                  const Fn& pass) {
+  std::vector<double> rates;
+  for (size_t r = 0; r < repeats; ++r) {
+    const auto start = std::chrono::steady_clock::now();
+    size_t passes = 0;
+    double elapsed = 0.0;
+    do {
+      pass();
+      ++passes;
+      elapsed = SecondsSince(start);
+    } while (elapsed < window_s);
+    rates.push_back(static_cast<double>(queries * passes) / elapsed);
+  }
+  std::sort(rates.begin(), rates.end());
+  const size_t mid = rates.size() / 2;
+  const double median = rates.size() % 2 == 1
+                            ? rates[mid]
+                            : 0.5 * (rates[mid - 1] + rates[mid]);
+  return {median, rates.front(), rates.back()};
+}
+
 inline const char* CompilerVersion() {
 #if defined(__VERSION__)
   return "" __VERSION__;

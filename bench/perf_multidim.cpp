@@ -7,10 +7,14 @@
 // Section 1 (throughput): batched Answer() vs the scalar per-query loop, per
 // tag and per 2-D kind — rectangles, axis-0 and axis-1 marginals over the
 // rectangles' sides, and conditionals over the rectangles — on the
-// anti-product data set. The batch path must be bit-identical to the scalar
-// loop (the taxonomy contract), and the O(1)-per-rect grid must out-run the
-// KDE, whose rectangle sum walks a quadtree of moment nodes (cost
-// O(nodes along the rectangle's edges + points in uncertified leaves)).
+// anti-product data set. Each row runs its batch (or scalar loop) back to
+// back for a window of at least 200 ms per repeat, over --repeats (>= 5)
+// repeats; the JSON records the median rate and the min/max across
+// repeats, and the gates read the median. The batch path must be
+// bit-identical to the scalar loop (the taxonomy contract), and the
+// O(1)-per-rect grid must out-run the KDE, whose rectangle sum walks a
+// quadtree of moment nodes (cost O(nodes along the rectangle's edges +
+// points in uncertified leaves)).
 //
 // Section 2 (accuracy): mean absolute error and mean q-error against exact
 // truth (the fraction of ingested observations inside each rect) on two
@@ -30,16 +34,16 @@
 // No google-benchmark dependency: plain steady_clock timing, like the other
 // chrono drivers. Single-threaded.
 //
-// Usage: perf_multidim [--n=200000] [--queries=4096] [--repeats=3]
+// Usage: perf_multidim [--n=200000] [--queries=4096] [--repeats=5]
 //                      [--out=BENCH_multidim.json] [--check]
 //
 // --check turns the contracts into gates: exit 1 if any batched answer
-// differs bitwise from the scalar loop, if grid2d does not out-run
-// kde2d-prod on rect throughput, if kde2d-prod answers fewer than 7.9e3
-// rect, 8.3e3 marginal or 4.8e3 conditional queries per second (CI runs at
-// n = 2e5; each floor is half the slowest of five 4-vCPU runs once the
-// fitted columns were stored in the quadtree's order — 1.59e4 rect, 1.66e4
-// axis-1 marginal, 9.7e3 conditional — headroom for shared runners), if
+// differs bitwise from the scalar loop, if grid2d's median rect throughput
+// does not exceed kde2d-prod's, if kde2d-prod's median rate falls below
+// 7.9e3 rect, 8.3e3 marginal or 4.8e3 conditional queries per second (CI
+// runs at n = 2e5; each floor was set at half the slowest of five 4-vCPU
+// best-of-3 runs of one batch — 1.59e4 rect, 1.66e4 axis-1 marginal,
+// 9.7e3 conditional — headroom for shared runners), if
 // either estimator's joint answers fail to beat its own product-of-marginals
 // baseline on the anti-product workload, or if either mean absolute error
 // exceeds 0.05. CI runs with --check on the release build; debug binaries
@@ -70,6 +74,9 @@
 namespace {
 
 using namespace wde;
+using bench::perf::kWindowSeconds;
+using bench::perf::Rate;
+using bench::perf::WindowedRate;
 
 /// kde2d-prod throughput floors per kind at n = 2e5 (see the file comment).
 constexpr double kKde2dMinRectQps = 7.9e3;
@@ -195,9 +202,8 @@ struct ThroughputRow {
   std::string estimator;
   Kind kind = Kind::kRect;
   size_t queries = 0;
-  double batch_seconds = 0.0;
-  double batch_qps = 0.0;
-  double scalar_qps = 0.0;
+  Rate batch;
+  Rate scalar;
   bool batch_equals_scalar = true;
 };
 
@@ -275,7 +281,7 @@ int main(int argc, char** argv) {
   const size_t n = ArgSize(argc, argv, "n", 200000);
   const size_t num_queries =
       std::max<size_t>(16, ArgSize(argc, argv, "queries", 4096));
-  const size_t repeats = std::max<size_t>(1, ArgSize(argc, argv, "repeats", 3));
+  const size_t repeats = std::max<size_t>(5, ArgSize(argc, argv, "repeats", 5));
   const std::string out_path =
       ArgString(argc, argv, "out", "BENCH_multidim.json");
 
@@ -306,37 +312,29 @@ int main(int argc, char** argv) {
     for (const Kind kind : kKinds) {
       const std::vector<selectivity::Query> timed = AsQueries(rects, kind);
       std::vector<double> batch(timed.size());
-      double batch_best = 0.0, scalar_best = 0.0;
-      for (size_t r = 0; r < repeats; ++r) {
-        const auto batch_start = std::chrono::steady_clock::now();
-        est->Answer(timed, batch);
-        const double batch_s = bench::perf::SecondsSince(batch_start);
-        if (r == 0 || batch_s < batch_best) batch_best = batch_s;
-        const auto scalar_start = std::chrono::steady_clock::now();
+      ThroughputRow row;
+      row.batch = WindowedRate(repeats, kWindowSeconds, timed.size(),
+                               [&] { est->Answer(timed, batch); });
+      row.scalar = WindowedRate(repeats, kWindowSeconds, timed.size(), [&] {
         double sink = 0.0;
         for (const selectivity::Query& q : timed) sink += est->Answer(q);
-        const double scalar_s = bench::perf::SecondsSince(scalar_start);
-        if (r == 0 || scalar_s < scalar_best) scalar_best = scalar_s;
         volatile double guard = sink;  // keep the scalar loop from folding away
         (void)guard;
-      }
+      });
       bool bitwise = true;
       for (size_t i = 0; i < timed.size(); ++i) {
         bitwise = bitwise && batch[i] == est->Answer(timed[i]);
       }
-      ThroughputRow row;
       row.estimator = tag;
       row.kind = kind;
       row.queries = timed.size();
-      row.batch_seconds = batch_best;
-      row.batch_qps = static_cast<double>(timed.size()) / batch_best;
-      row.scalar_qps = static_cast<double>(timed.size()) / scalar_best;
       row.batch_equals_scalar = bitwise;
       throughput_rows.push_back(row);
       std::printf(
-          "%-10s %-11s throughput: batch %.3g q/s  scalar %.3g q/s  bitwise "
-          "%s\n",
-          tag, KindName(kind), row.batch_qps, row.scalar_qps,
+          "%-10s %-11s throughput: batch %.3g q/s [%.3g, %.3g]  scalar %.3g "
+          "q/s [%.3g, %.3g]  bitwise %s\n",
+          tag, KindName(kind), row.batch.median, row.batch.min, row.batch.max,
+          row.scalar.median, row.scalar.min, row.scalar.max,
           bitwise ? "true" : "false");
     }
   }
@@ -401,19 +399,21 @@ int main(int argc, char** argv) {
   std::fprintf(out, "{\n  \"bench\": \"perf_multidim\",\n");
   std::fprintf(out,
                "  \"workload\": {\"n\": %zu, \"queries\": %zu, "
-               "\"repeats\": %zu, \"grid_log2\": 6},\n",
-               n, num_queries, repeats);
+               "\"repeats\": %zu, \"window_ms\": %.0f, \"grid_log2\": 6},\n",
+               n, num_queries, repeats, 1e3 * kWindowSeconds);
   bench::perf::WriteHostJson(out);
   std::fprintf(out, "  \"throughput\": [\n");
   for (size_t i = 0; i < throughput_rows.size(); ++i) {
     const ThroughputRow& row = throughput_rows[i];
     std::fprintf(out,
                  "    {\"estimator\": \"%s\", \"kind\": \"%s\", "
-                 "\"queries\": %zu, \"batch_seconds\": %.6f, "
-                 "\"batch_qps\": %.1f, \"scalar_qps\": %.1f, "
-                 "\"batch_equals_scalar\": %s}%s\n",
+                 "\"queries\": %zu, \"batch_qps\": %.1f, "
+                 "\"batch_qps_min\": %.1f, \"batch_qps_max\": %.1f, "
+                 "\"scalar_qps\": %.1f, \"scalar_qps_min\": %.1f, "
+                 "\"scalar_qps_max\": %.1f, \"batch_equals_scalar\": %s}%s\n",
                  row.estimator.c_str(), KindName(row.kind), row.queries,
-                 row.batch_seconds, row.batch_qps, row.scalar_qps,
+                 row.batch.median, row.batch.min, row.batch.max,
+                 row.scalar.median, row.scalar.min, row.scalar.max,
                  row.batch_equals_scalar ? "true" : "false",
                  i + 1 < throughput_rows.size() ? "," : "");
   }
@@ -460,8 +460,8 @@ int main(int argc, char** argv) {
         ++violations;
       }
     }
-    const double grid_rect = find("grid2d", Kind::kRect).batch_qps;
-    const double kde_rect = find("kde2d-prod", Kind::kRect).batch_qps;
+    const double grid_rect = find("grid2d", Kind::kRect).batch.median;
+    const double kde_rect = find("kde2d-prod", Kind::kRect).batch.median;
     if (grid_rect <= kde_rect) {
       std::fprintf(stderr,
                    "CHECK FAILED: grid2d (%.3g q/s) did not out-run "
@@ -475,10 +475,11 @@ int main(int argc, char** argv) {
         {Kind::kMarginal1, kKde2dMinMarginalQps},
         {Kind::kConditional, kKde2dMinConditionalQps}};
     for (const auto& [kind, floor] : floors) {
-      const double qps = find("kde2d-prod", kind).batch_qps;
+      const double qps = find("kde2d-prod", kind).batch.median;
       if (qps < floor) {
         std::fprintf(stderr,
-                     "CHECK FAILED: kde2d-prod answered %.3g %s q/s < %.3g\n",
+                     "CHECK FAILED: kde2d-prod answered a median %.3g %s "
+                     "q/s < %.3g\n",
                      qps, KindName(kind), floor);
         ++violations;
       }

@@ -49,16 +49,40 @@ void EquiWidthHistogram::RebuildPrefixIfStale() const {
   prefix_built_at_count_ = count_;
 }
 
-double EquiWidthHistogram::CdfAt(double x) const {
+numerics::ValueAndSlope EquiWidthHistogram::CdfAndDensityAt(double x) const {
   const double hi = lo_ + width_ * static_cast<double>(buckets_);
   x = std::clamp(x, lo_, hi);
   const double t = (x - lo_) / width_;
-  const auto bucket = std::clamp(static_cast<long>(t), 0L,
-                                 static_cast<long>(buckets_) - 1);
+  const auto bucket = static_cast<size_t>(
+      std::clamp(static_cast<long>(t), 0L, static_cast<long>(buckets_) - 1));
   const double frac = t - static_cast<double>(bucket);
-  return (bins_.F64(1)[static_cast<size_t>(bucket)] +
-          bins_.F64(0)[static_cast<size_t>(bucket)] * frac) /
-         static_cast<double>(count_);
+  const double n = static_cast<double>(count_);
+  const double mass = bins_.F64(0)[bucket];
+  return {(bins_.F64(1)[bucket] + mass * frac) / n, mass / (n * width_)};
+}
+
+double EquiWidthHistogram::CdfAt(double x) const {
+  return CdfAndDensityAt(x).value;
+}
+
+double EquiWidthHistogram::QuantileByNewton(double p) const {
+  // Start at the prefix-table inversion: the first bucket whose inclusive
+  // mass reaches p·n, interpolated inside it. F̃ is linear there, so Newton
+  // lands on the crossing at once and the solver only closes the bracket.
+  const std::span<const double> prefix = bins_.F64(1);
+  const std::span<const double> counts = bins_.F64(0);
+  const double mass = p * static_cast<double>(count_);
+  const size_t bucket = static_cast<size_t>(
+      std::lower_bound(prefix.begin() + 1, prefix.end(), mass) -
+      prefix.begin() - 1);
+  const double frac =
+      counts[bucket] > 0.0
+          ? std::clamp((mass - prefix[bucket]) / counts[bucket], 0.0, 1.0)
+          : 0.0;
+  const RangeQuery domain = Domain();
+  return numerics::NewtonBisectMonotone(
+      [this](double x) { return CdfAndDensityAt(x); }, p, domain.lo,
+      domain.hi, lo_ + width_ * (static_cast<double>(bucket) + frac));
 }
 
 double EquiWidthHistogram::EstimateRangeImpl(double a, double b) const {
@@ -86,6 +110,9 @@ void EquiWidthHistogram::AnswerImpl(std::span<const Query> queries,
         // CdfAt(x) - CdfAt(-inf): the -inf endpoint clamps to the lower
         // domain edge where the prefix mass and fraction are exactly zero.
         out[i] = CdfAt(q.a);
+        break;
+      case QueryKind::kQuantile:
+        out[i] = QuantileByNewton(q.a);
         break;
       default:
         out[i] = AnswerOne(q);

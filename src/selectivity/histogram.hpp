@@ -5,6 +5,7 @@
 #include <vector>
 
 #include "memory/arena.hpp"
+#include "numerics/optimize.hpp"
 #include "selectivity/selectivity_estimator.hpp"
 
 namespace wde {
@@ -55,8 +56,8 @@ class EquiWidthHistogram : public SelectivityEstimator {
   double EstimateRangeImpl(double a, double b) const override;
   /// One staleness check for the whole batch, then Less/Cdf kinds answer
   /// with a single prefix-sum lookup (bit-identical to the two-lookup range
-  /// lowering because F(domain lo) is exactly 0); other kinds fall back to
-  /// the canonical lowering.
+  /// lowering because F(domain lo) is exactly 0), quantiles by
+  /// QuantileByNewton; other kinds fall back to the canonical lowering.
   void AnswerImpl(std::span<const Query> queries,
                   std::span<double> out) const override;
   /// Quiesce: rebuild the prefix table now (the only lazy state).
@@ -71,6 +72,17 @@ class EquiWidthHistogram : public SelectivityEstimator {
   /// Estimated CDF at x (prefix mass + within-bucket fraction, continuous-
   /// uniform inside the bucket). Requires a fresh prefix table and count_>0.
   double CdfAt(double x) const;
+  /// CdfAt and its slope, the bucket's density count/(n·width).
+  numerics::ValueAndSlope CdfAndDensityAt(double x) const;
+  /// The kQuantile answer: QuantileByBisection's contract — the predicate
+  /// CdfAt(x) < p, the Domain() bracket, tolerance 1e-12, at most 200
+  /// evaluations — solved by numerics::NewtonBisectMonotone from the
+  /// prefix-table inversion, stepping along the bucket density. CdfAt is
+  /// monotone, so the answer is within 1e-12 of the bisection's; on a
+  /// plateau of empty buckets at exactly p both find its left end, the
+  /// first x with CdfAt(x) >= p. Requires a fresh prefix table and
+  /// count_ > 0.
+  double QuantileByNewton(double p) const;
 
   double lo_;
   double width_;

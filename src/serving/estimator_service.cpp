@@ -107,7 +107,7 @@ uint64_t EstimatorService::PublishViewLocked(
   return next_epoch;
 }
 
-EstimatorService::View EstimatorService::AcquireView() const {
+const EstimatorService::View& EstimatorService::AcquireView() const {
   struct ThreadPin {
     uint64_t service_id = 0;
     View view;
@@ -164,41 +164,35 @@ void EstimatorService::Answer(std::span<const selectivity::Query> queries,
                               std::span<double> out) const {
   WDE_CHECK(queries.size() == out.size(), "Answer spans must match");
   if (queries.empty()) return;
-  const View view = AcquireView();
+  const View& view = AcquireView();
   const selectivity::SelectivityEstimator& estimator = *view.estimator;
   if (cache_ == nullptr) {
     estimator.Answer(queries, out);
     return;
   }
   const uint64_t epoch = view.epoch;
-  // Probe the cache; the batch's misses are admitted to the view as ONE
-  // batched Answer() call below. Bit-identity with the cache-off path holds
-  // because per-query answers are independent of batch composition (the
-  // batch ≡ scalar contract) and cached values were computed from the same
-  // frozen epoch view.
-  std::vector<size_t> miss_index;
-  miss_index.reserve(queries.size());
+  // Hits are served from the cache; each maximal run of misses is answered
+  // by ONE Answer() call on sub-spans of the caller's storage, so a batch
+  // copies nothing and allocates nothing. Bit-identity with the cache-off
+  // path holds because per-query answers are independent of batch
+  // composition (the batch ≡ scalar contract) and cached values were
+  // computed from the same frozen epoch view. Outcomes are tallied locally
+  // and reach the shared counters once per batch.
+  CacheStats tally;
   for (size_t i = 0; i < queries.size(); ++i) {
-    if (!cache_->Lookup(queries[i], epoch, &out[i])) miss_index.push_back(i);
-  }
-  if (miss_index.empty()) return;
-  if (miss_index.size() == queries.size()) {
-    estimator.Answer(queries, out);
-    for (size_t i = 0; i < queries.size(); ++i) {
-      cache_->Insert(queries[i], epoch, out[i]);
+    if (cache_->Lookup(queries[i], epoch, &out[i], &tally)) continue;
+    size_t end = i + 1;
+    while (end < queries.size() &&
+           !cache_->Lookup(queries[end], epoch, &out[end], &tally)) {
+      ++end;
     }
-    return;
+    estimator.Answer(queries.subspan(i, end - i), out.subspan(i, end - i));
+    for (size_t m = i; m < end; ++m) {
+      cache_->Insert(queries[m], epoch, out[m], &tally);
+    }
+    i = end;  // queries[end], if any, was a hit
   }
-  std::vector<selectivity::Query> miss_queries(miss_index.size());
-  std::vector<double> miss_values(miss_index.size());
-  for (size_t m = 0; m < miss_index.size(); ++m) {
-    miss_queries[m] = queries[miss_index[m]];
-  }
-  estimator.Answer(miss_queries, miss_values);
-  for (size_t m = 0; m < miss_index.size(); ++m) {
-    out[miss_index[m]] = miss_values[m];
-    cache_->Insert(miss_queries[m], epoch, miss_values[m]);
-  }
+  cache_->Count(tally);
 }
 
 double EstimatorService::Answer(const selectivity::Query& query) const {

@@ -28,7 +28,7 @@
 ///     swap — formally a race (ThreadSanitizer agrees). Everything here is
 ///     ordinary mutexes and scalar atomics, verifiable end to end.
 ///
-/// Layered on top: an epoch-invalidated, sharded hot-query result cache
+/// Layered on top: an epoch-invalidated, lock-free hot-query result cache
 /// keyed by the typed `Query` (see query_cache.hpp — strictly best-effort,
 /// bit-identical to recomputation) and Checkpoint/Restore through the
 /// snapshot envelope, so a warm standby can restore a leader's checkpoint
@@ -73,9 +73,10 @@ struct ServiceOptions {
   /// (With both pacers disabled, only explicit Publish() advances epochs.)
   int64_t max_staleness_ms = 0;
 
-  /// Result cache geometry: `cache_shards` try_lock stripes of
-  /// `cache_slots_per_shard` direct-mapped slots. cache_shards = 0 disables
-  /// the cache entirely (readers always hit the view).
+  /// Result cache geometry: one lock-free table of cache_shards ×
+  /// cache_slots_per_shard direct-mapped slots (rounded up to a power of
+  /// two; 64 bytes each). cache_shards = 0 disables the cache entirely
+  /// (readers always hit the view).
   size_t cache_shards = 8;
   size_t cache_slots_per_shard = 4096;
 };
@@ -126,12 +127,12 @@ class EstimatorService {
 
   /// Answers a mixed typed-query batch from the current published view,
   /// consulting the result cache when enabled: hits are served from cache,
-  /// the misses of the batch are admitted to the view as ONE batched
-  /// Answer() call (admission batching) and then cached. Bit-identical to
-  /// answering through View::estimator directly — the cache can only change
-  /// latency, never a value. Steady-state lock-free with respect to
-  /// writers: one atomic epoch load validating the thread-local view pin,
-  /// try_lock-only cache probes.
+  /// each run of consecutive misses is admitted to the view as one batched
+  /// Answer() call and then cached. Bit-identical to answering through
+  /// View::estimator directly — the cache can only change latency, never a
+  /// value. Steady-state lock-free with respect to writers: one atomic epoch
+  /// load validating the thread-local view pin, seqlock cache probes, and
+  /// one counter update per batch; no heap allocation.
   void Answer(std::span<const selectivity::Query> queries,
               std::span<double> out) const;
 
@@ -186,10 +187,12 @@ class EstimatorService {
       std::unique_ptr<selectivity::SelectivityEstimator> fresh,
       uint64_t epoch_floor);
 
-  /// The reader entry point: returns the current view, from the calling
-  /// thread's pinned copy when its epoch is current, refreshing it under
-  /// view_mu_ otherwise.
-  View AcquireView() const;
+  /// The reader entry point: returns the calling thread's pinned copy of
+  /// the current view, refreshing it under view_mu_ when its epoch is stale.
+  /// The reference stays valid until this thread's next AcquireView on any
+  /// service, so a batch costs no reference-count traffic on the shared
+  /// view.
+  const View& AcquireView() const;
 
   void MaybePublishLocked();
 

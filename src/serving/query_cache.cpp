@@ -1,6 +1,8 @@
 #include "serving/query_cache.hpp"
 
+#include <algorithm>
 #include <bit>
+#include <memory>
 
 #include "util/check.hpp"
 
@@ -17,17 +19,26 @@ uint64_t Mix64(uint64_t x) {
   return x ^ (x >> 31);
 }
 
-size_t RoundUpPow2(size_t n) {
-  size_t p = 1;
-  while (p < n) p <<= 1;
-  return p;
+uint64_t KindAxisWord(const selectivity::Query& query) {
+  return static_cast<uint64_t>(query.kind) |
+         (static_cast<uint64_t>(query.axis) << 8);
 }
 
 }  // namespace
 
+/// A slot's key words for `query` computed at `epoch`.
+std::array<uint64_t, QueryResultCache::kKeyWords> QueryResultCache::KeyWords(
+    const selectivity::Query& query, uint64_t epoch) {
+  return {epoch,
+          KindAxisWord(query),
+          std::bit_cast<uint64_t>(query.a),
+          std::bit_cast<uint64_t>(query.b),
+          std::bit_cast<uint64_t>(query.c),
+          std::bit_cast<uint64_t>(query.d)};
+}
+
 uint64_t QueryKeyHash(const selectivity::Query& query) {
-  uint64_t h = Mix64(static_cast<uint64_t>(query.kind) |
-                     (static_cast<uint64_t>(query.axis) << 8));
+  uint64_t h = Mix64(KindAxisWord(query));
   h = Mix64(h ^ std::bit_cast<uint64_t>(query.a));
   h = Mix64(h ^ std::bit_cast<uint64_t>(query.b));
   h = Mix64(h ^ std::bit_cast<uint64_t>(query.c));
@@ -35,70 +46,104 @@ uint64_t QueryKeyHash(const selectivity::Query& query) {
   return h;
 }
 
-bool QueryKeyEquals(const selectivity::Query& lhs,
-                    const selectivity::Query& rhs) {
-  return lhs.kind == rhs.kind && lhs.axis == rhs.axis &&
-         std::bit_cast<uint64_t>(lhs.a) == std::bit_cast<uint64_t>(rhs.a) &&
-         std::bit_cast<uint64_t>(lhs.b) == std::bit_cast<uint64_t>(rhs.b) &&
-         std::bit_cast<uint64_t>(lhs.c) == std::bit_cast<uint64_t>(rhs.c) &&
-         std::bit_cast<uint64_t>(lhs.d) == std::bit_cast<uint64_t>(rhs.d);
-}
-
 QueryResultCache::QueryResultCache(size_t shards, size_t slots_per_shard) {
   WDE_CHECK(shards > 0, "QueryResultCache needs at least one shard");
   WDE_CHECK(slots_per_shard > 0, "QueryResultCache needs at least one slot");
-  const size_t slots = RoundUpPow2(slots_per_shard);
+  WDE_CHECK(slots_per_shard <= (size_t{1} << 40) / shards,
+            "QueryResultCache geometry is too large");
+  const size_t slots = std::bit_ceil(shards * slots_per_shard);
   slot_mask_ = slots - 1;
-  stripes_ = std::vector<Stripe>(shards);
-  for (Stripe& stripe : stripes_) stripe.slots.resize(slots);
+  // The table is carved from a plain heap block, not allocated with aligned
+  // new: glibc serves a 64-byte aligned request by splitting a larger block,
+  // and a process that creates and drops services (perfbench's set-up loop)
+  // then kept ~2 MB, at times ~8 MB, of dead tables resident. A plain block
+  // of the same size is simply reused.
+  const size_t bytes = slots * sizeof(Slot);
+  storage_ = std::make_unique_for_overwrite<std::byte[]>(bytes + alignof(Slot));
+  void* aligned = storage_.get();
+  size_t space = bytes + alignof(Slot);
+  WDE_CHECK(std::align(alignof(Slot), bytes, aligned, space) != nullptr);
+  slots_ = static_cast<Slot*>(aligned);
+  std::uninitialized_value_construct_n(slots_, slots);
 }
 
+// Boehm's seqlock ("Can Seqlocks Get Along With Programming Language Memory
+// Models?", MSPC 2012) over atomic words, so no access is a data race. Each
+// payload word is stored with release and loaded with acquire (plain moves
+// on x86; no standalone fences, which ThreadSanitizer cannot check): a probe
+// that read any word of an overlapping store synchronizes with it, so that
+// store's odd-sequence CAS happens-before the probe's second sequence load,
+// which then differs from the first and bypasses the slot.
 bool QueryResultCache::Lookup(const selectivity::Query& query, uint64_t epoch,
-                              double* out) const {
-  const uint64_t hash = QueryKeyHash(query);
-  const Stripe& stripe = StripeFor(hash);
-  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    // Never wait on the read path: a contended stripe is just a miss.
-    lookup_bypasses_.fetch_add(1, std::memory_order_relaxed);
+                              double* out, CacheStats* tally) const {
+  if (tally == nullptr) {
+    CacheStats own;
+    const bool hit = Lookup(query, epoch, out, &own);
+    Count(own);
+    return hit;
+  }
+  const Slot& slot = SlotFor(query);
+  const uint64_t seq = slot.seq.load(std::memory_order_acquire);
+  uint64_t words[kKeyWords + 1];
+  for (size_t w = 0; w <= kKeyWords; ++w) {
+    words[w] = slot.words[w].load(std::memory_order_acquire);
+  }
+  if ((seq & 1) != 0 || slot.seq.load(std::memory_order_relaxed) != seq) {
+    ++tally->lookup_bypasses;
     return false;
   }
-  const Slot& slot = stripe.slots[hash & slot_mask_];
-  if (slot.epoch == epoch && epoch != 0 && slot.hash == hash &&
-      QueryKeyEquals(slot.query, query)) {
-    *out = slot.value;
-    hits_.fetch_add(1, std::memory_order_relaxed);
-    return true;
+  if (epoch == 0 || !std::equal(words, words + kKeyWords,
+                                KeyWords(query, epoch).begin())) {
+    ++tally->misses;
+    return false;
   }
-  misses_.fetch_add(1, std::memory_order_relaxed);
-  return false;
+  *out = std::bit_cast<double>(words[kKeyWords]);
+  ++tally->hits;
+  return true;
 }
 
 void QueryResultCache::Insert(const selectivity::Query& query, uint64_t epoch,
-                              double value) {
+                              double value, CacheStats* tally) {
   if (epoch == 0) return;  // reserved empty-slot tag
-  const uint64_t hash = QueryKeyHash(query);
-  // StripeFor returns const so Lookup can share it; inserts own the stripe.
-  Stripe& stripe = const_cast<Stripe&>(StripeFor(hash));
-  std::unique_lock<std::mutex> lock(stripe.mu, std::try_to_lock);
-  if (!lock.owns_lock()) {
-    insert_drops_.fetch_add(1, std::memory_order_relaxed);
+  if (tally == nullptr) {
+    CacheStats own;
+    Insert(query, epoch, value, &own);
+    Count(own);
     return;
   }
-  Slot& slot = stripe.slots[hash & slot_mask_];
-  slot.hash = hash;
-  slot.epoch = epoch;
-  slot.query = query;
-  slot.value = value;
+  Slot& slot = SlotFor(query);
+  uint64_t seq = slot.seq.load(std::memory_order_relaxed);
+  if ((seq & 1) != 0 ||
+      !slot.seq.compare_exchange_strong(seq, seq + 1,
+                                        std::memory_order_acquire,
+                                        std::memory_order_relaxed)) {
+    ++tally->insert_drops;  // another store holds the slot
+    return;
+  }
+  const std::array<uint64_t, kKeyWords> key = KeyWords(query, epoch);
+  for (size_t w = 0; w < kKeyWords; ++w) {
+    slot.words[w].store(key[w], std::memory_order_release);
+  }
+  slot.words[kKeyWords].store(std::bit_cast<uint64_t>(value),
+                              std::memory_order_release);
+  slot.seq.store(seq + 2, std::memory_order_release);
+}
+
+void QueryResultCache::Count(const CacheStats& tally) const {
+  const auto add = [](std::atomic<uint64_t>& counter, uint64_t n) {
+    if (n != 0) counter.fetch_add(n, std::memory_order_relaxed);
+  };
+  add(counters_.hits, tally.hits);
+  add(counters_.misses, tally.misses);
+  add(counters_.lookup_bypasses, tally.lookup_bypasses);
+  add(counters_.insert_drops, tally.insert_drops);
 }
 
 CacheStats QueryResultCache::stats() const {
-  CacheStats stats;
-  stats.hits = hits_.load(std::memory_order_relaxed);
-  stats.misses = misses_.load(std::memory_order_relaxed);
-  stats.lookup_bypasses = lookup_bypasses_.load(std::memory_order_relaxed);
-  stats.insert_drops = insert_drops_.load(std::memory_order_relaxed);
-  return stats;
+  constexpr std::memory_order kRelaxed = std::memory_order_relaxed;
+  return {counters_.hits.load(kRelaxed), counters_.misses.load(kRelaxed),
+          counters_.lookup_bypasses.load(kRelaxed),
+          counters_.insert_drops.load(kRelaxed)};
 }
 
 }  // namespace serving

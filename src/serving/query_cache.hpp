@@ -1,5 +1,5 @@
 /// \file serving/query_cache.hpp
-/// Sharded, epoch-tagged result cache for typed selectivity queries — the
+/// Lock-free, epoch-tagged result cache for typed selectivity queries — the
 /// hot-query layer of the serving engine. The typed `Query` tagged union is
 /// the cache key: keys hash and compare on the BIT PATTERNS of the kind and
 /// both parameter payloads, so any two byte-identical queries share an entry
@@ -10,21 +10,22 @@
 /// entry's epoch equals the reader's current epoch, so publishing a new view
 /// invalidates the entire cache at zero cost — no sweep, no generation list.
 ///
-/// The cache is strictly an accelerator and never a source of truth: all
-/// locking is try_lock on small per-shard stripes, and contention degrades
-/// to a miss (lookup) or a drop (insert) instead of blocking, so the serving
-/// hot path keeps its no-lock-wait guarantee. Correctness is unaffected
-/// because a published view is immutable for its epoch and query answers are
-/// deterministic — a cached value is bit-identical to recomputation, which
-/// tests/query_taxonomy_test.cpp (cache-on ≡ cache-off) enforces.
+/// The table is one flat, direct-mapped array of 64-byte slots, each a
+/// seqlock (Boehm, MSPC 2012) over eight atomic words: a probe is plain
+/// loads and treats a slot mid-store as a miss (a bypass); a store
+/// that finds the slot held by another store drops its value. Nothing ever
+/// waits, so the serving hot path keeps its no-lock-wait guarantee. The
+/// cache is strictly an accelerator: a published view is immutable for its
+/// epoch and answers are deterministic, so a cached value is bit-identical
+/// to recomputation (cache-on ≡ cache-off is tested bitwise).
 #ifndef WDE_SERVING_QUERY_CACHE_HPP_
 #define WDE_SERVING_QUERY_CACHE_HPP_
 
+#include <array>
 #include <atomic>
 #include <cstddef>
 #include <cstdint>
-#include <mutex>
-#include <vector>
+#include <memory>
 
 #include "selectivity/selectivity_estimator.hpp"
 
@@ -33,28 +34,25 @@ namespace serving {
 
 /// Bitwise key hash of a query: splitmix64-style mixing over the kind and
 /// axis bytes and the bit patterns of all four parameters (a/b and the
-/// axis-1 interval c/d of the multi-dimensional kinds). NaN payloads hash by
-/// their exact bit pattern; +0.0 and -0.0 are distinct keys (both cache
-/// their — equal — answers independently, which is harmless).
+/// axis-1 interval c/d of the multi-dimensional kinds). Keys compare the
+/// same bits: NaN payloads match by their exact bit pattern; +0.0 and -0.0
+/// are distinct keys (both cache their — equal — answers independently,
+/// which is harmless).
 uint64_t QueryKeyHash(const selectivity::Query& query);
-
-/// Bitwise key equality: same kind and axis, same a/b/c/d bits.
-bool QueryKeyEquals(const selectivity::Query& lhs,
-                    const selectivity::Query& rhs);
 
 /// Monotonic counters describing cache effectiveness (relaxed atomics; exact
 /// under a quiesced service, monotone-approximate while concurrent).
 struct CacheStats {
   uint64_t hits = 0;
-  uint64_t misses = 0;          // probed, no current-epoch entry
-  uint64_t lookup_bypasses = 0;  // stripe contended; treated as a miss
-  uint64_t insert_drops = 0;     // stripe contended; value not cached
+  uint64_t misses = 0;           // probed, no current-epoch entry
+  uint64_t lookup_bypasses = 0;  // slot mid-write; treated as a miss
+  uint64_t insert_drops = 0;     // slot mid-write; value not cached
 };
 
-/// A fixed-geometry cache: `shards` independent stripes, each a direct-mapped
-/// table of `slots_per_shard` entries (rounded up to a power of two). Bounded
-/// memory, O(1) lookup/insert, eviction by slot overwrite. Thread-safe; see
-/// the file comment for the try_lock contention policy.
+/// A fixed-geometry cache of `shards × slots_per_shard` direct-mapped slots
+/// (rounded up to a power of two). Bounded memory, O(1) lookup/insert,
+/// eviction by slot overwrite. Thread-safe and lock-free; see the file
+/// comment for the slot protocol.
 class QueryResultCache {
  public:
   QueryResultCache(size_t shards, size_t slots_per_shard);
@@ -64,46 +62,54 @@ class QueryResultCache {
 
   /// True and `*out` filled when a value for `query` computed at exactly
   /// `epoch` is cached. Epoch 0 never hits (the reserved empty-slot tag).
-  bool Lookup(const selectivity::Query& query, uint64_t epoch,
-              double* out) const;
+  /// Counts one hit, miss or bypass: in `*tally` when given (a batch adds
+  /// its tally to the shared counters once, with Count()), else directly.
+  bool Lookup(const selectivity::Query& query, uint64_t epoch, double* out,
+              CacheStats* tally = nullptr) const;
 
   /// Caches `value` for `query` at `epoch`, overwriting whatever occupied
   /// the slot. Epoch 0 is reserved and ignored. Best-effort under
-  /// contention (see insert_drops).
-  void Insert(const selectivity::Query& query, uint64_t epoch, double value);
+  /// contention: counts an insert_drop, in `*tally` when given.
+  void Insert(const selectivity::Query& query, uint64_t epoch, double value,
+              CacheStats* tally = nullptr);
+
+  void Count(const CacheStats& tally) const;
 
   CacheStats stats() const;
 
-  size_t shards() const { return stripes_.size(); }
-  size_t slots_per_shard() const { return slot_mask_ + 1; }
+  size_t slots() const { return slot_mask_ + 1; }
 
  private:
-  struct Slot {
-    uint64_t hash = 0;
-    uint64_t epoch = 0;  // 0 = empty
-    selectivity::Query query;
-    double value = 0.0;
+  friend class QueryResultCacheTestPeer;  // holds a slot mid-store in tests
+
+  /// Words of a slot after its sequence word: the key (epoch, kind | axis
+  /// << 8, then the a/b/c/d bit patterns) and the value's bit pattern.
+  static constexpr size_t kKeyWords = 6;
+  /// One entry: `seq` is even when stable and odd while a store writes it.
+  /// An all-zero slot is empty: epoch 0 never hits.
+  struct alignas(64) Slot {
+    std::atomic<uint64_t> seq;
+    std::atomic<uint64_t> words[kKeyWords + 1];
   };
-  /// One stripe per cache shard, padded to its own cache line so stripe
-  /// mutexes never false-share.
-  struct alignas(64) Stripe {
-    mutable std::mutex mu;
-    std::vector<Slot> slots;
+  static_assert(sizeof(Slot) == 64, "a slot is one cache line");
+
+  /// On their own cache line, away from the table pointer readers load on
+  /// every probe.
+  struct alignas(64) Counters {
+    std::atomic<uint64_t> hits, misses, lookup_bypasses, insert_drops;
   };
 
-  const Stripe& StripeFor(uint64_t hash) const {
-    // High bits pick the stripe, low bits the slot, so the two indices stay
-    // independent even for hash families with weak low bits.
-    return stripes_[(hash >> 48) % stripes_.size()];
+  static std::array<uint64_t, kKeyWords> KeyWords(
+      const selectivity::Query& query, uint64_t epoch);
+
+  Slot& SlotFor(const selectivity::Query& query) const {
+    return slots_[QueryKeyHash(query) & slot_mask_];
   }
 
-  std::vector<Stripe> stripes_;
+  std::unique_ptr<std::byte[]> storage_;  // holds the 64-byte aligned slots_
+  Slot* slots_ = nullptr;
   uint64_t slot_mask_ = 0;
-
-  mutable std::atomic<uint64_t> hits_{0};
-  mutable std::atomic<uint64_t> misses_{0};
-  mutable std::atomic<uint64_t> lookup_bypasses_{0};
-  mutable std::atomic<uint64_t> insert_drops_{0};
+  mutable Counters counters_;
 };
 
 }  // namespace serving

@@ -4,6 +4,7 @@
 #include <limits>
 #include <memory>
 
+#include "numerics/optimize.hpp"
 #include "processes/target_density.hpp"
 #include "selectivity/histogram.hpp"
 #include "selectivity/kde_selectivity.hpp"
@@ -58,6 +59,40 @@ TEST(EquiWidthTest, ClampsOutOfDomainValues) {
 TEST(EquiWidthTest, EmptyHistogramReturnsZero) {
   EquiWidthHistogram hist(0.0, 1.0, 4);
   EXPECT_DOUBLE_EQ(hist.Answer(Query::Range(0.2, 0.8)), 0.0);
+}
+
+TEST(EquiWidthTest, NewtonQuantilesKeepTheBisectionBracket) {
+  // Two clusters with empty buckets between and around them: CdfAt has
+  // plateaus at 0, at the left cluster's mass and at 1.
+  EquiWidthHistogram hist(-2.0, 3.0, 50);
+  stats::Rng rng(71);
+  for (int i = 0; i < 3000; ++i) hist.Insert(rng.Gaussian(-0.5, 0.2));
+  for (int i = 0; i < 1000; ++i) hist.Insert(1.5 + 0.3 * rng.UniformDouble());
+  const auto cdf = [&](double x) { return hist.Answer(Query::Cdf(x)); };
+  const double left_mass = cdf(0.75);
+  ASSERT_EQ(left_mass, 0.75);  // a plateau exactly at the level 3000/4000
+  std::vector<double> levels{0.0, 1e-9, left_mass, 1.0 - 1e-9, 1.0,
+                             cdf(-0.5), cdf(1.6)};
+  for (int i = 1; i < 64; ++i) levels.push_back(i / 64.0);
+  for (int i = 0; i < 64; ++i) levels.push_back(rng.UniformDouble());
+  const double tolerance = 1e-12;
+  for (double p : levels) {
+    const double q = hist.Answer(Query::Quantile(p));
+    const double bisected = numerics::BisectMonotone(cdf, p, -2.0, 3.0);
+    EXPECT_LE(std::fabs(q - bisected), tolerance) << "p=" << p;
+    // The certificate: F̃ < p just left of the answer, F̃ >= p just right.
+    if (q - tolerance > -2.0) {
+      EXPECT_LT(cdf(q - tolerance), p) << "p=" << p;
+    }
+    if (q + tolerance < 3.0) {
+      EXPECT_GE(cdf(q + tolerance), p) << "p=" << p;
+    }
+  }
+  // On the plateau at the left cluster's mass the crossing is its left end,
+  // the right edge of the last non-empty bucket below 1.5.
+  const double edge = hist.Answer(Query::Quantile(left_mass));
+  EXPECT_LT(edge, 0.5);
+  EXPECT_EQ(cdf(edge + tolerance), left_mass);
 }
 
 TEST(EquiDepthTest, QuantileBoundaries) {

@@ -10,6 +10,7 @@
 #include <gtest/gtest.h>
 #include <unistd.h>
 
+#include <algorithm>
 #include <chrono>
 #include <cmath>
 #include <cstdio>
@@ -263,6 +264,40 @@ TEST(EstimatorServiceTest, CacheOnAnswersEqualCacheOffBitwise) {
   EXPECT_EQ(Answers(*with_cache, queries), Answers(*without_cache, queries));
   EXPECT_EQ(Answers(*with_cache, queries), Answers(*without_cache, queries));
   EXPECT_GT(with_cache->cache_stats().hits, 0u);
+}
+
+TEST(EstimatorServiceTest, EquiWidthQuantilesAgreeAcrossPlainShardedServed) {
+  // The Newton quantile path runs in the plain histogram, in the sharded
+  // engine's merged view and behind the cache; all three answer bitwise
+  // alike, cold and from cache.
+  selectivity::EstimatorSpec plain_spec = ShardedHistogramSpec();
+  plain_spec.tag = "equi-width";
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> plain =
+      selectivity::MakeEstimator(plain_spec);
+  Result<std::unique_ptr<selectivity::SelectivityEstimator>> sharded =
+      selectivity::MakeEstimator(ShardedHistogramSpec());
+  ASSERT_TRUE(plain.ok());
+  ASSERT_TRUE(sharded.ok());
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
+  stats::Rng rng(61);
+  std::vector<double> xs(6000);
+  for (double& x : xs) x = std::clamp(rng.Gaussian(0.3, 0.08), 0.0, 1.0);
+  (*plain)->InsertBatch(xs);
+  (*sharded)->InsertBatch(xs);
+  service->InsertBatch(xs);
+  service->Publish();
+  std::vector<selectivity::Query> queries;
+  for (int i = 0; i <= 100; ++i) {
+    queries.push_back(selectivity::Query::Quantile(i / 100.0));
+  }
+  queries.push_back(selectivity::Query::Quantile(rng.UniformDouble()));
+  const std::vector<double> want = Answers(**plain, queries);
+  EXPECT_EQ(Answers(**sharded, queries), want);
+  EXPECT_EQ(Answers(*service, queries), want);
+  EXPECT_EQ(Answers(*service, queries), want);
+  EXPECT_EQ(service->cache_stats().hits, queries.size());
 }
 
 TEST(EstimatorServiceTest, CheckpointRestoreContinueMatchesUninterrupted) {
@@ -533,24 +568,28 @@ TEST(EstimatorServiceTest, CreateValidatesWriterAndOptions) {
 }
 
 TEST(QueryResultCacheTest, KeysHashAndCompareBitwise) {
+  serving::QueryResultCache cache(1, 64);
   const selectivity::Query a = selectivity::Query::Range(0.1, 0.9);
   const selectivity::Query b = selectivity::Query::Range(0.1, 0.9);
   const selectivity::Query c = selectivity::Query::Cdf(0.1);
-  EXPECT_TRUE(serving::QueryKeyEquals(a, b));
   EXPECT_EQ(serving::QueryKeyHash(a), serving::QueryKeyHash(b));
-  EXPECT_FALSE(serving::QueryKeyEquals(a, c));
+  double out = 0.0;
+  cache.Insert(a, 1, 0.5);
+  EXPECT_TRUE(cache.Lookup(b, 1, &out));
+  EXPECT_FALSE(cache.Lookup(c, 1, &out));
   // NaN payloads are honest keys (bit-pattern identity, not ==).
   const selectivity::Query nan1 = selectivity::Query::Point(kNanQ);
   const selectivity::Query nan2 = selectivity::Query::Point(kNanQ);
-  EXPECT_TRUE(serving::QueryKeyEquals(nan1, nan2));
+  cache.Insert(nan1, 1, 0.0);
+  EXPECT_TRUE(cache.Lookup(nan2, 1, &out));
   // ±0.0 are distinct keys even though they compare == as doubles.
-  EXPECT_FALSE(serving::QueryKeyEquals(selectivity::Query::Cdf(0.0),
-                                       selectivity::Query::Cdf(-0.0)));
+  cache.Insert(selectivity::Query::Cdf(0.0), 1, 0.25);
+  EXPECT_FALSE(cache.Lookup(selectivity::Query::Cdf(-0.0), 1, &out));
 }
 
 TEST(QueryResultCacheTest, LookupInsertAndEpochSemantics) {
-  serving::QueryResultCache cache(2, 100);  // rounds up to 128 slots
-  EXPECT_EQ(cache.slots_per_shard(), 128u);
+  serving::QueryResultCache cache(2, 100);  // rounds 200 up to 256 slots
+  EXPECT_EQ(cache.slots(), 256u);
   const selectivity::Query q = selectivity::Query::Less(0.3);
   double out = 0.0;
   EXPECT_FALSE(cache.Lookup(q, 1, &out));
@@ -569,6 +608,117 @@ TEST(QueryResultCacheTest, LookupInsertAndEpochSemantics) {
   const serving::CacheStats stats = cache.stats();
   EXPECT_EQ(stats.hits, 2u);
   EXPECT_EQ(stats.misses, 4u);
+}
+
+TEST(QueryResultCacheTest, EpochZeroNeverHitsAnEmptySlot) {
+  // An empty slot's payload words are all zero, exactly the key of
+  // Range(0, 0), and its epoch word is 0: only the epoch-0 rule keeps a
+  // fresh table from answering 0.0 for it.
+  serving::QueryResultCache cache(1, 4);
+  const selectivity::Query zero = selectivity::Query::Range(0.0, 0.0);
+  double out = 1.0;
+  EXPECT_FALSE(cache.Lookup(zero, 0, &out));
+  EXPECT_FALSE(cache.Lookup(zero, 1, &out));
+  EXPECT_EQ(out, 1.0);
+  EXPECT_EQ(cache.stats().misses, 2u);
+}
+
+TEST(QueryResultCacheTest, StaleEpochsMissAndOverwritesEvict) {
+  // One slot: every key collides, so the last store owns it.
+  serving::QueryResultCache cache(1, 1);
+  const selectivity::Query q = selectivity::Query::Range(0.1, 0.2);
+  const selectivity::Query r = selectivity::Query::Cdf(0.7);
+  double out = 0.0;
+  cache.Insert(q, 3, 0.125);
+  EXPECT_FALSE(cache.Lookup(q, 2, &out));  // older reader
+  EXPECT_FALSE(cache.Lookup(q, 4, &out));  // newer reader
+  ASSERT_TRUE(cache.Lookup(q, 3, &out));
+  EXPECT_EQ(out, 0.125);
+  cache.Insert(r, 3, 0.5);
+  EXPECT_FALSE(cache.Lookup(q, 3, &out));
+  ASSERT_TRUE(cache.Lookup(r, 3, &out));
+  EXPECT_EQ(out, 0.5);
+  const serving::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 2u);
+  EXPECT_EQ(stats.misses, 3u);
+  EXPECT_EQ(stats.lookup_bypasses, 0u);
+  EXPECT_EQ(stats.insert_drops, 0u);
+}
+
+}  // namespace
+
+namespace serving {
+
+/// Puts a key's slot in the state a store leaves it in mid-write (odd
+/// sequence word) and takes it back out.
+class QueryResultCacheTestPeer {
+ public:
+  static void HoldSlot(QueryResultCache& cache, const selectivity::Query& q) {
+    cache.SlotFor(q).seq.fetch_add(1);
+  }
+};
+
+}  // namespace serving
+
+namespace {
+
+TEST(QueryResultCacheTest, ProbesBypassAndStoresDropOnASlotMidStore) {
+  serving::QueryResultCache cache(1, 8);
+  const selectivity::Query q = selectivity::Query::Greater(0.4);
+  double out = 0.0;
+  cache.Insert(q, 1, 0.375);
+  serving::QueryResultCacheTestPeer::HoldSlot(cache, q);
+  EXPECT_FALSE(cache.Lookup(q, 1, &out));  // bypass, not a stale hit
+  cache.Insert(q, 1, 0.625);               // dropped: the slot is held
+  // With a tally the outcomes land there, not in the shared counters.
+  serving::CacheStats tally;
+  EXPECT_FALSE(cache.Lookup(q, 1, &out, &tally));
+  cache.Insert(q, 1, 0.625, &tally);
+  EXPECT_EQ(tally.lookup_bypasses, 1u);
+  EXPECT_EQ(tally.insert_drops, 1u);
+  serving::QueryResultCacheTestPeer::HoldSlot(cache, q);  // the store ends
+  ASSERT_TRUE(cache.Lookup(q, 1, &out));
+  EXPECT_EQ(out, 0.375);
+  const serving::CacheStats stats = cache.stats();
+  EXPECT_EQ(stats.hits, 1u);
+  EXPECT_EQ(stats.misses, 0u);
+  EXPECT_EQ(stats.lookup_bypasses, 1u);
+  EXPECT_EQ(stats.insert_drops, 1u);
+}
+
+TEST(EstimatorServiceTest, QuiescedCountersAreExactPerProbe) {
+  // Batches tally hits, misses, bypasses and drops locally and add them
+  // once; on a quiesced service the totals are exact. Duplicates inside one
+  // batch all miss (a run of misses is stored after it is answered).
+  serving::ServiceOptions options;
+  options.publish_interval = 0;
+  std::unique_ptr<serving::EstimatorService> service = MakeService(options);
+  service->InsertBatch(UnitStream(71, 4000));
+  service->Publish();
+  std::vector<selectivity::Query> queries = MixedWorkload(72, 40);
+  queries.push_back(queries.front());
+  const std::vector<double> want =
+      Answers(*service->CurrentView().estimator, queries);
+  EXPECT_EQ(Answers(*service, queries), want);
+  serving::CacheStats stats = service->cache_stats();
+  EXPECT_EQ(stats.hits, 0u);
+  EXPECT_EQ(stats.misses, queries.size());
+  for (int pass = 0; pass < 3; ++pass) {
+    EXPECT_EQ(Answers(*service, queries), want);
+  }
+  // Single-query calls go through the same batch path.
+  for (const selectivity::Query& q : queries) (void)service->Answer(q);
+  stats = service->cache_stats();
+  EXPECT_EQ(stats.hits, 4 * queries.size());
+  EXPECT_EQ(stats.misses, queries.size());
+  EXPECT_EQ(stats.lookup_bypasses, 0u);
+  EXPECT_EQ(stats.insert_drops, 0u);
+  // A publish makes every entry stale: the next pass misses throughout.
+  service->Publish();
+  EXPECT_EQ(Answers(*service, queries), want);
+  stats = service->cache_stats();
+  EXPECT_EQ(stats.hits, 4 * queries.size());
+  EXPECT_EQ(stats.misses, 2 * queries.size());
 }
 
 }  // namespace
