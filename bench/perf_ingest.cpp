@@ -15,17 +15,24 @@
 // incremental refit (kIncremental) vs the from-zero CloneEmpty + K MergeFrom
 // rebuild + full refit (kScratch), over several cycles.
 //
-// No google-benchmark dependency: plain steady_clock timing, like the other
-// chrono drivers. Single-threaded except the sharded section's ingest.
+// A third section times the wavelet sketch's ingest itself: the same
+// stream through a per-value Insert loop vs one InsertBatch, refits off,
+// with the answers after one refit compared bitwise (the batch API's
+// contract).
+//
+// Plain steady_clock timing, like the other chrono drivers.
+// Single-threaded except the sharded section's ingest.
 //
 // Usage: perf_ingest [--n=1000000] [--chunk=8192] [--cycles=12]
 //                    [--repeats=2] [--out=BENCH_ingest.json] [--check]
 //
 // --check turns the contracts into gates: exit 1 if any mode pair loses
 // bitwise equivalence, if the kde-rot amortized insert+refit speedup falls
-// below 2x, or if the sharded delta refresh is less than 5x faster than the
-// full rebuild. CI runs with --check on the release build; debug binaries
-// refuse --check outright (see bench_common.hpp).
+// below 2x, if the sharded delta refresh is less than 5x faster than the
+// full rebuild, or if the wavelet sketch's batch insert loses bit-identity
+// or is not at least 1.5x the scalar loop. CI runs with --check on the
+// release build; debug binaries refuse --check outright (see
+// bench_common.hpp).
 #include <algorithm>
 #include <chrono>
 #include <cstdio>
@@ -119,6 +126,14 @@ struct IngestRow {
   double refit_max_ms = 0.0;
   double speedup_vs_scratch = 1.0;  // 1.0 on the scratch row itself
   bool bitwise_equal_to_scratch = true;
+};
+
+struct InsertRow {
+  std::string path;
+  double seconds = 0.0;
+  double items_per_second = 0.0;
+  double speedup_vs_scalar = 1.0;
+  bool bitwise_equal_to_scalar = true;
 };
 
 struct RefreshRow {
@@ -248,6 +263,47 @@ int main(int argc, char** argv) {
     }
   }
 
+  // -------------------------------------------------------------------------
+  // Section 3: wavelet-sketch ingest, per-value Insert vs InsertBatch.
+  // -------------------------------------------------------------------------
+  std::vector<InsertRow> insert_rows;
+  {
+    double scalar_seconds = 0.0, batch_seconds = 0.0;
+    std::vector<double> scalar_answers, batch_answers;
+    for (size_t r = 0; r < repeats; ++r) {
+      std::unique_ptr<selectivity::SelectivityEstimator> scalar =
+          Make(SpecFor("wavelet-cv", selectivity::RefitMode::kIncremental));
+      std::unique_ptr<selectivity::SelectivityEstimator> batch =
+          Make(SpecFor("wavelet-cv", selectivity::RefitMode::kIncremental));
+      const auto scalar_start = std::chrono::steady_clock::now();
+      for (double x : stream) scalar->Insert(x);
+      const double scalar_lap = bench::perf::SecondsSince(scalar_start);
+      const auto batch_start = std::chrono::steady_clock::now();
+      batch->InsertBatch(stream);
+      const double batch_lap = bench::perf::SecondsSince(batch_start);
+      if (r == 0 || scalar_lap < scalar_seconds) scalar_seconds = scalar_lap;
+      if (r == 0 || batch_lap < batch_seconds) batch_seconds = batch_lap;
+      scalar->ForceRefit();
+      batch->ForceRefit();
+      scalar_answers = Answers(*scalar, queries);
+      batch_answers = Answers(*batch, queries);
+    }
+    const bool bitwise = batch_answers == scalar_answers;
+    for (const bool is_scalar : {true, false}) {
+      InsertRow row;
+      row.path = is_scalar ? "scalar" : "batch";
+      row.seconds = is_scalar ? scalar_seconds : batch_seconds;
+      row.items_per_second = static_cast<double>(n) / row.seconds;
+      row.speedup_vs_scalar = is_scalar ? 1.0 : scalar_seconds / batch_seconds;
+      row.bitwise_equal_to_scalar = bitwise;
+      insert_rows.push_back(row);
+      std::printf("wavelet-insert  %-11s %.3fs  %.3g items/s  speedup %.2fx  "
+                  "bitwise %s\n",
+                  row.path.c_str(), row.seconds, row.items_per_second,
+                  row.speedup_vs_scalar, bitwise ? "true" : "false");
+    }
+  }
+
   std::FILE* out = std::fopen(out_path.c_str(), "w");
   WDE_CHECK(out != nullptr, "cannot open --out path for writing");
   std::fprintf(out, "{\n  \"bench\": \"perf_ingest\",\n");
@@ -287,6 +343,18 @@ int main(int argc, char** argv) {
                  row.bitwise_equal_to_scratch ? "true" : "false",
                  i + 1 < refresh_rows.size() ? "," : "");
   }
+  std::fprintf(out, "  ],\n  \"wavelet_insert\": [\n");
+  for (size_t i = 0; i < insert_rows.size(); ++i) {
+    const InsertRow& row = insert_rows[i];
+    std::fprintf(out,
+                 "    {\"path\": \"%s\", \"seconds\": %.6f, "
+                 "\"items_per_second\": %.1f, \"speedup_vs_scalar\": %.4f, "
+                 "\"bitwise_equal_to_scalar\": %s}%s\n",
+                 row.path.c_str(), row.seconds, row.items_per_second,
+                 row.speedup_vs_scalar,
+                 row.bitwise_equal_to_scalar ? "true" : "false",
+                 i + 1 < insert_rows.size() ? "," : "");
+  }
   std::fprintf(out, "  ]\n}\n");
   std::fclose(out);
   std::printf("wrote %s\n", out_path.c_str());
@@ -320,6 +388,20 @@ int main(int argc, char** argv) {
         std::fprintf(stderr,
                      "CHECK FAILED: sharded delta refresh speedup %.2fx < 5x\n",
                      row.speedup_vs_scratch);
+        ++violations;
+      }
+    }
+    for (const InsertRow& row : insert_rows) {
+      if (!row.bitwise_equal_to_scalar) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: wavelet batch insert answers differ from "
+                     "the scalar loop\n");
+        ++violations;
+      }
+      if (row.path == "batch" && row.speedup_vs_scalar < 1.5) {
+        std::fprintf(stderr,
+                     "CHECK FAILED: wavelet batch insert speedup %.2fx < 1.5x\n",
+                     row.speedup_vs_scalar);
         ++violations;
       }
     }

@@ -12,6 +12,11 @@
 //                        tree (O(log n + B) per endpoint) vs the O(n)
 //                        per-sample IntegrateRange oracle — gated at 1e-9
 //                        abs; guarded.
+//   kde_cdf_fresh        CdfAt at 2^16 distinct data-centred points, each
+//                        once per pass, vs the same walk over the split of
+//                        two std::partition_point searches — bitwise,
+//                        guarded. Fresh points, not a repeated batch, so the
+//                        branch predictor cannot learn the baseline's search.
 //   wavelet_evaluate_many WaveletEstimate::EvaluateMany vs scalar Evaluate
 //                        loop — bitwise, guarded.
 //   hist_prefix_rebuild  PrefixSumExclusiveBlocked vs Sequential on integer
@@ -27,7 +32,9 @@
 #include <cmath>
 #include <cstdio>
 #include <cstdlib>
+#include <span>
 #include <string>
+#include <utility>
 #include <vector>
 
 #include "bench_common.hpp"
@@ -82,6 +89,22 @@ kernel::KernelDensityEstimator MakeKde(kernel::KernelType type,
       kernel::KernelDensityEstimator::Create(kernel, bandwidth, data);
   WDE_CHECK(kde.ok(), kde.status().ToString().c_str());
   return *std::move(kde);
+}
+
+/// KernelDensityEstimator::SaturationSplit's reference: two binary searches
+/// with the predicates of Kernel::Cdf's saturation branches.
+std::pair<size_t, size_t> PartitionPointSplit(const kernel::KernelDensityEstimator& kde,
+                                              double x) {
+  const std::span<const double> sorted = kde.samples();
+  const double h = kde.bandwidth();
+  const double radius = kde.kernel().support_radius();
+  const auto ones_end = std::partition_point(
+      sorted.begin(), sorted.end(),
+      [&](double xi) { return (x - xi) / h >= radius; });
+  const auto zeros_begin = std::partition_point(
+      ones_end, sorted.end(), [&](double xi) { return (x - xi) / h > -radius; });
+  return {static_cast<size_t>(ones_end - sorted.begin()),
+          static_cast<size_t>(zeros_begin - sorted.begin())};
 }
 
 }  // namespace
@@ -168,6 +191,40 @@ int main(int argc, char** argv) {
     });
     row.speedup = row.seconds_baseline / row.seconds_optimized;
     row.max_abs_error = MaxAbsError(optimized, baseline);
+    rows.push_back(row);
+  }
+
+  // --- kde_cdf_fresh: CdfAt vs the partition_point split (bitwise). ---
+  {
+    const kernel::KernelDensityEstimator kde =
+        MakeKde(kernel::KernelType::kEpanechnikov, data);
+    // 2^16 distinct samples in random order (a partial Fisher–Yates draw).
+    const size_t points = std::min<size_t>(size_t{1} << 16, n);
+    std::vector<size_t> picks(n);
+    for (size_t i = 0; i < n; ++i) picks[i] = i;
+    stats::Rng pick_rng(17);
+    std::vector<double> xs(points), cdf_base(points), cdf_opt(points);
+    for (size_t i = 0; i < points; ++i) {
+      std::swap(picks[i], picks[i + pick_rng.UniformInt(n - i)]);
+      xs[i] = data[picks[i]];
+    }
+    Row row;
+    row.name = "kde_cdf_fresh";
+    row.equivalence = "bitwise";
+    row.items = points;
+    row.speedup_guarded = true;
+    row.seconds_baseline = bench::perf::BestOfSeconds(repeats, [&] {
+      for (size_t i = 0; i < points; ++i) {
+        cdf_base[i] = kde.CdfFromSplit(xs[i], PartitionPointSplit(kde, xs[i]));
+      }
+      checksum += cdf_base[0];
+    });
+    row.seconds_optimized = bench::perf::BestOfSeconds(repeats, [&] {
+      for (size_t i = 0; i < points; ++i) cdf_opt[i] = kde.CdfAt(xs[i]);
+      checksum += cdf_opt[0];
+    });
+    row.speedup = row.seconds_baseline / row.seconds_optimized;
+    row.bit_identical = BitIdentical(cdf_opt, cdf_base);
     rows.push_back(row);
   }
 

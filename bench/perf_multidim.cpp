@@ -31,8 +31,7 @@
 // heap bytes per observation a fit holds once its refit's transients are
 // freed (glibc mallinfo2; 0 where it is unavailable).
 //
-// No google-benchmark dependency: plain steady_clock timing, like the other
-// chrono drivers. Single-threaded.
+// Plain steady_clock timing, like the other perf drivers. Single-threaded.
 //
 // Usage: perf_multidim [--n=200000] [--queries=4096] [--repeats=5]
 //                      [--out=BENCH_multidim.json] [--check]

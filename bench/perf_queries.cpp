@@ -10,10 +10,10 @@
 // speedup, plus the correctness evidence — mixed batch ≡ scalar loop
 // bitwise and the CDF/quantile round-trip error max_p |F(F^{-1}(p)) - p|.
 //
-// No google-benchmark dependency: plain steady_clock timing, so the binary
-// builds everywhere and CI can always produce the artifact. Every timed row
-// runs its batch (or scalar loop) back to back for a window of at least
-// 200 ms per repeat, over --repeats (>= 5) repeats; the JSON
+// Plain steady_clock timing, so the binary builds everywhere and CI can
+// always produce the artifact. Every timed row runs its batch (or scalar
+// loop) back to back for a window of at least 200 ms per repeat, over
+// --repeats (>= 5) repeats; the JSON
 // records the median rate and the min/max across repeats, and the gates
 // read the median. (A single 1024-query batch lasts ~2 ms on the fast tags,
 // too short a window to separate a regression from scheduler noise.)

@@ -9,11 +9,10 @@
 // MaxAbsError) and bit-identity of fixed-K
 // answers across pool widths.
 //
-// No google-benchmark dependency: plain steady_clock timing, best of
-// --repeats runs, so the binary builds everywhere and CI can always produce
-// the artifact. Parallel speedup requires physical cores; the "host" block
-// records hardware_concurrency so flat curves on small containers are
-// self-explaining.
+// Plain steady_clock timing, best of --repeats runs, so the binary builds
+// everywhere and CI can always produce the artifact. Parallel speedup
+// requires physical cores; the "host" block records hardware_concurrency so
+// flat curves on small containers are self-explaining.
 //
 // Usage: perf_sharded [--n=1000000] [--queries=1024] [--shards=1,2,4,8]
 //                     [--repeats=3] [--out=BENCH_shard_scaling.json] [--check]

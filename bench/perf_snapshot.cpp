@@ -15,9 +15,8 @@
 // VmHWM around a clear_refs peak reset — Linux-only, reported as 0
 // elsewhere.
 //
-// No google-benchmark dependency: plain steady_clock timing, best of
-// --repeats runs, so the binary builds everywhere and CI can always produce
-// the artifact.
+// Plain steady_clock timing, best of --repeats runs, so the binary builds
+// everywhere and CI can always produce the artifact.
 //
 // Usage: perf_snapshot [--n=200000] [--queries=256] [--repeats=5]
 //                      [--out=BENCH_snapshot.json] [--check]

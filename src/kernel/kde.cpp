@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 #include <numeric>
 #include <utility>
 
@@ -40,6 +41,61 @@ CdfAndDensity DirectWindowSum(const double* xs, size_t count, double x, double h
     if constexpr (kWithDensity) sum.density += 0.75 * (1.0 - u * u);
   }
   return sum;
+}
+
+// The counts of a_keys[i] < a and of b_keys[i] < b over `len` ≥ 1 ascending
+// keys each: two interleaved branch-free lower bounds. Every step halves the
+// range with a select on a plain `<`, so the trip count depends on len alone
+// and the two dependency chains overlap.
+std::pair<size_t, size_t> CountLess2(const double* a_keys, double a,
+                                     const double* b_keys, double b, size_t len) {
+  const double* a_base = a_keys;
+  const double* b_base = b_keys;
+  while (len > 1) {
+    const size_t half = len / 2;
+    a_base += a_base[half] < a ? half : 0;
+    b_base += b_base[half] < b ? half : 0;
+    len -= half;
+  }
+  return {static_cast<size_t>(a_base - a_keys) + (*a_base < a),
+          static_cast<size_t>(b_base - b_keys) + (*b_base < b)};
+}
+
+// std::partition_point(sorted, pred) for a pred that holds on a prefix,
+// given p = #{i : sorted[i] < key} and a margin such that pred holds below
+// key − margin and fails above key + margin. When no sample next to p lies
+// within the margin, p is the split; otherwise an exact galloping search from
+// p finds it in O(log |p − split|), so a duplicate run on the key costs
+// O(log run).
+template <class Pred>
+size_t FixUpSplit(std::span<const double> sorted, size_t p, double key,
+                  double margin, Pred pred) {
+  const size_t n = sorted.size();
+  if ((p == 0 || sorted[p - 1] < key - margin) &&
+      (p == n || sorted[p] > key + margin)) {
+    return p;
+  }
+  size_t lo = 0;
+  size_t hi = p;
+  if (p < n && pred(sorted[p])) {
+    lo = p + 1;
+    for (size_t step = 1;; step *= 2) {
+      hi = std::min(n, p + step);
+      if (hi == n || !pred(sorted[hi])) break;
+      lo = hi + 1;
+    }
+  } else {
+    for (size_t step = 1; step <= p; step *= 2) {
+      if (pred(sorted[p - step])) {
+        lo = p - step + 1;
+        break;
+      }
+      hi = p - step;
+    }
+  }
+  return static_cast<size_t>(
+      std::partition_point(sorted.begin() + lo, sorted.begin() + hi, pred) -
+      sorted.begin());
 }
 
 }  // namespace
@@ -179,6 +235,10 @@ KernelDensityEstimator::KernelDensityEstimator(Kernel kernel, double bandwidth,
   if (kernel_.type() == KernelType::kEpanechnikov) {
     tree_ = MomentTree::Build(sorted_, bandwidth_);
   }
+  auto keys = std::make_shared<std::vector<double>>();
+  keys->reserve((sorted_.size() + kLeaf - 1) / kLeaf);
+  for (size_t i = 0; i < sorted_.size(); i += kLeaf) keys->push_back(sorted_[i]);
+  leaf_keys_ = std::move(keys);
 }
 
 Result<KernelDensityEstimator> KernelDensityEstimator::Create(
@@ -290,23 +350,50 @@ double KernelDensityEstimator::IntegrateRange(double a, double b) const {
 std::pair<size_t, size_t> KernelDensityEstimator::SaturationSplit(double x) const {
   // sorted_ ascends, so u = (x - X_i)/h descends along the array: a prefix
   // of samples saturates Kernel::Cdf at exactly 1.0 (u >= R), a suffix at
-  // exactly 0.0 (u <= -R), and only the window between them is summed.
-  // Both split points use the very comparison the Cdf branches evaluate.
+  // exactly 0.0 (u <= -R), and only the window between them is summed. Up
+  // to rounding the prefix is X_i < x − R·h and the window X_i < x + R·h,
+  // so both ends are searched with plain `<` against those keys, over the
+  // leaf keys and then inside one leaf. The predicates differ from `<` only
+  // for samples within `margin` of a key (docs/ARCHITECTURE.md derives it),
+  // and FixUpSplit settles those with the very comparisons the Cdf branches
+  // evaluate. The window end is searched over the whole array: u >= R
+  // implies u > −R, so it is the same partition point as one searched from
+  // ones_end.
   const double radius = kernel_.support_radius();
-  const auto ones_end = std::partition_point(
-      sorted_.begin(), sorted_.end(),
-      [&](double xi) { return (x - xi) / bandwidth_ >= radius; });
-  const auto zeros_begin = std::partition_point(
-      ones_end, sorted_.end(),
-      [&](double xi) { return (x - xi) / bandwidth_ > -radius; });
-  return {static_cast<size_t>(ones_end - sorted_.begin()),
-          static_cast<size_t>(zeros_begin - sorted_.begin())};
+  const double h = bandwidth_;
+  const double reach = radius * h;
+  const double ones_key = x - reach;
+  const double zeros_key = x + reach;
+  const double margin =
+      0x1p-49 * (std::abs(x) + reach) + std::numeric_limits<double>::min();
+  const std::vector<double>& keys = *leaf_keys_;
+  const auto [ones_leaves, zeros_leaves] =
+      CountLess2(keys.data(), ones_key, keys.data(), zeros_key, keys.size());
+  // Then search the leaf of the last leaf key below each key; the last,
+  // partial leaf as the final `leaf` samples, whose extra head lies below
+  // the key too.
+  const size_t n = sorted_.size();
+  const size_t leaf = std::min(kLeaf, n);
+  const size_t ones_first =
+      std::min((ones_leaves - (ones_leaves > 0)) * kLeaf, n - leaf);
+  const size_t zeros_first =
+      std::min((zeros_leaves - (zeros_leaves > 0)) * kLeaf, n - leaf);
+  const auto [ones_count, zeros_count] =
+      CountLess2(sorted_.data() + ones_first, ones_key,
+                 sorted_.data() + zeros_first, zeros_key, leaf);
+  const size_t ones_end =
+      FixUpSplit(sorted_, ones_first + ones_count, ones_key, margin,
+                 [&](double xi) { return (x - xi) / h >= radius; });
+  const size_t zeros_begin =
+      FixUpSplit(sorted_, zeros_first + zeros_count, zeros_key, margin,
+                 [&](double xi) { return (x - xi) / h > -radius; });
+  return {ones_end, zeros_begin};
 }
 
 template <bool kWithDensity>
 KernelDensityEstimator::CdfAndDensity KernelDensityEstimator::EpanechnikovWalk(
-    double x) const {
-  const auto [ones_end, zeros_begin] = SaturationSplit(x);
+    double x, std::pair<size_t, size_t> split) const {
+  const auto [ones_end, zeros_begin] = split;
   // The saturated prefix sums to its exact integer count.
   CdfAndDensity sum{static_cast<double>(ones_end), 0.0};
   if (zeros_begin != ones_end) {
@@ -320,12 +407,17 @@ KernelDensityEstimator::CdfAndDensity KernelDensityEstimator::EpanechnikovWalk(
 }
 
 double KernelDensityEstimator::CdfAt(double x) const {
-  if (tree_ != nullptr) return EpanechnikovWalk<false>(x).cdf;
+  return CdfFromSplit(x, SaturationSplit(x));
+}
+
+double KernelDensityEstimator::CdfFromSplit(
+    double x, std::pair<size_t, size_t> split) const {
+  if (tree_ != nullptr) return EpanechnikovWalk<false>(x, split).cdf;
   // Other kernels: the window terms are gathered into contiguous scratch
   // and evaluated by the SIMD batch CDF (elementwise bit-identical to
   // Kernel::Cdf), then summed left to right exactly as IntegrateRange's
   // per-sample loop does.
-  const auto [ones_end, zeros_begin] = SaturationSplit(x);
+  const auto [ones_end, zeros_begin] = split;
   double acc = static_cast<double>(ones_end);
   const size_t window = zeros_begin - ones_end;
   std::vector<double>& us = ScratchArgs();
@@ -343,7 +435,7 @@ double KernelDensityEstimator::CdfAt(double x) const {
 
 KernelDensityEstimator::CdfAndDensity KernelDensityEstimator::CdfAndDensityAt(
     double x) const {
-  if (tree_ != nullptr) return EpanechnikovWalk<true>(x);
+  if (tree_ != nullptr) return EpanechnikovWalk<true>(x, SaturationSplit(x));
   return {CdfAt(x), Evaluate(x)};
 }
 

@@ -62,8 +62,8 @@ class KernelDensityEstimator {
   /// The kernel CDF F̂(x) = n^{-1} Σ K_cdf((x - X_i)/h), the one-sided/CDF
   /// query path of the selectivity layer. Samples whose kernel argument
   /// saturates the CDF (u >= R → exactly 1, u <= -R → exactly 0) are counted
-  /// or skipped, found by binary search with the predicate arithmetic of the
-  /// Cdf branches. The window between them costs:
+  /// or skipped, found by SaturationSplit in O(log n) with the predicate
+  /// arithmetic of the Cdf branches. The window between them costs:
   ///   - Epanechnikov: O(log n + B) through the moment tree. The ≤ 2·B
   ///     samples of the two partial leaves are summed directly with the
   ///     exact cubic; every fully covered tree node adds Σ K_cdf(s − e_i) in
@@ -90,7 +90,25 @@ class KernelDensityEstimator {
   /// rounding, not bitwise. Other kernels return Evaluate(x).
   CdfAndDensity CdfAndDensityAt(double x) const;
 
-  /// Samples per leaf of the Epanechnikov moment tree.
+  /// [ones_end, zeros_begin): the samples whose kernel CDF at x is neither
+  /// saturated at 1 (before) nor at 0 (after). Bitwise the pair two
+  /// std::partition_point searches with the Cdf branches' predicates
+  /// ((x − X_i)/h >= R, then (x − X_i)/h > −R) would return, found without a
+  /// division on the search path: a branch-free lower bound of x ∓ R·h over
+  /// the leaf keys (every kLeafSize-th sample, 8n/B bytes), then one inside
+  /// the chosen leaf, then a fix-up with the exact predicates that only
+  /// samples within a proven rounding distance of x ∓ R·h can trigger
+  /// (galloping, so a duplicate run costs O(log run)). NaN x yields {0, 0}.
+  std::pair<size_t, size_t> SaturationSplit(double x) const;
+
+  /// CdfAt(x) with the saturation split supplied: CdfAt(x) is bitwise
+  /// CdfFromSplit(x, SaturationSplit(x)). Lets a bench or test time and pin
+  /// the split search against a reference search; any other split gives a
+  /// wrong answer.
+  double CdfFromSplit(double x, std::pair<size_t, size_t> split) const;
+
+  /// Samples per leaf of the Epanechnikov moment tree and of the split
+  /// search's leaf keys.
   static constexpr size_t kLeafSize = 64;
 
   double bandwidth() const { return bandwidth_; }
@@ -103,14 +121,10 @@ class KernelDensityEstimator {
 
   KernelDensityEstimator(Kernel kernel, double bandwidth, memory::Arena samples);
 
-  /// [ones_end, zeros_begin): the samples whose kernel CDF at x is neither
-  /// saturated at 1 (before) nor at 0 (after).
-  std::pair<size_t, size_t> SaturationSplit(double x) const;
-
-  /// The Epanechnikov CDF walk shared by CdfAt and CdfAndDensityAt; the
-  /// density sum is skipped unless kWithDensity.
+  /// The Epanechnikov CDF walk over the window of `split`, shared by CdfAt
+  /// and CdfAndDensityAt; the density sum is skipped unless kWithDensity.
   template <bool kWithDensity>
-  CdfAndDensity EpanechnikovWalk(double x) const;
+  CdfAndDensity EpanechnikovWalk(double x, std::pair<size_t, size_t> split) const;
 
   Kernel kernel_;
   double bandwidth_;
@@ -122,6 +136,9 @@ class KernelDensityEstimator {
   /// Epanechnikov only (null otherwise): per-node moments of the sorted
   /// samples, derived from `sorted_` at construction and shared by copies.
   std::shared_ptr<const MomentTree> tree_;
+  /// Every kernel: leaf_keys_[j] = sorted_[j·kLeafSize], the first sample
+  /// of each leaf, derived at construction and shared by copies.
+  std::shared_ptr<const std::vector<double>> leaf_keys_;
 };
 
 }  // namespace kernel

@@ -369,6 +369,127 @@ TEST(KdeMomentTreeTest, CdfAndDensityAtSharesCdfAtAndTracksTheDensity) {
   }
 }
 
+// ------------------------------------------------------ saturation split
+
+/// The split as two std::partition_point searches with the predicates of
+/// Kernel::Cdf's saturation branches: the reference SaturationSplit must
+/// reproduce bitwise.
+std::pair<size_t, size_t> PartitionPointSplit(std::span<const double> sorted,
+                                              double x, double h, double radius) {
+  const auto ones_end = std::partition_point(
+      sorted.begin(), sorted.end(),
+      [&](double xi) { return (x - xi) / h >= radius; });
+  const auto zeros_begin = std::partition_point(
+      ones_end, sorted.end(), [&](double xi) { return (x - xi) / h > -radius; });
+  return {static_cast<size_t>(ones_end - sorted.begin()),
+          static_cast<size_t>(zeros_begin - sorted.begin())};
+}
+
+/// Probes that put x ∓ R·h on, and a few ulps around, every `stride`-th
+/// sample, plus the uniform sweep of ProbesFor and points far outside the
+/// data.
+std::vector<double> SplitProbesFor(std::span<const double> sorted, double reach,
+                                   size_t stride) {
+  std::vector<double> xs = ProbesFor(sorted, reach);
+  const double inf = std::numeric_limits<double>::infinity();
+  for (size_t i = 0; i < sorted.size(); i += stride) {
+    for (double centre : {sorted[i] - reach, sorted[i], sorted[i] + reach}) {
+      double below = centre;
+      double above = centre;
+      xs.push_back(centre);
+      for (int ulp = 0; ulp < 3; ++ulp) {
+        below = std::nextafter(below, -inf);
+        above = std::nextafter(above, inf);
+        xs.push_back(below);
+        xs.push_back(above);
+      }
+    }
+  }
+  for (double far : {1e6, 1e300, std::numeric_limits<double>::max(), inf}) {
+    xs.push_back(sorted.back() + far);
+    xs.push_back(sorted.front() - far);
+  }
+  return xs;
+}
+
+void ExpectSplitMatchesPartitionPoint(KernelType type, std::vector<double> data,
+                                      double h, size_t stride = 0) {
+  const Result<KernelDensityEstimator> kde =
+      KernelDensityEstimator::Create(Kernel::Shared(type), h, data);
+  ASSERT_TRUE(kde.ok()) << kde.status().ToString();
+  const std::span<const double> sorted = kde->samples();
+  const double radius = kde->kernel().support_radius();
+  if (stride == 0) stride = std::max<size_t>(1, sorted.size() / 61);
+  for (double x : SplitProbesFor(sorted, radius * h, stride)) {
+    const std::pair<size_t, size_t> want = PartitionPointSplit(sorted, x, h, radius);
+    ASSERT_EQ(kde->SaturationSplit(x), want)
+        << kde->kernel().name() << " n=" << sorted.size() << " h=" << h
+        << " x=" << x;
+    ASSERT_EQ(kde->CdfAt(x), kde->CdfFromSplit(x, want)) << "x=" << x;
+  }
+  const double nan = std::numeric_limits<double>::quiet_NaN();
+  EXPECT_EQ(kde->SaturationSplit(nan), PartitionPointSplit(sorted, nan, h, radius));
+}
+
+TEST(KdeSaturationSplitTest, SizesAroundTheLeafWidth) {
+  constexpr size_t kB = KernelDensityEstimator::kLeafSize;
+  // n < B, n = B, n not a multiple of B, and several leaves.
+  for (size_t n : {size_t{1}, size_t{2}, kB - 1, kB, kB + 1, 3 * kB + 17,
+                   size_t{4097}, size_t{20000}}) {
+    const std::vector<double> xs = UniformSample(201 + n, n, 0.0, 1.0);
+    for (KernelType type : {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+      ExpectSplitMatchesPartitionPoint(type, xs, 0.02);
+    }
+  }
+}
+
+TEST(KdeSaturationSplitTest, KeysWithinRoundingOfASample) {
+  // x = fl(X_i ± R·h) and its ulp neighbours put a sample within rounding of
+  // a key at every probe. At these bandwidths a few percent of such samples
+  // compare `<` against the key the opposite way from the exact predicate,
+  // so a split without the margin's fix-up goes wrong here.
+  const std::vector<double> xs = UniformSample(233, 1200, 0.0, 1.0);
+  for (double h : {0.07, 0.3, 0.81}) {
+    for (KernelType type : {KernelType::kEpanechnikov, KernelType::kGaussian}) {
+      ExpectSplitMatchesPartitionPoint(type, xs, h, /*stride=*/1);
+    }
+  }
+}
+
+TEST(KdeSaturationSplitTest, DuplicateRunsLongerThanALeafStraddleTheKeys) {
+  // 9 distinct values 1/8 apart, runs of ~5·B samples. With R·h = 1/8 every
+  // x on the lattice puts both x ∓ R·h exactly on a run; with R·h = 3/16
+  // the keys land between runs; at 0.07 inside one run's neighbourhood.
+  std::vector<double> xs = UniformSample(211, 3000, 0.0, 1.0);
+  for (double& x : xs) x = std::round(x * 8.0) / 8.0;
+  for (double h : {0.125, 0.1875, 0.07}) {
+    ExpectSplitMatchesPartitionPoint(KernelType::kEpanechnikov, xs, h);
+  }
+  // Every sample equal: one run spanning all leaves.
+  ExpectSplitMatchesPartitionPoint(KernelType::kEpanechnikov,
+                                   std::vector<double>(1000, 0.25), 0.25);
+}
+
+TEST(KdeSaturationSplitTest, ExtremeBandwidths) {
+  std::vector<double> xs = UniformSample(223, 5000, 0.0, 1.0);
+  for (double& x : xs) x = std::round(x * 64.0) / 64.0;
+  // h = 1e-200: the margin dwarfs R·h, so every duplicate run on x goes
+  // through the exact fix-up. h ≫ the data range: nothing saturates.
+  for (double h : {1e-200, 1e-9, 1e3, 1e200}) {
+    ExpectSplitMatchesPartitionPoint(KernelType::kEpanechnikov, xs, h);
+  }
+}
+
+TEST(KdeSaturationSplitTest, ShiftedDomain) {
+  // Data at [1e6, 1e6 + 1]: x ∓ R·h rounds at ~1.2e-10, far above the
+  // rounding of u near ±R.
+  const std::vector<double> xs = UniformSample(227, 20000, 1e6, 1e6 + 1.0);
+  for (double h : {0.02, 1e-9}) {
+    ExpectSplitMatchesPartitionPoint(KernelType::kEpanechnikov, xs, h);
+    ExpectSplitMatchesPartitionPoint(KernelType::kGaussian, xs, h);
+  }
+}
+
 // ------------------------------------------------------ kde-rot quantiles
 
 constexpr double kQuantileTolerance = 1e-12;
